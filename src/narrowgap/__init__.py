@@ -18,10 +18,10 @@ from .auxiliary import (AuxiliaryEvaluator, BoundaryData, BoundShapeReport,
 from .geometry import (GapProfile, GeometryError, LocalWindow, NarrowRegion,
                        ValidationReport, eval_profile, gap_width,
                        gap_width_many, validate_profile, window)
-from .mesh_solver import (DIRECT_UNKNOWN_LIMIT, LinearSystem, MappedGrid,
-                          SolutionField, SolverError, assemble,
-                          boundary_values, build_grid, quadrature_weights,
-                          solve_component, solve_dirichlet, solve_system)
+from .mesh_solver import (LinearSystem, MappedGrid, SolutionField,
+                          SolverError, assemble, boundary_values, build_grid,
+                          quadrature_weights, solve_component, solve_dirichlet,
+                          solve_system)
 from .operators import (EllipticOperator, OperatorError, apply_operator_poly,
                         estimate_bounds, estimate_ellipticity, make_builtin,
                         rescale_coefficients)
@@ -35,8 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError", "AuxiliaryEvaluator", "BoundReport", "BoundShapeReport",
-    "BoundaryData", "ConvergenceStudy", "DIRECT_UNKNOWN_LIMIT",
-    "EllipticOperator", "ExpressionError", "GapProfile", "GeometryError",
+    "BoundaryData", "ConvergenceStudy", "EllipticOperator",
+    "ExpressionError", "GapProfile", "GeometryError",
     "GradientField", "LinearSystem", "LocalWindow", "ManufacturedProblem",
     "MappedGrid", "NarrowRegion", "OperatorError", "PolynomialField",
     "RateFit", "RationalField", "SolutionField", "SolverError",

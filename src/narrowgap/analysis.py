@@ -346,6 +346,8 @@ class SweepProblem:
     nx_cap: int = 129
     richardson_tol: float = 0.02
     scenario: str = ""
+    tol: float = 1e-10
+    method: str | None = None
 
     def region(self, eps):
         return NarrowRegion(n=self.n, epsilon=eps, profile=self.profile,
@@ -377,7 +379,8 @@ def _solve_one(problem, eps, nx, nt):
     region = problem.region(eps)
     grid = MappedGrid(region, nx, nt)
     sol = solve_dirichlet(problem.op, grid, problem.data,
-                          lateral_closure=problem.lateral_closure)
+                          lateral_closure=problem.lateral_closure,
+                          tol=problem.tol, method=problem.method)
     return region, grid, sol
 
 

@@ -242,7 +242,8 @@ class RunConfig:
                             data=self.data(), n=self.n, r_solve=self.r_solve,
                             r_analyze=self.r_analyze,
                             lateral_closure=self.lateral_closure,
-                            R0=self.R0, nt=self.nt, scenario=self.scenario)
+                            R0=self.R0, nt=self.nt, scenario=self.scenario,
+                            tol=self.tol, method=self.method)
         return prob
 
 
@@ -382,9 +383,9 @@ def _eps_tag(eps):
     return ("%g" % eps).replace(".", "p").replace("-", "m")
 
 
-def _error_json(kind, message):
-    sys.stderr.write(json.dumps({"error": kind, "message": str(message)},
-                                sort_keys=True) + "\n")
+def _error_json(kind, message, **extra):
+    line = {"error": kind, "message": str(message), **extra}
+    sys.stderr.write(json.dumps(line, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +530,10 @@ def cmd_sweep(cfg, args):
             _write_json(outdir / f"report_eps{_eps_tag(eps)}.json", rep)
         _write_json(outdir / "ratefit.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
+    if not fit.conclusive:
+        _error_json("gate", f"rate fit of {cfg.metric} is inconclusive "
+                            f"(slope {fit.slope:.4f}, r2 {fit.r2:.4f})")
+        return EXIT_GATE
     return EXIT_OK
 
 
@@ -676,8 +681,8 @@ def main(argv=None):
     except (GeometryError, OperatorError) as exc:
         _error_json("validation", exc)
         return EXIT_VALIDATION
-    except (SolverError,) as exc:
-        _error_json("solver", exc)
+    except SolverError as exc:
+        _error_json("solver", exc, residual_history=exc.residual_history)
         return EXIT_SOLVER
     except AnalysisError as exc:
         _error_json("gate", exc)

@@ -41,16 +41,21 @@ __all__ = [
     "solve_dirichlet",
     "solve_component",
     "quadrature_weights",
-    "DIRECT_UNKNOWN_LIMIT",
 ]
 
-DIRECT_UNKNOWN_LIMIT = 200_000
+# restarted GMRES of the krylov path: Krylov basis size and restart cycles
+GMRES_RESTART = 30
+GMRES_MAX_CYCLES = 30
 
 
 class SolverError(RuntimeError):
     def __init__(self, message, residual_history=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
+
+    def __reduce__(self):
+        # keep the history when a sweep worker process sends the error back
+        return SolverError, (str(self), self.residual_history)
 
 
 class MappedGrid:
@@ -424,62 +429,108 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
     )
 
 
-def solve_system(system, tol=1e-10, method=None):
-    """Solve the assembled system; direct factorization or BiCGStab + ILU.
+def _reduced_ordering(system):
+    """Interior unknowns in (column, component, t) order.
 
-    The default policy is direct sparse LU up to DIRECT_UNKNOWN_LIMIT
-    unknowns and the preconditioned Krylov path beyond.  Returns the solution
-    reshaped per component with the achieved relative residual; raises
-    SolverError (with the residual history for the Krylov path) on failure.
+    The full vector is component-major over C-ordered nodes, so with a grid
+    node k is column k // nt at level k % nt; without a grid the whole node
+    range is one column.  Returns the interior and boundary indices and the
+    number of interior unknowns per column, so that each column is one
+    contiguous block of the interior ordering.
+    """
+    N = system.N
+    bmask = np.asarray(system.boundary_mask, dtype=bool)
+    M = bmask.size
+    nt = system.grid.nt if system.grid is not None else M
+    ncol = M // nt
+    idx = (np.arange(N)[None, :, None] * M
+           + (np.arange(ncol) * nt)[:, None, None]
+           + np.arange(nt)[None, None, :])
+    free = ~np.broadcast_to(bmask.reshape(ncol, 1, nt), idx.shape)
+    inner = idx[free]
+    block = max(int(free.sum(axis=(1, 2)).max()), 1)
+    return inner, idx[~free], block
+
+
+def _column_preconditioner(A, block):
+    """Exact inverse of the block-diagonal part of A, blocks of size ``block``
+    along the diagonal, all inverted at once as one dense batch."""
+    nblocks = A.shape[0] // block
+    coo = A.tocoo()
+    same = coo.row // block == coo.col // block
+    dense = np.zeros((nblocks, block, block))
+    dense[coo.row[same] // block, coo.row[same] % block,
+          coo.col[same] % block] = coo.data[same]
+    inverse = np.linalg.inv(dense)
+
+    def apply(v):
+        return np.matmul(inverse, v.reshape(nblocks, block, 1)).ravel()
+
+    return spla.LinearOperator(A.shape, apply)
+
+
+def solve_system(system, tol=1e-10, method=None):
+    """Solve the assembled system over its interior unknowns.
+
+    The Dirichlet rows fix the boundary unknowns, so only
+    A_II x_I = b_I - A_IB b_B is solved.  ``direct`` factors that matrix with
+    sparse LU.  ``krylov`` runs restarted GMRES preconditioned by the exact
+    inverse of each vertical column block (all components along one column
+    in t): the mapped equation couples far more strongly in t than across
+    columns, so those blocks carry most of the operator.  The default picks
+    direct LU for n = 2 (or without a grid) and GMRES for n >= 3.  Returns
+    the solution reshaped per component with the achieved relative residual;
+    raises SolverError on failure, with the GMRES history of preconditioned
+    residual norms relative to the reduced right-hand side.
     """
     A = system.matrix.tocsr()
     b = system.rhs
-    nunk = A.shape[0]
     if method is None:
-        method = "direct" if nunk <= DIRECT_UNKNOWN_LIMIT else "krylov"
+        three_d = system.grid is not None and system.grid.n >= 3
+        method = "krylov" if three_d else "direct"
+    if method not in ("direct", "krylov"):
+        raise ValueError(f"unknown method {method!r}")
     bnorm = float(np.linalg.norm(b))
     scale = bnorm if bnorm > 0 else 1.0
-    iterations = 0
+    inner, outer, block = _reduced_ordering(system)
+    A_I = A[inner]
+    A_II = A_I[:, inner]
+    rhs = b[inner] - A_I[:, outer] @ b[outer]
+    history = []
 
     if method == "direct":
         try:
-            lu = spla.splu(A.tocsc())
-            x = lu.solve(b)
-        except Exception as exc:  # singular factorization and friends
+            x_I = spla.splu(A_II.tocsc()).solve(rhs)
+        except RuntimeError as exc:  # singular factorization
             raise SolverError(f"direct factorization failed: {exc}") from exc
-    elif method == "krylov":
+    else:
         try:
-            ilu = spla.spilu(A.tocsc(), drop_tol=1e-6, fill_factor=20)
-        except Exception as exc:
-            raise SolverError(f"ILU preconditioner failed: {exc}") from exc
-        precond = spla.LinearOperator(A.shape, ilu.solve)
-        history = []
-
-        def track(xk):
-            history.append(float(np.linalg.norm(b - A @ xk)) / scale)
-
-        x, info = spla.bicgstab(
-            A, b, rtol=tol, atol=tol * scale, M=precond,
-            maxiter=2000, callback=track,
+            precond = _column_preconditioner(A_II, block)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"column preconditioner failed: {exc}") from exc
+        x_I, info = spla.gmres(
+            A_II, rhs, rtol=0.0, atol=tol * scale, M=precond,
+            restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES,
+            callback=history.append, callback_type="pr_norm",
         )
-        iterations = len(history)
         if info != 0:
             raise SolverError(
-                f"BiCGStab did not converge (info={info}, "
-                f"{iterations} iterations, last residual "
+                f"GMRES did not converge (info={info}, {len(history)} "
+                f"iterations, last residual "
                 f"{history[-1] if history else float('nan'):.3e})",
                 residual_history=history,
             )
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
+    x = b.copy()
+    x[inner] = x_I
     residual = float(np.linalg.norm(b - A @ x)) / scale
     if not np.isfinite(residual) or residual > max(tol * 100, 1e-6):
-        raise SolverError(f"solution residual {residual:.3e} exceeds tolerance")
-    values = x.reshape((system.N,) + system.grid.dims)
+        raise SolverError(f"solution residual {residual:.3e} exceeds tolerance",
+                          residual_history=history)
+    shape = system.grid.dims if system.grid is not None else (-1,)
     return SolutionField(
-        values=values, grid=system.grid, residual=residual,
-        method=method, iterations=iterations,
+        values=x.reshape((system.N,) + shape), grid=system.grid,
+        residual=residual, method=method, iterations=len(history),
     )
 
 

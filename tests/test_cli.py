@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+from narrowgap import cli
+from narrowgap.analysis import fit_rate
 from narrowgap.cli import (
     EXIT_GATE,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_USAGE,
     EXIT_VALIDATION,
     ConfigError,
@@ -33,6 +36,18 @@ n = 2
 epsilon = 0.1
 h1 = "0"
 h2 = "0"
+
+[data]
+g_plus.1 = "1"
+g_minus.1 = "0"
+"""
+
+QUAD3D_CFG = """
+[region]
+n = 3
+epsilons = 0.1,0.05,0.025
+h1 = "0.5*x1^2 + 0.5*x2^2"
+h2 = "-0.5*x1^2 - 0.5*x2^2"
 
 [data]
 g_plus.1 = "1"
@@ -221,6 +236,55 @@ def test_sweep_parallel_matches_serial(tmp_path, capsys):
     capsys.readouterr()
     assert ((serial / "ratefit.json").read_bytes()
             == (parallel / "ratefit.json").read_bytes())
+
+
+def test_sweep_3d_blowup_rate(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, QUAD3D_CFG + "[solver]\nnx = 21\nnt = 9\n")
+    assert main(["sweep", "--config", cfg]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["conclusive"] is True
+    assert abs(payload["rate_fit"]["slope"] + 1.0) <= 0.05
+
+
+def test_sweep_honours_solver_settings(tmp_path, capsys):
+    # direct LU would pass the residual check; GMRES cannot reach 1e-30
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("epsilon = 0.1",
+                                               "epsilons = 0.1,0.05,0.025")
+                    + "[solver]\nmethod = krylov\ntol = 1e-30\n")
+    code = main(["sweep", "--config", cfg])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == EXIT_SOLVER
+    assert err["error"] == "solver"
+    assert "GMRES" in err["message"]
+
+
+def test_solver_error_line_shows_residual_history(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, QUAD3D_CFG.replace("epsilons = 0.1,0.05,0.025",
+                                                 "epsilon = 0.1")
+                    + "[solver]\nnx = 9\nnt = 9\ntol = 1e-30\n")
+    code = main(["solve", "--config", cfg])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == EXIT_SOLVER
+    assert err["error"] == "solver"
+    history = err["residual_history"]
+    assert len(history) > 0 and all(isinstance(v, float) for v in history)
+
+
+def test_sweep_inconclusive_fit_exits_gate(tmp_path, capsys, monkeypatch):
+    def inconclusive(points, metric=""):
+        fit = fit_rate(points, metric)
+        fit.conclusive = False
+        return fit
+
+    monkeypatch.setattr(cli, "fit_rate", inconclusive)
+    cfg = write_cfg(tmp_path, QUAD_CFG)
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", cfg, "--epsilons", "0.1,0.05,0.025",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_GATE
+    assert json.loads(captured.err.strip())["error"] == "gate"
+    assert json.loads((out / "ratefit.json").read_text())["conclusive"] is False
 
 
 def test_sweep_needs_three_epsilons(tmp_path, capsys):

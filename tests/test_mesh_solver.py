@@ -1,10 +1,13 @@
 """Mapped-grid assembly and the Dirichlet solve paths."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from narrowgap import (
     BoundaryData,
+    GapProfile,
     GeometryError,
     NarrowRegion,
     PolynomialField,
@@ -13,6 +16,7 @@ from narrowgap import (
     build_grid,
     flat_gap_exact,
     make_builtin,
+    parse_expression,
     quadrature_weights,
     solve_component,
     solve_dirichlet,
@@ -130,6 +134,53 @@ def test_direct_and_krylov_paths_agree(reg, grid):
     assert d.method == "direct"
     assert k.method == "krylov"
     assert np.abs(d.values - k.values).max() < 1e-8
+
+
+@pytest.mark.parametrize("kind", ["laplace", "lame"])
+def test_flat_gap_3d_is_exact_under_auto(kind):
+    zero = PolynomialField.zero(2)
+    op = make_builtin(kind, n=3)
+    gp = tuple(parse_expression("1", nvars=2) if l == 0 else zero
+               for l in range(op.N))
+    data = BoundaryData(gp, (zero,) * op.N)
+    flat = NarrowRegion(n=3, epsilon=0.05,
+                        profile=GapProfile(h1=zero, h2=zero))
+    grid = build_grid(flat, 13, 9)
+    sol = solve_dirichlet(op, grid, data)
+    assert sol.method == "krylov"
+    assert sol.iterations > 0
+    exact = flat_gap_exact(0.05, [1.0] + [0.0] * (op.N - 1), [0.0] * op.N,
+                           grid.points)
+    assert np.abs(sol.values - exact.reshape(sol.values.shape)).max() < 1e-9
+
+
+def test_direct_and_krylov_paths_agree_3d():
+    def p2(text):
+        return parse_expression(text, nvars=2)
+
+    zero = PolynomialField.zero(2)
+    profile = GapProfile(h1=p2("0.5*x1^2 + 0.5*x2^2"),
+                         h2=p2("-0.5*x1^2 - 0.5*x2^2"))
+    grid = build_grid(NarrowRegion(n=3, epsilon=0.05, profile=profile), 13, 9)
+    op = make_builtin("lame", n=3)
+    data = BoundaryData((p2("1"), zero, p2("x1")), (zero, p2("x2"), zero))
+    d = solve_dirichlet(op, grid, data, method="direct")
+    k = solve_dirichlet(op, grid, data, method="krylov")
+    assert d.method == "direct" and d.iterations == 0
+    assert k.method == "krylov" and k.iterations > 0
+    assert np.abs(d.values - k.values).max() < 1e-8
+
+
+def test_krylov_failure_carries_its_history(reg, grid):
+    data = BoundaryData((p1("1"),), (PolynomialField.zero(1),))
+    with pytest.raises(SolverError) as info:
+        solve_dirichlet(make_builtin("laplace", n=2), grid, data,
+                        method="krylov", tol=1e-30)
+    history = info.value.residual_history
+    assert history and all(np.isfinite(history))
+    again = pickle.loads(pickle.dumps(info.value))
+    assert str(again) == str(info.value)
+    assert again.residual_history == history
 
 
 def test_component_split_matches_full_solve(reg, grid):
