@@ -244,18 +244,25 @@ class BoundReport:
                 "k225": self.k225, "k226": self.k226}
 
 
-def analyze_solution(solution, data, region, R0=0.25, scenario=""):
+def _sup_grad(grad_u, R0):
+    """max |grad u| over the nodes with |x'| <= R0."""
+    gn = grad_u.norm().ravel()
+    r2 = (grad_u.grid.tang**2).sum(axis=-1)
+    return float(gn[r2 <= R0**2 + 1e-15].max())
+
+
+def analyze_solution(solution, data, region, R0=0.25, scenario="", grad_u=None):
     """Full per-epsilon report: gradient bounds for u, energy and pointwise
-    bounds for the correction w."""
+    bounds for the correction w.  ``grad_u`` is gradient(solution) when the
+    caller already has it."""
     grid = solution.grid
     eps = region.epsilon
-    grad_u = gradient(solution)
+    if grad_u is None:
+        grad_u = gradient(solution)
     w = correction_field(solution, data)
     grad_w = gradient(w)
 
-    gn = grad_u.norm().ravel()
-    r2 = (grid.tang**2).sum(axis=-1)
-    sup_grad = float(gn[r2 <= R0**2 + 1e-15].max())
+    sup_grad = _sup_grad(grad_u, R0)
     C_emp = sup_bound_constant(grad_u, data, region, R0)
     c_low = centerline_lower_constant(grad_u, data, region)
 
@@ -367,21 +374,19 @@ def sweep_grid(eps, nx_base=45, eps_base=0.1, cap=129):
     return max(nx, 9)
 
 
-def _metric_value(report, grad_u, grid, metric, R0):
+def _metric_value(grad_u, metric, R0):
     if metric == "center_grad":
-        return float(grad_u.norm()[grid.center_index()].max())
+        return float(grad_u.norm()[grad_u.grid.center_index()].max())
     if metric == "sup_grad":
-        return report.sup_grad
+        return _sup_grad(grad_u, R0)
     raise AnalysisError(f"unknown metric {metric!r}")
 
 
 def _solve_one(problem, eps, nx, nt):
-    region = problem.region(eps)
-    grid = MappedGrid(region, nx, nt)
-    sol = solve_dirichlet(problem.op, grid, problem.data,
-                          lateral_closure=problem.lateral_closure,
-                          tol=problem.tol, method=problem.method)
-    return region, grid, sol
+    grid = MappedGrid(problem.region(eps), nx, nt)
+    return solve_dirichlet(problem.op, grid, problem.data,
+                           lateral_closure=problem.lateral_closure,
+                           tol=problem.tol, method=problem.method)
 
 
 def sweep_member(problem, eps, metric="center_grad", nx=None):
@@ -393,18 +398,16 @@ def sweep_member(problem, eps, metric="center_grad", nx=None):
     """
     if nx is None:
         nx = sweep_grid(eps, problem.nx_base, problem.eps_base, problem.nx_cap)
-    region, grid, sol = _solve_one(problem, eps, nx, problem.nt)
+    sol = _solve_one(problem, eps, nx, problem.nt)
     grad_u = gradient(sol)
-    report = analyze_solution(sol, problem.data, region, problem.R0,
-                              problem.scenario)
-    value = _metric_value(report, grad_u, grid, metric, problem.R0)
+    report = analyze_solution(sol, problem.data, sol.grid.region, problem.R0,
+                              problem.scenario, grad_u=grad_u)
+    value = _metric_value(grad_u, metric, problem.R0)
 
     nx_c = max(9, (nx // 2) | 1)
     nt_c = max(9, (problem.nt // 2) | 1)
-    region_c, grid_c, sol_c = _solve_one(problem, eps, nx_c, nt_c)
-    rep_c = analyze_solution(sol_c, problem.data, region_c, problem.R0,
-                             problem.scenario)
-    value_c = _metric_value(rep_c, gradient(sol_c), grid_c, metric, problem.R0)
+    sol_c = _solve_one(problem, eps, nx_c, nt_c)
+    value_c = _metric_value(gradient(sol_c), metric, problem.R0)
     drift = abs(value - value_c) / abs(value) if value != 0 else abs(value_c)
     if drift > problem.richardson_tol:
         raise AnalysisError(

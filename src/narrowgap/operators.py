@@ -5,7 +5,10 @@ An operator is  d/dx_a ( A_ij^{ab} d/dx_b u^j + B_ij^a u^j ) + Cc_ij^b d/dx_b u^
 component index.  Builtins: the scalar Laplacian and the isotropic elasticity
 (Lame) tensor.  The module also measures the constants the estimates depend
 on: an integral ellipticity lower bound from a randomized Rayleigh search, a
-sampled sup bound for |A|, and a sampled C2 coefficient bound.
+sampled sup bound for |A|, and a sampled C2 coefficient bound.  The Rayleigh
+search evaluates its test fields numerically: separable sine modes built
+from sines on the 1-D quadrature axes, and (n=2, N=2) divergence-free fields
+from a stream function differentiated by the chain rule.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import NarrowRegion, GeometryError
-from .polynomial import PolynomialField, RationalField
+from .polynomial import PolynomialField
 
 __all__ = [
     "EllipticOperator",
@@ -211,12 +214,28 @@ def _trapezoid_weights(m):
     return w
 
 
+@dataclass(frozen=True)
+class _Quadrature:
+    """Tensor trapezoid nodes on the mapped region.
+
+    ``axes`` are the tangential 1-D axes and ``t`` the vertical one; the
+    flattened arrays run over their tensor product, t fastest.
+    """
+
+    axes: tuple
+    t: np.ndarray
+    points: np.ndarray   # (M, n) physical nodes
+    weights: np.ndarray  # (M,) trapezoid weights times the Jacobian delta
+    delta: np.ndarray    # (M,) gap width delta(x')
+    dT: np.ndarray       # (nd, M) d xn / d x_a at fixed t
+
+
 def _quadrature_nodes(region, grid_spec):
     """Tensor trapezoid quadrature over the mapped region.
 
-    Returns tangential axes, t axis, flattened physical points (M, n), weights
-    including the vertical Jacobian delta(x'), and the metric arrays needed to
-    push computational gradients to physical ones.  Self-contained on purpose:
+    Returns the 1-D axes, the flattened physical points, weights including
+    the vertical Jacobian delta(x'), and the metric arrays needed to push
+    computational gradients to physical ones.  Self-contained on purpose:
     the ellipticity search must not share the solver's code path.
     """
     nd = region.nd
@@ -245,76 +264,112 @@ def _quadrature_nodes(region, grid_spec):
             region.bottom_poly.deriv(a).value_many(tang)
             + tvals * region.delta_poly.deriv(a).value_many(tang)
             for a in range(nd)
-        ],
-        axis=-1,
+        ]
     )
-    return points, tvals, tang, delta, dT, weights
+    return _Quadrature(tuple(axes), t_ax, points, weights, delta, dT)
 
 
-def _sine_candidate(rng, region, tang, tvals, delta, dT, N, nmodes=3):
-    """Zero-trace sine tensor mode field: values and physical gradients."""
-    nd = region.nd
+_SINE_KMAX = 4  # sine mode numbers are drawn from 1.._SINE_KMAX on each axis
+
+
+def _sine_tables(region, quad):
+    """Per 1-D axis (tangential axes, then t): sin(k pi s) and its derivative
+    in the physical tangential variable (in t for the last axis), each of
+    shape (_SINE_KMAX, axis length); s is the axis mapped onto [0, 1]."""
     r = region.r_solve
-    M = len(tvals)
-    grad = np.zeros((N, nd + 1, M))
-    s = [(tang[:, a] + r) / (2 * r) for a in range(nd)]
-    for i in range(N):
-        for _ in range(nmodes):
-            ks = rng.integers(1, 5, size=nd + 1)
-            c = rng.normal()
-            sins = [np.sin(ks[a] * np.pi * s[a]) for a in range(nd)]
-            sint = np.sin(ks[nd] * np.pi * tvals)
-            coss = [np.cos(ks[a] * np.pi * s[a]) for a in range(nd)]
-            cost = np.cos(ks[nd] * np.pi * tvals)
-            for a in range(nd):
-                term = c * ks[a] * np.pi / (2 * r) * coss[a] * sint
-                for b in range(nd):
-                    if b != a:
-                        term = term * sins[b]
-                grad[i, a] += term
-            term = c * ks[nd] * np.pi * cost
-            for b in range(nd):
-                term = term * sins[b]
-            grad[i, nd] += term
-    # computational -> physical
-    phys = np.zeros_like(grad)
-    for a in range(nd):
-        phys[:, a] = grad[:, a] - (dT[:, a] / delta) * grad[:, nd]
-    phys[:, nd] = grad[:, nd] / delta
-    return phys
+    kpi = np.arange(1, _SINE_KMAX + 1)[:, None] * np.pi
+    scaled = [((x + r) / (2 * r), 1.0 / (2 * r)) for x in quad.axes]
+    return [(np.sin(kpi * s), kpi * scale * np.cos(kpi * s))
+            for s, scale in scaled + [(quad.t, 1.0)]]
 
 
-def _divfree_candidate(rng, region, points):
-    """Exactly divergence-free field from a stream function (n=2 only).
+def _sine_candidate(rng, tables, quad, N, nmodes=3):
+    """Zero-trace sine tensor mode field: physical gradients, shape (N, n, M).
 
-    Phi = (r^2-x1^2)^2 * (ubar(1-ubar))^2 * G with polynomial G; the field
-    (dPhi/dxn, -dPhi/dx1) has zero trace on all four boundary pieces and zero
-    divergence identically, so the Rayleigh quotient of the Lame tensor on it
-    equals mu up to quadrature error.
+    Each component is a sum of ``nmodes`` products of 1-D sines, so every
+    computational derivative is a sum of outer products of rows of the 1-D
+    tables; the t-axis factor enters through one batched matmul.
     """
-    n = region.n
-    x1 = PolynomialField.variable(n, 0)
-    xn = PolynomialField.variable(n, 1)
-    den = region.delta_poly.lift(n)
-    p = xn - region.bottom_poly.lift(n)
-    ubar = RationalField(p, den, 1)
-    bump_num = (PolynomialField.constant(n, Fraction(region.r_solve) ** 2) - x1 * x1) ** 2
-    tt = ubar * (1 - ubar)
-    coefs = [int(v) for v in rng.integers(-3, 4, size=4)]
-    G = (
-        PolynomialField.constant(n, coefs[0])
-        + coefs[1] * x1
-        + coefs[2] * (x1 * x1)
-    )
-    Phi = tt * tt * (bump_num * G) + tt * tt * ubar * (bump_num * coefs[3])
-    d1 = Phi.deriv(0)
-    dn = Phi.deriv(1)
-    xi = [dn, -1 * d1]
-    grad = np.zeros((2, 2, len(points)))
-    for i in range(2):
-        for a in range(2):
-            grad[i, a] = xi[i].deriv(a).value_many(points)
+    nd = len(tables) - 1
+    ks = np.empty((N, nmodes, nd + 1), dtype=np.int64)
+    c = np.empty((N, nmodes))
+    for i in range(N):
+        for m in range(nmodes):
+            ks[i, m] = rng.integers(1, _SINE_KMAX + 1, size=nd + 1)
+            c[i, m] = rng.normal()
+    grad = np.empty((N, nd + 1, len(quad.weights)))
+    for d in range(nd + 1):
+        # (N, nmodes, axis length) factor per axis: the derivative on axis d
+        factor = [tables[e][int(e == d)][ks[..., e] - 1] for e in range(nd + 1)]
+        tang = c[..., None] * factor[0]
+        for f in factor[1:nd]:
+            tang = (tang[..., :, None] * f[..., None, :]).reshape(N, nmodes, -1)
+        grad[:, d] = np.matmul(tang.transpose(0, 2, 1), factor[nd]).reshape(N, -1)
+    # computational -> physical: d/dxn = (1/delta) d/dt,
+    # d/dx_a = d/dx_a|comp - dT_a d/dxn
+    grad[:, nd] /= quad.delta
+    grad[:, :nd] -= quad.dT * grad[:, nd:]
     return grad
+
+
+def _stream_jets(coefs, r, x1, u, bottom, delta):
+    """Partials of the stream function Phi = S(u) B(x1) (G(x1) + c3 u) (n=2).
+
+    u = (xn - bottom(x1)) / delta(x1), S = u^2 (1-u)^2, B = (r^2 - x1^2)^2 and
+    G = c0 + c1 x1 + c2 x1^2 with coefs = (c0, c1, c2, c3).  ``bottom`` is
+    (bottom', bottom'') and ``delta`` is (delta, delta', delta'') at x1; all
+    arguments broadcast.  Returns (Phi_1, Phi_n, Phi_11, Phi_1n, Phi_nn), by
+    the chain rule through the closed-form jets of u.
+    """
+    c0, c1, c2, c3 = (float(v) for v in coefs)
+    b1, b2 = bottom
+    d0, d1, d2 = delta
+    # jets of u from u * delta = xn - bottom, differentiated (u_nn = 0)
+    un = 1.0 / d0
+    u1 = -(b1 + u * d1) * un
+    u1n = -d1 * un * un
+    u11 = -(b2 + 2 * u1 * d1 + u * d2) * un
+    S = u**2 * (1 - u) ** 2
+    S1 = 2 * u * (1 - u) * (1 - 2 * u)
+    S2 = 2 - 12 * u + 12 * u**2
+    q = r * r - x1 * x1
+    B, B1, B2 = q * q, -4 * x1 * q, 12 * x1 * x1 - 4 * r * r
+    G1, G2 = c1 + 2 * c2 * x1, 2 * c2
+    H = c0 + c1 * x1 + c2 * x1 * x1 + c3 * u
+    # partials of F(u, x1) = S B H, so that Phi(x1, xn) = F(u(x1, xn), x1)
+    Fu = B * (S1 * H + c3 * S)
+    Fuu = B * (S2 * H + 2 * c3 * S1)
+    Fx = S * (B1 * H + B * G1)
+    Fux = S1 * (B1 * H + B * G1) + c3 * S * B1
+    Fxx = S * (B2 * H + 2 * B1 * G1 + B * G2)
+    return (Fu * u1 + Fx,
+            Fu * un,
+            Fuu * u1 * u1 + 2 * Fux * u1 + Fxx + Fu * u11,
+            Fuu * u1 * un + Fux * un + Fu * u1n,
+            Fuu * un * un)
+
+
+def _profile_jets(region, x1):
+    """(bottom', bottom'') and (delta, delta', delta'') at the tangential
+    values x1 (n=2), each shaped like x1."""
+    b1 = region.bottom_poly.deriv(0)
+    d1 = region.delta_poly.deriv(0)
+    pts = np.asarray(x1, dtype=float)[..., None]
+    return ([p.value_many(pts) for p in (b1, b1.deriv(0))],
+            [p.value_many(pts) for p in (region.delta_poly, d1, d1.deriv(0))])
+
+
+def _divfree_candidate(rng, r, x1, u, bottom, delta):
+    """Gradient (2, 2, M) of the divergence-free field (Phi_n, -Phi_1) (n=2).
+
+    Phi is the stream function of ``_stream_jets`` with random integer
+    coefficients.  The field has zero trace on all four boundary pieces and
+    zero divergence identically, so the Rayleigh quotient of the Lame tensor
+    on it equals mu up to quadrature error.
+    """
+    coefs = rng.integers(-3, 4, size=4)
+    _, _, p11, p1n, pnn = _stream_jets(coefs, r, x1, u, bottom, delta)
+    return np.stack([p1n, pnn, -p11, -p1n]).reshape(2, 2, -1)
 
 
 def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
@@ -322,40 +377,50 @@ def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
 
     Minimum over seeded random zero-trace test fields of the Rayleigh
     quotient  int A du dv / int |grad v|^2  with trapezoid quadrature on the
-    mapped region.  Fields are sine tensor modes; for n=2 half the trials are
-    exactly divergence-free stream-function fields, which make the estimate
-    tight (approaches mu) for the Lame tensor.  Deterministic for fixed seed.
+    mapped region.  Fields are sine tensor modes, built from sines on the 1-D
+    axes; for n=2, N=2 half the trials are exactly divergence-free fields
+    from a stream function evaluated by the chain rule, which make the
+    estimate tight (approaches mu) for the Lame tensor.  The numerator sums
+    only the nonzero entries of A.  Deterministic for fixed seed.
     """
     if trials < 4:
         raise OperatorError("trials must be >= 4")
     if op.n != region.n:
         raise OperatorError("operator and region dimensions differ")
     rng = np.random.default_rng(seed)
-    points, tvals, tang, delta, dT, weights = _quadrature_nodes(region, grid_spec)
-
-    a_vals = np.empty((op.N, op.N, op.n, op.n), dtype=object)
-    for idx in np.ndindex(op.N, op.N, op.n, op.n):
-        a_vals[idx] = op.A[idx].value_many(points)
+    quad = _quadrature_nodes(region, grid_spec)
+    # weighted coefficient field of each nonzero entry, one evaluation per
+    # distinct polynomial
+    fields = {}
+    weighted_a = []
+    for idx in np.ndindex(op.A.shape):
+        p = op.A[idx]
+        if not p.is_zero():
+            if p not in fields:
+                fields[p] = quad.weights * p.value_many(quad.points)
+            weighted_a.append((idx, fields[p]))
 
     def rayleigh(grad):
         num = 0.0
-        for i in range(op.N):
-            for j in range(op.N):
-                for a in range(op.n):
-                    for b in range(op.n):
-                        num += float(np.sum(weights * a_vals[i, j, a, b] * grad[i, a] * grad[j, b]))
-        den = float(np.sum(weights * (grad**2).sum(axis=(0, 1))))
+        for (i, j, a, b), wa in weighted_a:
+            num += float(np.dot(wa * grad[i, a], grad[j, b]))
+        den = float(np.dot(quad.weights, (grad**2).sum(axis=(0, 1))))
         if den < 1e-14:
             return None
         return num / den
 
-    best = np.inf
     ndiv = trials // 2 if (region.n == 2 and op.N == 2) else 0
+    if ndiv:
+        x1 = quad.axes[0][:, None]
+        bottom, delta = _profile_jets(region, x1)
+    tables = _sine_tables(region, quad)
+    best = np.inf
     for k in range(trials):
         if k < ndiv:
-            grad = _divfree_candidate(rng, region, points)
+            # u = t at the nodes
+            grad = _divfree_candidate(rng, region.r_solve, x1, quad.t, bottom, delta)
         else:
-            grad = _sine_candidate(rng, region, tang, tvals, delta, dT, op.N)
+            grad = _sine_candidate(rng, tables, quad, op.N)
         q = rayleigh(grad)
         if q is not None and q < best:
             best = q
@@ -369,14 +434,15 @@ def estimate_bounds(op, region, samples=(33, 17)):
     entries of |A|; kappa2_est sums, over the four tensors, the sup over
     samples of the largest entrywise |f| + |grad f| + |hess f|.
     """
-    points, _, _, _, _, _ = _quadrature_nodes(region, samples)
+    points = _quadrature_nodes(region, samples).points
+
+    def distinct_nonzero(tensor):
+        # a sup over entries needs each distinct polynomial only once
+        return [p for p in set(tensor.ravel()) if not p.is_zero()]
 
     def tensor_c2(tensor):
         worst = 0.0
-        for idx in np.ndindex(tensor.shape):
-            p = tensor[idx]
-            if p.is_zero():
-                continue
+        for p in distinct_nonzero(tensor):
             v = np.abs(p.value_many(points))
             g = np.zeros_like(v)
             for d in p.grad():
@@ -389,10 +455,8 @@ def estimate_bounds(op, region, samples=(33, 17)):
         return worst
 
     Lambda_est = 0.0
-    for idx in np.ndindex(op.A.shape):
-        p = op.A[idx]
-        if not p.is_zero():
-            Lambda_est = max(Lambda_est, float(np.abs(p.value_many(points)).max()))
+    for p in distinct_nonzero(op.A):
+        Lambda_est = max(Lambda_est, float(np.abs(p.value_many(points)).max()))
 
     kappa2_est = sum(tensor_c2(t) for t in (op.A, op.B, op.Cc, op.D))
     return Lambda_est, kappa2_est

@@ -137,6 +137,29 @@ def test_validate_success(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_validate_3d_lame(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, QUAD3D_CFG.replace("epsilons = 0.1,0.05,0.025",
+                                                 "epsilon = 0.1")
+                    + 'g_plus.2 = "0"\ng_minus.2 = "0"\n'
+                    + 'g_plus.3 = "0"\ng_minus.3 = "0"\n'
+                    + "[operator]\nkind = lame\nmu = 1.0\nlam = 1.0\n")
+    out = tmp_path / "out"
+    code = main(["validate", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    payload = json.loads((out / "validate.json").read_text())
+    assert printed == payload
+    assert sorted(payload) == ["epsilon", "geometry", "operator", "seed"]
+    assert sorted(payload["operator"]) == [
+        "Lambda_claim", "Lambda_estimate", "elasticity_symmetries", "kappa2_claim",
+        "kappa2_estimate", "kind", "lambda_claim", "lambda_estimate", "symmetric"]
+    assert payload["geometry"]["passed"] is True
+    op = payload["operator"]
+    assert op["kind"] == "lame"
+    assert op["lambda_estimate"] >= op["lambda_claim"] * (1 - 1e-9)
+    assert op["elasticity_symmetries"] is True
+
+
 def test_validate_flat_gap_fails_with_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FLAT_CFG)
     code = main(["validate", "--config", cfg])

@@ -7,9 +7,11 @@ import pytest
 
 from narrowgap import (
     EllipticOperator,
+    GapProfile,
     NarrowRegion,
     OperatorError,
     PolynomialField,
+    RationalField,
     apply_operator_poly,
     estimate_bounds,
     estimate_ellipticity,
@@ -17,13 +19,33 @@ from narrowgap import (
     parse_expression,
     rescale_coefficients,
 )
+from narrowgap.operators import (_divfree_candidate, _profile_jets,
+                                 _quadrature_nodes, _stream_jets)
 
-from conftest import quad_profile
+from conftest import p1, quad_profile
+
+
+def p2(text):
+    return parse_expression(text, nvars=2)
 
 
 @pytest.fixture(scope="module")
 def reg():
     return NarrowRegion(n=2, epsilon=0.1, profile=quad_profile())
+
+
+@pytest.fixture(scope="module")
+def reg_curved():
+    """A gap that is not a quadratic: quartic top, cubic bottom."""
+    profile = GapProfile(h1=p1("0.5*x1^2 + 0.3*x1^4"), h2=p1("-x1^2 + 0.2*x1^3"))
+    return NarrowRegion(n=2, epsilon=0.1, profile=profile)
+
+
+@pytest.fixture(scope="module")
+def reg3():
+    profile = GapProfile(h1=p2("0.5*x1^2 + 0.5*x2^2"),
+                         h2=p2("-0.5*x1^2 - 0.5*x2^2"))
+    return NarrowRegion(n=3, epsilon=0.1, profile=profile)
 
 
 def test_laplace_structure():
@@ -92,6 +114,88 @@ def test_ellipticity_estimate_deterministic(reg):
     op = make_builtin("lame", n=2)
     assert (estimate_ellipticity(op, reg, seed=3)
             == estimate_ellipticity(op, reg, seed=3))
+
+
+# lambda_estimate of the exact-rational stream-function construction (the
+# oracle below) with the sine modes evaluated on all flattened nodes
+PINNED_LAME = {
+    ("quad", 0): 1.0003321446775049,
+    ("quad", 1): 1.000329986097417,
+    ("quad", 7): 1.0003338229532597,
+    ("curved", 0): 1.0004121410093307,
+    ("curved", 1): 1.0004054903141617,
+    ("curved", 7): 1.0004058531847964,
+    ("quad3", 1): 1.1412827864185893,
+}
+
+
+@pytest.mark.parametrize("case,seed", sorted(PINNED_LAME))
+def test_ellipticity_estimate_pinned(case, seed, reg, reg_curved, reg3):
+    region = {"quad": reg, "curved": reg_curved, "quad3": reg3}[case]
+    est = estimate_ellipticity(make_builtin("lame", n=region.n), region, seed=seed)
+    assert est == pytest.approx(PINNED_LAME[case, seed], rel=1e-12, abs=0)
+
+
+def exact_divfree_field(coefs, region, points):
+    """Field (Phi_n, -Phi_1) and its gradient at ``points`` from the stream
+    function built in exact rational arithmetic.
+
+    Phi = (r^2-x1^2)^2 * (ubar(1-ubar))^2 * (G + c3*ubar) with
+    ubar = (xn - bottom)/delta and G = c0 + c1*x1 + c2*x1^2.
+    """
+    n = region.n
+    x1 = PolynomialField.variable(n, 0)
+    xn = PolynomialField.variable(n, 1)
+    den = region.delta_poly.lift(n)
+    ubar = RationalField(xn - region.bottom_poly.lift(n), den, 1)
+    bump = (PolynomialField.constant(n, Fraction(region.r_solve) ** 2)
+            - x1 * x1) ** 2
+    tt = ubar * (1 - ubar)
+    c0, c1, c2, c3 = (int(v) for v in coefs)
+    G = PolynomialField.constant(n, c0) + c1 * x1 + c2 * (x1 * x1)
+    Phi = tt * tt * (bump * G) + tt * tt * ubar * (bump * c3)
+    xi = [Phi.deriv(1), -1 * Phi.deriv(0)]
+    field = np.array([c.value_many(points) for c in xi])
+    grad = np.array([[c.deriv(a).value_many(points) for a in range(2)]
+                     for c in xi])
+    return field, grad
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_divfree_candidate_matches_exact_construction(reg_curved, seed):
+    quad = _quadrature_nodes(reg_curved, (49, 25))
+    x1 = quad.axes[0][:, None]
+    bottom, delta = _profile_jets(reg_curved, x1)
+    grad = _divfree_candidate(np.random.default_rng(seed), reg_curved.r_solve,
+                              x1, quad.t, bottom, delta)
+    coefs = np.random.default_rng(seed).integers(-3, 4, size=4)
+    field_ex, grad_ex = exact_divfree_field(coefs, reg_curved, quad.points)
+    scale = np.abs(grad_ex).max()
+    assert scale > 0
+    assert np.abs(grad - grad_ex).max() <= 1e-10 * scale
+    # zero divergence by construction
+    assert np.all(grad[0, 0] + grad[1, 1] == 0)
+
+    p_1, p_n, _, _, _ = _stream_jets(coefs, reg_curved.r_solve, x1, quad.t,
+                                     bottom, delta)
+    field = np.stack([p_n, -p_1])
+    assert np.abs(field.reshape(2, -1) - field_ex).max() \
+        <= 1e-10 * np.abs(field_ex).max()
+    # zero trace on x1 = -r, x1 = r (rows) and on the bottom and top (columns)
+    for piece in (field[:, 0, :], field[:, -1, :], field[:, :, 0], field[:, :, -1]):
+        assert np.all(piece == 0)
+
+
+def test_ellipticity_estimate_laplace_3d_is_one(reg3):
+    est = estimate_ellipticity(make_builtin("laplace", n=3), reg3, seed=2)
+    assert est == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu,lam", [(1.0, 1.0), (2.0, -1.5)])
+def test_ellipticity_estimate_lame_3d_above_mu(reg3, mu, lam):
+    # int A grad v grad v = mu |grad v|^2 + (lam + mu) (div v)^2 >= mu |grad v|^2
+    op = make_builtin("lame", n=3, lame_mu=mu, lame_lambda=lam)
+    assert estimate_ellipticity(op, reg3, seed=0) >= mu * (1 - 1e-9)
 
 
 def test_estimate_bounds_builtin(reg):
