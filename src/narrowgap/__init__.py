@@ -10,20 +10,19 @@ leading-order interpolant profile.
 from .analysis import (AnalysisError, BoundReport, GradientField, RateFit,
                        SweepProblem, analyze_solution, centerline_lower_constant,
                        correction_field, energy, fit_rate, gradient,
-                       local_energy_profile, pointwise_w_check,
+                       local_energy_profile, pointwise_w_check, solve_epsilon,
                        sup_bound_constant, superposition_check, sweep_and_fit,
                        sweep_grid, sweep_member)
 from .auxiliary import (AuxiliaryEvaluator, BoundaryData, BoundShapeReport,
-                        check_derivative_bounds, ftilde, ubar, utilde)
-from .geometry import (GapProfile, GeometryError, LocalWindow, NarrowRegion,
-                       ValidationReport, eval_profile, gap_width,
-                       gap_width_many, validate_profile, window)
+                        check_derivative_bounds)
+from .geometry import (GapProfile, GeometryError, NarrowRegion,
+                       ValidationReport, gap_width_many, validate_profile)
 from .mesh_solver import (LinearSystem, MappedGrid, SolutionField,
                           SolverError, assemble, boundary_values, build_grid,
-                          quadrature_weights, solve_component, solve_dirichlet,
-                          solve_system)
-from .operators import (EllipticOperator, OperatorError, apply_operator_poly,
-                        estimate_bounds, estimate_ellipticity, make_builtin,
+                          quadrature_weights, solve_dirichlet, solve_system)
+from .operators import (EllipticOperator, OperatorError, apply_operator_jets,
+                        apply_operator_poly, estimate_bounds,
+                        estimate_ellipticity, make_builtin,
                         rescale_coefficients)
 from .polynomial import (ExpressionError, PolynomialField, RationalField,
                          parse_expression)
@@ -37,19 +36,20 @@ __all__ = [
     "AnalysisError", "AuxiliaryEvaluator", "BoundReport", "BoundShapeReport",
     "BoundaryData", "ConvergenceStudy", "EllipticOperator",
     "ExpressionError", "GapProfile", "GeometryError",
-    "GradientField", "LinearSystem", "LocalWindow", "ManufacturedProblem",
+    "GradientField", "LinearSystem", "ManufacturedProblem",
     "MappedGrid", "NarrowRegion", "OperatorError", "PolynomialField",
     "RateFit", "RationalField", "SolutionField", "SolverError",
-    "SweepProblem", "ValidationReport", "analyze_solution", "apply_operator_poly",
+    "SweepProblem", "ValidationReport", "analyze_solution",
+    "apply_operator_jets", "apply_operator_poly",
     "assemble", "build_grid", "centerline_lower_constant",
     "check_derivative_bounds", "convergence_study", "correction_field",
     "boundary_values", "energy", "estimate_bounds", "estimate_ellipticity",
-    "eval_profile", "fd_apply_operator", "fit_rate", "flat_gap_exact",
-    "ftilde", "gap_width", "gap_width_many", "gradient",
+    "fd_apply_operator", "fit_rate", "flat_gap_exact",
+    "gap_width_many", "gradient",
     "local_energy_profile", "make_builtin", "manufactured_problem",
     "parse_expression", "pointwise_w_check", "quadrature_weights",
-    "rescale_coefficients", "solve_component", "solve_dirichlet",
+    "rescale_coefficients", "solve_dirichlet", "solve_epsilon",
     "solve_system", "sup_bound_constant", "superposition_check",
-    "sweep_and_fit", "sweep_grid", "sweep_member", "ubar", "utilde",
-    "validate_profile", "window",
+    "sweep_and_fit", "sweep_grid", "sweep_member",
+    "validate_profile",
 ]

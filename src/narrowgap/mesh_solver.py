@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import GeometryError, NarrowRegion
+from .geometry import GeometryError
 
 __all__ = [
     "MappedGrid",
@@ -39,7 +39,6 @@ __all__ = [
     "assemble",
     "solve_system",
     "solve_dirichlet",
-    "solve_component",
     "quadrature_weights",
 ]
 
@@ -114,13 +113,6 @@ class MappedGrid:
 
     def reshape(self, flat):
         return np.asarray(flat).reshape(self.dims)
-
-    def column_radii2(self):
-        """|x'|^2 per node, shape dims."""
-        return self.reshape((self.tang**2).sum(axis=-1))
-
-    def delta_nodes(self):
-        return self.reshape(self.delta_flat)
 
     def center_index(self):
         return (self.nx // 2,) * self.nd
@@ -540,10 +532,3 @@ def solve_dirichlet(op, grid, data, source=None, lateral_closure="utilde",
     system = assemble(op, grid, data=data, source=source,
                       lateral_closure=lateral_closure)
     return solve_system(system, tol=tol, method=method)
-
-
-def solve_component(op, region, data, l, grid=None, nx=65, nt=33, **kw):
-    """Solve with all boundary components except l zeroed."""
-    if grid is None:
-        grid = MappedGrid(region, nx, nt)
-    return solve_dirichlet(op, grid, data.component(l), **kw)

@@ -15,16 +15,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import NarrowRegion, GeometryError
 from .polynomial import PolynomialField
 
 __all__ = [
     "EllipticOperator",
     "OperatorError",
     "make_builtin",
+    "apply_operator_jets",
     "apply_operator_poly",
     "estimate_ellipticity",
     "estimate_bounds",
@@ -176,32 +177,73 @@ def make_builtin(kind, n=2, lame_mu=1.0, lame_lambda=1.0):
     raise OperatorError(f"unknown builtin operator {kind!r}")
 
 
+@lru_cache(maxsize=32)
+def _jet_terms(op):
+    """The nonzero products of L[u] expanded over the jets of u.
+
+    Per equation i, a list of (coefficient, j, path) meaning
+    coefficient * jets[j][path]: path (1, b) is d_b u^j, (2, a, b) is
+    d_a d_b u^j and (0,) is u^j.  The order is the summation order of
+    apply_operator_jets, and the coefficient derivatives d_a A^{ab} and
+    d_a B^a are taken here, once per operator.
+    """
+    n = op.n
+    lower = op.has_lower_order_terms()
+    rows = []
+    for i in range(op.N):
+        terms = []
+        for j in range(op.N):
+            for a in range(n):
+                for b in range(n):
+                    A = op.A[i, j, a, b]
+                    terms += [(A.deriv(a), j, (1, b)), (A, j, (2, a, b))]
+            if lower:
+                for a in range(n):
+                    B = op.B[i, j, a]
+                    terms += [(B, j, (1, a)), (B.deriv(a), j, (0,)),
+                              (op.Cc[i, j, a], j, (1, a))]
+                terms.append((op.D[i, j], j, (0,)))
+        rows.append([t for t in terms if not t[0].is_zero()])
+    return rows
+
+
+def apply_operator_jets(op, jets, zero, coef=lambda p: p):
+    """L[u]^i for i < N from the jets of u.
+
+    ``jets[j]`` is (u^j, grad, hess) with grad[b] = d_b u^j and
+    hess[a][b] = d_a d_b u^j, all of one kind: exact polynomials or
+    rationals, or float arrays over a set of points.  ``coef`` maps a
+    coefficient polynomial to the factor that multiplies a jet entry (the
+    polynomial itself for exact jets, its values at the points for arrays)
+    and ``zero`` starts each sum.  Expands
+    d_a(A^{ab} d_b u + B^a u) + C^b d_b u + D u by the product rule.
+    """
+    out = []
+    for terms in _jet_terms(op):
+        acc = zero
+        for p, j, path in terms:
+            entry = jets[j]
+            for k in path:
+                entry = entry[k]
+            acc = acc + coef(p) * entry
+        out.append(acc)
+    return out
+
+
 def apply_operator_poly(op, comps):
     """Apply the operator exactly to a polynomial vector field.
 
     comps is a length-N sequence of PolynomialField over the n space
     variables; returns the length-N list L[u]^i, each an exact polynomial.
-    Used as the symbolic oracle for builtin divergences and source terms.
     """
     if len(comps) != op.N:
         raise OperatorError(f"field has {len(comps)} components, operator wants {op.N}")
-    comps = [_as_poly(op.n, c) for c in comps]
-    grads = [[c.deriv(b) for b in range(op.n)] for c in comps]
-    out = []
-    for i in range(op.N):
-        acc = PolynomialField.zero(op.n)
-        for j in range(op.N):
-            for a in range(op.n):
-                flux = PolynomialField.zero(op.n)
-                for b in range(op.n):
-                    flux = flux + op.A[i, j, a, b] * grads[j][b]
-                flux = flux + op.B[i, j, a] * comps[j]
-                acc = acc + flux.deriv(a)
-            for b in range(op.n):
-                acc = acc + op.Cc[i, j, b] * grads[j][b]
-            acc = acc + op.D[i, j] * comps[j]
-        out.append(acc)
-    return out
+    jets = []
+    for c in comps:
+        c = _as_poly(op.n, c)
+        grad = c.grad()
+        jets.append((c, grad, [g.grad() for g in grad]))
+    return apply_operator_jets(op, jets, PolynomialField.zero(op.n))
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +483,8 @@ def estimate_bounds(op, region, samples=(33, 17)):
         return [p for p in set(tensor.ravel()) if not p.is_zero()]
 
     def tensor_c2(tensor):
-        worst = 0.0
-        for p in distinct_nonzero(tensor):
-            v = np.abs(p.value_many(points))
-            g = np.zeros_like(v)
-            for d in p.grad():
-                g = g + d.value_many(points) ** 2
-            h = np.zeros_like(v)
-            for row in p.hessian():
-                for e in row:
-                    h = h + e.value_many(points) ** 2
-            worst = max(worst, float((v + np.sqrt(g) + np.sqrt(h)).max()))
-        return worst
+        return max((float(sum(p.c2_samples(points)).max())
+                    for p in distinct_nonzero(tensor)), default=0.0)
 
     Lambda_est = 0.0
     for p in distinct_nonzero(op.A):

@@ -242,15 +242,26 @@ class PolynomialField:
         powers = pts[..., None, :] ** expos
         return (coefs * powers.prod(axis=-1)).sum(axis=-1)
 
-    def grad_value(self, point):
-        return np.array([d.value(tuple(point)) for d in self.grad()], dtype=float)
-
     def hessian_value(self, point):
         h = self.hessian()
         m = self.nvars
         return np.array(
             [[float(h[i][j].value(tuple(point))) for j in range(m)] for i in range(m)]
         )
+
+    def c2_samples(self, points):
+        """|f|, |grad f| and the Frobenius norm |hess f|_F at ``points``,
+        the three parts of every sampled C2 norm."""
+        value = np.abs(self.value_many(points))
+        grad = self.grad()
+        grad_sq = np.zeros_like(value)
+        for d in grad:
+            grad_sq = grad_sq + d.value_many(points) ** 2
+        hess_sq = np.zeros_like(value)
+        for d in grad:
+            for j in range(self.nvars):
+                hess_sq = hess_sq + d.deriv(j).value_many(points) ** 2
+        return value, np.sqrt(grad_sq), np.sqrt(hess_sq)
 
     # -- substitution ------------------------------------------------------
 
@@ -395,13 +406,6 @@ class RationalField:
 
     def is_zero(self):
         return self.num.is_zero()
-
-    def value(self, point):
-        num = self.num.value(point)
-        if self.power == 0:
-            return num
-        den = self.den.value(point)
-        return num / den**self.power
 
     def value_many(self, points):
         num = self.num.value_many(points)

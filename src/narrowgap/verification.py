@@ -21,6 +21,7 @@ import numpy as np
 
 from .auxiliary import AuxiliaryEvaluator
 from .mesh_solver import MappedGrid, assemble, quadrature_weights, solve_system
+from .operators import apply_operator_jets
 
 __all__ = [
     "Factor1D",
@@ -146,7 +147,8 @@ class ManufacturedProblem:
         return np.concatenate([tang, t[:, None]], axis=-1)
 
     def jets(self, points):
-        """Values, physical gradients and Hessians of u* at physical points.
+        """Values, physical gradients and Hessians of u* at physical points,
+        shapes (N, M), (N, n, M) and (N, n, n, M).
 
         Chain rule through t = ubar(x): with U the computational field,
             du/dx_a   = U_a + U_t t_a
@@ -160,8 +162,8 @@ class ManufacturedProblem:
         tg = self._aux.ubar_grad(pts)        # (n, M), derivative-major
         th = self._aux.ubar_hess(pts)        # (n, n, M)
         vals = np.zeros((N, M))
-        grads = np.zeros((N, M, n))
-        hesss = np.zeros((N, M, n, n))
+        grads = np.zeros((N, n, M))
+        hesss = np.zeros((N, n, n, M))
         for i, f in enumerate(self.fields):
             V, G, H = f.jets(comp)
             Ut = G[:, -1]
@@ -169,7 +171,7 @@ class ManufacturedProblem:
             vals[i] = V
             for a in range(n):
                 base = G[:, a] if a < n - 1 else 0.0
-                grads[i][:, a] = base + Ut * tg[a]
+                grads[i, a] = base + Ut * tg[a]
             for a in range(n):
                 for b in range(a, n):
                     term = Ut * th[a, b] + Utt * tg[a] * tg[b]
@@ -180,8 +182,8 @@ class ManufacturedProblem:
                         term = term + H[:, a, -1] * tg[b]
                     elif b < n - 1:
                         term = term + H[:, b, -1] * tg[a]
-                    hesss[i, :, a, b] = term
-                    hesss[i, :, b, a] = term
+                    hesss[i, a, b] = term
+                    hesss[i, b, a] = term
         return vals, grads, hesss
 
     def values(self, points):
@@ -189,40 +191,10 @@ class ManufacturedProblem:
 
     def source(self, points):
         """f* = L u* evaluated exactly at physical points."""
-        op = self.op
         pts = np.asarray(points, dtype=float)
-        M, n = pts.shape
-        N = op.N
-        vals, grads, hesss = self.jets(pts)
-        out = np.zeros((N, M))
-        lower = op.has_lower_order_terms()
-        for i in range(N):
-            acc = np.zeros(M)
-            for j in range(N):
-                for a in range(n):
-                    for b in range(n):
-                        Aab = op.A[i, j, a, b]
-                        dA = Aab.deriv(a)
-                        if not dA.is_zero():
-                            acc += dA.value_many(pts) * grads[j, :, b]
-                        if not Aab.is_zero():
-                            acc += Aab.value_many(pts) * hesss[j, :, a, b]
-                if lower:
-                    for a in range(n):
-                        Ba = op.B[i, j, a]
-                        if not Ba.is_zero():
-                            acc += Ba.value_many(pts) * grads[j, :, a]
-                        dB = Ba.deriv(a)
-                        if not dB.is_zero():
-                            acc += dB.value_many(pts) * vals[j]
-                        Ca = op.Cc[i, j, a]
-                        if not Ca.is_zero():
-                            acc += Ca.value_many(pts) * grads[j, :, a]
-                    Dij = op.D[i, j]
-                    if not Dij.is_zero():
-                        acc += Dij.value_many(pts) * vals[j]
-            out[i] = acc
-        return out
+        jets = list(zip(*self.jets(pts)))
+        return np.array(apply_operator_jets(self.op, jets, np.zeros(len(pts)),
+                                            lambda p: p.value_many(pts)))
 
     def nodal_fields(self, grid):
         """(u*, f*) at the grid nodes, shapes (N, *dims)."""
@@ -352,12 +324,12 @@ class ConvergenceStudy:
         return min(self.orders_inf) if self.orders_inf else math.nan
 
 
-def convergence_study(problem, grid_list, tol=1e-12):
+def convergence_study(problem, grid_list, tol=1e-12, method=None):
     """Solve the manufactured problem on each grid and report errors.
 
     grid_list: (nx, nt) pairs, expected in 2:1-ish refinement.  Errors are
     nodal L-infinity and Jacobian-weighted L2 against u*; orders are log2
-    ratios of successive errors.
+    ratios of successive errors.  ``tol`` and ``method`` go to solve_system.
     """
     region = problem.region
     errors_inf, errors_l2, grids = [], [], []
@@ -365,7 +337,7 @@ def convergence_study(problem, grid_list, tol=1e-12):
         grid = MappedGrid(region, nx, nt)
         exact, src = problem.nodal_fields(grid)
         system = assemble(problem.op, grid, nodal_bc=exact, source=src)
-        sol = solve_system(system, tol=tol)
+        sol = solve_system(system, tol=tol, method=method)
         diff = sol.values - exact
         errors_inf.append(float(np.abs(diff).max()))
         w = quadrature_weights(grid)

@@ -9,6 +9,7 @@ from narrowgap import (
     NarrowRegion,
     PolynomialField,
     SweepProblem,
+    analysis,
     analyze_solution,
     build_grid,
     centerline_lower_constant,
@@ -144,9 +145,10 @@ def test_sweep_grid_schedule():
     assert sweep_grid(10.0) == 9         # floor
 
 
-def test_sweep_member_richardson_gate(lap):
+def test_sweep_member_richardson_gate(lap, monkeypatch):
+    monkeypatch.setattr(analysis, "RICHARDSON_TOL", 1e-12)
     problem = SweepProblem(op=lap, profile=quad_profile(),
-                           data=mismatch_data(lap), richardson_tol=1e-12)
+                           data=mismatch_data(lap))
     with pytest.raises(AnalysisError):
         sweep_member(problem, 0.1)
 

@@ -9,11 +9,8 @@ from narrowgap import (
     NarrowRegion,
     PolynomialField,
     check_derivative_bounds,
-    ftilde,
     make_builtin,
     parse_expression,
-    ubar,
-    utilde,
 )
 
 from conftest import flat_profile, mismatch_data, p1, quad_profile
@@ -33,11 +30,12 @@ def boundary_points(reg, x1):
 
 
 def test_ubar_normalized_vertical_coordinate(reg):
-    assert ubar(reg, np.array([0.0, 0.0])) == pytest.approx(0.5, abs=1e-15)
-    # (x_n - bottom)/delta at (0.3, 0.02): (0.02 + 0.095)/0.19
-    assert ubar(reg, np.array([0.3, 0.02])) == pytest.approx(23 / 38, abs=1e-14)
-    bots, tops = boundary_points(reg, [-0.4, 0.0, 0.7])
     aux = AuxiliaryEvaluator(reg)
+    center, off = aux.ubar_values(np.array([[0.0, 0.0], [0.3, 0.02]]))
+    assert center == pytest.approx(0.5, abs=1e-15)
+    # (x_n - bottom)/delta at (0.3, 0.02): (0.02 + 0.095)/0.19
+    assert off == pytest.approx(23 / 38, abs=1e-14)
+    bots, tops = boundary_points(reg, [-0.4, 0.0, 0.7])
     np.testing.assert_allclose(aux.ubar_values(bots), 0.0, atol=1e-14)
     np.testing.assert_allclose(aux.ubar_values(tops), 1.0, atol=1e-14)
 
@@ -69,29 +67,33 @@ def test_utilde_matched_data_is_the_trace_everywhere(reg):
 
 def test_utilde_jet_values(reg):
     data = BoundaryData((p1("x1"),), (p1("2*x1"),))
-    val, grad, hess = utilde(reg, data, 0, np.array([0.3, 0.02]), order=2)
+    aux = AuxiliaryEvaluator(reg, data)
+    pt = np.array([[0.3, 0.02]])
     # g- + (g+ - g-)*ubar = 0.6 - 0.3*(23/38)
-    assert val[0] == pytest.approx(0.6 - 0.3 * 23 / 38, abs=1e-14)
-    assert grad.shape == (1, 2) and hess.shape == (1, 2, 2)
+    assert aux.utilde_values(pt)[0, 0] == pytest.approx(0.6 - 0.3 * 23 / 38,
+                                                        abs=1e-14)
+    assert aux.utilde_grad(pt).shape == (1, 2, 1)
     # second vertical derivative vanishes identically
-    assert hess[0, 1, 1] == 0.0
+    assert check_derivative_bounds(reg, data).c210_residual == 0.0
 
 
 def test_ftilde_matched_quadratic_is_constant(reg):
     op = make_builtin("laplace", n=2)
     data = BoundaryData((p1("x1^2"),), (p1("x1^2"),))
-    for x in ([0.1, 0.0], [0.3, 0.02], [-0.2, -0.01]):
-        val = ftilde(op, reg, data, np.array(x))
-        # utilde = x1^2, so the source is -div(grad x1^2) = -2
-        assert val[0] == pytest.approx(-2.0, abs=1e-13)
+    pts = np.array([[0.1, 0.0], [0.3, 0.02], [-0.2, -0.01]])
+    # utilde = x1^2, so the source is -div(grad x1^2) = -2
+    np.testing.assert_allclose(
+        AuxiliaryEvaluator(reg, data, op=op).ftilde_values(pts)[0], -2.0,
+        rtol=0, atol=1e-13)
 
 
 def test_ftilde_flat_constant_data_vanishes():
     flat = NarrowRegion(n=2, epsilon=0.1, profile=flat_profile())
     op = make_builtin("laplace", n=2)
     data = BoundaryData((p1("1"),), (PolynomialField.zero(1),))
-    val = ftilde(op, flat, data, np.array([0.2, 0.01]))
-    assert val[0] == pytest.approx(0.0, abs=1e-14)
+    val = AuxiliaryEvaluator(flat, data, op=op).ftilde_values(
+        np.array([[0.2, 0.01]]))
+    assert val[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_derivative_bound_constants_frozen(reg):

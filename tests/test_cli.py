@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from narrowgap import cli
+from narrowgap import analysis
 from narrowgap.analysis import fit_rate
 from narrowgap.cli import (
     EXIT_GATE,
@@ -299,7 +299,7 @@ def test_sweep_inconclusive_fit_exits_gate(tmp_path, capsys, monkeypatch):
         fit.conclusive = False
         return fit
 
-    monkeypatch.setattr(cli, "fit_rate", inconclusive)
+    monkeypatch.setattr(analysis, "fit_rate", inconclusive)
     cfg = write_cfg(tmp_path, QUAD_CFG)
     out = tmp_path / "out"
     code = main(["sweep", "--config", cfg, "--epsilons", "0.1,0.05,0.025",
@@ -328,6 +328,16 @@ def test_mms_gate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_GATE
     assert json.loads(captured.err.strip())["error"] == "convergence"
+
+
+def test_mms_honours_solver_settings(tmp_path, capsys):
+    # direct LU would pass the residual check; GMRES cannot reach 1e-30
+    cfg = write_cfg(tmp_path, QUAD_CFG + "[solver]\nmethod = krylov\ntol = 1e-30\n")
+    code = main(["mms", "--config", cfg, "--grids", "9,17,33"])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == EXIT_SOLVER
+    assert err["error"] == "solver"
+    assert "GMRES" in err["message"]
 
 
 def test_custom_operator_matches_builtin(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Gap geometry: profiles, regions, hypothesis validation, windows."""
+"""Gap geometry: profiles, regions, hypothesis validation."""
 
 from fractions import Fraction
 
@@ -10,12 +10,9 @@ from narrowgap import (
     GeometryError,
     NarrowRegion,
     PolynomialField,
-    eval_profile,
-    gap_width,
     gap_width_many,
     parse_expression,
     validate_profile,
-    window,
 )
 
 from conftest import flat_profile, p1, quad_profile
@@ -24,24 +21,6 @@ from conftest import flat_profile, p1, quad_profile
 def region(eps=0.1, profile=None):
     return NarrowRegion(n=2, epsilon=eps,
                         profile=profile or quad_profile())
-
-
-def test_profile_jet_values():
-    jet = eval_profile(quad_profile(), 0.3, order=2)
-    assert jet.h1 == pytest.approx(0.045, abs=1e-15)
-    assert jet.h2 == pytest.approx(-0.045, abs=1e-15)
-    assert jet.grad_h1[0] == pytest.approx(0.3, abs=1e-15)
-    assert jet.hess_h1[0, 0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_eval_profile_rejects_bad_points():
-    prof = quad_profile()
-    with pytest.raises(GeometryError):
-        eval_profile(prof, (1.3,))          # outside the unit ball
-    with pytest.raises(GeometryError):
-        eval_profile(prof, (0.1, 0.2))      # wrong tangential dimension
-    with pytest.raises(GeometryError):
-        eval_profile(prof, 0.1, order=3)
 
 
 def test_origin_normalization_is_enforced():
@@ -53,7 +32,6 @@ def test_origin_normalization_is_enforced():
 
 def test_gap_width_quadratic():
     reg = region(eps=0.1)
-    assert gap_width(reg, (0.3,)) == pytest.approx(0.19, abs=1e-15)
     pts = np.array([[0.0], [0.3], [-0.5]])
     np.testing.assert_allclose(gap_width_many(reg, pts),
                                [0.1, 0.19, 0.35], atol=1e-15)
@@ -107,23 +85,6 @@ def test_validate_kappa1_bound_checked():
     assert "c2_bound_kappa1" in [c.name for c in rep.failures()]
 
 
-def test_window_default_radius_is_gap_width():
-    reg = region(eps=0.1)
-    win = window(reg, (0.4,))
-    assert win.s == pytest.approx(0.26, abs=1e-15)
-    assert win.x0_prime == (0.4,)
-
-
-def test_window_stays_inside_regions():
-    reg = region(eps=0.1)
-    with pytest.raises(GeometryError):
-        window(reg, (0.6,))                 # center outside |x'| <= r_analyze
-    with pytest.raises(GeometryError):
-        window(reg, (0.4,), s=0.7)          # leaves the solve box
-    with pytest.raises(GeometryError):
-        window(reg, (0.1,), s=0.0)
-
-
 def test_region_requires_positive_epsilon():
     with pytest.raises(GeometryError):
         NarrowRegion(n=2, epsilon=0.0, profile=quad_profile())
@@ -137,4 +98,5 @@ def test_two_tangential_dimensions():
     rep = validate_profile(reg, samples_per_dim=33)
     assert rep.passed
     assert rep.min_eigenvalue == pytest.approx(2.0, abs=1e-12)
-    assert gap_width(reg, (0.1, 0.2)) == pytest.approx(0.15, abs=1e-15)
+    assert gap_width_many(reg, np.array([[0.1, 0.2]]))[0] == pytest.approx(
+        0.15, abs=1e-15)

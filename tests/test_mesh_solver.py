@@ -18,7 +18,6 @@ from narrowgap import (
     make_builtin,
     parse_expression,
     quadrature_weights,
-    solve_component,
     solve_dirichlet,
     solve_system,
 )
@@ -188,7 +187,7 @@ def test_component_split_matches_full_solve(reg, grid):
     zero = PolynomialField.zero(1)
     data = BoundaryData((p1("1"), zero), (zero, zero))
     full = solve_dirichlet(op, grid, data)
-    part = solve_component(op, reg, data, 0, grid=grid)
+    part = solve_dirichlet(op, grid, data.component(0))
     assert np.abs(full.values - part.values).max() < 1e-12
 
 

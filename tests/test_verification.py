@@ -5,12 +5,14 @@ import pytest
 
 from narrowgap import (
     BoundaryData,
+    EllipticOperator,
     NarrowRegion,
     convergence_study,
     fd_apply_operator,
     flat_gap_exact,
     make_builtin,
     manufactured_problem,
+    parse_expression,
 )
 from narrowgap.verification import Factor1D
 
@@ -62,11 +64,27 @@ def test_linear_vertical_field_on_flat_gap_has_zero_source():
     assert np.abs(problem.source(pts)).max() < 1e-12
 
 
+def lower_order_operator():
+    """Scalar operator with a variable principal part and every lower-order
+    tensor nonzero."""
+    def p(text):
+        return parse_expression(text, nvars=2)
+
+    return EllipticOperator(
+        2, 1, A=[[[[p("1 + 0.5*x1^2"), p("0.25*x2")],
+                   [p("0.25*x2"), p("2 + x1*x2")]]]],
+        B=[[[p("x1*x2"), p("0.5*x1 + x2")]]], Cc=[[[p("0.5*x1"), p("x1^2")]]],
+        D=[[p("0.25 + x1")]])
+
+
 def test_manufactured_source_against_fd_oracle(reg):
-    specs = {
-        "laplace": [[(1.0, [("sin", 1.0), ("poly", 0.0, 1.0)])]],
-        "lame": [[(1.0, [("sin", 1.0), ("poly", 0.0, 1.0)])],
-                 [(1.0, [("cos", 0.7), ("poly", 1.0, 0.5, 0.25)])]],
+    scalar = [[(1.0, [("sin", 1.0), ("poly", 0.0, 1.0)])]]
+    cases = {
+        "laplace": (make_builtin("laplace", n=2), scalar),
+        "lame": (make_builtin("lame", n=2),
+                 [[(1.0, [("sin", 1.0), ("poly", 0.0, 1.0)])],
+                  [(1.0, [("cos", 0.7), ("poly", 1.0, 0.5, 0.25)])]]),
+        "lower_order": (lower_order_operator(), scalar),
     }
     rng = np.random.default_rng(5)
     x1 = rng.uniform(-0.6, 0.6, 40)
@@ -74,10 +92,10 @@ def test_manufactured_source_against_fd_oracle(reg):
     bot = reg.bottom_poly.value_many(x1[:, None])
     dlt = reg.delta_poly.value_many(x1[:, None])
     pts = np.stack([x1, bot + tt * dlt], axis=-1)
-    # central-difference truncation measures 1.2e-6 / 1.8e-5 on these fields
-    tols = {"laplace": 5e-6, "lame": 5e-5}
-    for kind, spec in specs.items():
-        op = make_builtin(kind, n=2)
+    # central-difference truncation measures 1.2e-6 / 1.8e-5 / 1.2e-6 on
+    # these fields
+    tols = {"laplace": 5e-6, "lame": 5e-5, "lower_order": 5e-6}
+    for kind, (op, spec) in cases.items():
         problem = manufactured_problem(op, reg, spec)
         fd = fd_apply_operator(op, reg, problem.values, pts)
         assert np.abs(fd - problem.source(pts)).max() < tols[kind]
