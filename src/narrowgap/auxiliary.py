@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _ball_mask, _tangential_box
+from .geometry import _sample_ball
 from .operators import OperatorError, apply_operator_jets
 from .polynomial import PolynomialField, RationalField
 
@@ -79,8 +79,7 @@ class BoundaryData:
         """
         if self._norms is not None:
             return self._norms
-        pts = _tangential_box(self.nd, 1.0, 513 if self.nd == 1 else 65)
-        pts = pts[_ball_mask(pts, 1.0)]
+        pts = _sample_ball(self.nd, 1.0, 513 if self.nd == 1 else 65)
 
         def side(comps):
             parts = [g.c2_samples(pts) for g in comps]
@@ -255,8 +254,7 @@ def check_derivative_bounds(region, data, samples=(129, 9)):
     """
     mx, mt = samples
     nd, n = region.nd, region.n
-    tang = _tangential_box(nd, region.r_solve, mx)
-    tang = tang[_ball_mask(tang, region.r_solve)]
+    tang = _sample_ball(nd, region.r_solve, mx)
     tlev = np.linspace(0.0, 1.0, mt)
     delta = region.delta_poly.value_many(tang)
     bottom = region.bottom_poly.value_many(tang)

@@ -185,6 +185,15 @@ class RunConfig:
         return NarrowRegion(n=self.n, epsilon=epsilon, profile=self.profile(),
                             r_solve=self.r_solve, r_analyze=self.r_analyze)
 
+    @property
+    def ncomp(self):
+        """Component count N of the configured operator."""
+        if self.op_kind == "laplace":
+            return 1
+        if self.op_kind == "lame":
+            return self.n
+        return int(self.op_params.get("N", 1))
+
     def operator(self):
         if self.op_kind in ("laplace", "lame"):
             kw = {}
@@ -196,7 +205,7 @@ class RunConfig:
 
     def _custom_operator(self):
         n = self.n
-        N = int(self.op_params.get("N", 1))
+        N = self.ncomp
         zero = PolynomialField.zero(n)
         A = np.full((N, N, n, n), zero, dtype=object)
         B = np.full((N, N, n), zero, dtype=object)
@@ -224,11 +233,10 @@ class RunConfig:
             label="custom")
 
     def data(self):
-        op = self.operator()
         nd = self.n - 1
         zero = PolynomialField.zero(nd)
-        gp = [zero] * op.N
-        gm = [zero] * op.N
+        gp = [zero] * self.ncomp
+        gm = [zero] * self.ncomp
         for l, text in enumerate(self.g_plus_texts):
             if text is not None:
                 gp[l] = parse_expression(text, nvars=nd)
@@ -286,7 +294,11 @@ def load_config(path):
     data = sections.get("data", {})
     ncomp = 0
     for key in data:
-        ncomp = max(ncomp, int(key.split(".")[1]))
+        l = int(key.split(".")[1])
+        if not 1 <= l <= cfg.ncomp:
+            raise ConfigError(f"[data] {key}: component index must be 1..{cfg.ncomp} "
+                              f"for the {cfg.op_kind} operator")
+        ncomp = max(ncomp, l)
     cfg.g_plus_texts = [None] * ncomp
     cfg.g_minus_texts = [None] * ncomp
     for key, value in data.items():
@@ -329,10 +341,6 @@ def load_config(path):
 # emission
 
 
-def _fmt(x):
-    return "%.17g" % x
-
-
 def report_to_dict(report, rate_fit=None):
     """BoundReport as the pinned JSON structure."""
     rf = None
@@ -366,17 +374,13 @@ def _write_field_csv(path, solution, gradfield):
     nd = grid.nd
     header = [f"x{d+1}" for d in range(nd)] + ["xn", "t"] \
         + [f"u_{j+1}" for j in range(N)] + ["grad_norm"]
-    gn = gradfield.norm().ravel()
-    vals = solution.values.reshape(N, -1)
+    table = np.column_stack([grid.tang, grid.xn_flat, grid.tvals,
+                             solution.values.reshape(N, -1).T,
+                             gradfield.norm().ravel()])
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(grid.nodes):
-            row = [_fmt(grid.tang[k, d]) for d in range(nd)]
-            row.append(_fmt(grid.xn_flat[k]))
-            row.append(_fmt(grid.tvals[k]))
-            row.extend(_fmt(vals[j, k]) for j in range(N))
-            row.append(_fmt(gn[k]))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(row % tuple(values) for values in table.tolist())
 
 
 def _eps_tag(eps):

@@ -104,8 +104,7 @@ class NarrowRegion:
         if not 0 < self.r_analyze < self.r_solve <= 1.0:
             raise GeometryError("need 0 < r_analyze < r_solve <= 1")
         # the gap must be open on the whole solve box
-        pts = _tangential_box(self.nd, self.r_solve, 65)
-        dmin = float(gap_width_many(self, pts).min())
+        dmin = _min_box_width(self)
         if dmin <= 0:
             raise GeometryError(f"gap closes on the solve box (min width {dmin:g})")
 
@@ -152,6 +151,15 @@ class ValidationReport:
 
 
 @lru_cache(maxsize=64)
+def _min_box_width(region):
+    """Smallest gap width on a 65^(n-1) grid of the solve box.  Cached, so
+    that the equal regions the geometry gate and the solves build for one
+    eps sample the box once."""
+    pts = _tangential_box(region.nd, region.r_solve, 65)
+    return float(gap_width_many(region, pts).min())
+
+
+@lru_cache(maxsize=64)
 def _delta_poly(region):
     eps = Fraction(region.epsilon)
     return region.profile.separation() + eps
@@ -186,6 +194,33 @@ def gap_width_many(region, points):
     return region.delta_poly.value_many(points)
 
 
+def _sample_ball(nd, r, m):
+    """The points of the m^nd sample grid of [-r, r]^nd inside the r-ball."""
+    pts = _tangential_box(nd, r, m)
+    return pts[_ball_mask(pts, r)]
+
+
+@lru_cache(maxsize=32)
+def _profile_checks(profile, samples_per_dim):
+    """The eps-independent measurements of validate_profile, once per
+    profile: the origin normalization residual, the smallest eigenvalue of
+    hess(h1 - h2)(0') and the sampled C2 norms of h1 and h2 on the unit
+    ball (sup of |h| + |grad h| + |hess h|_F)."""
+    # exact origin conditions hold by construction; re-measure for the record
+    origin_resid = float(
+        abs(profile.h1.constant_term())
+        + abs(profile.h2.constant_term())
+        + sum(abs(c) for c in profile.h1.linear_coefficients())
+        + sum(abs(c) for c in profile.h2.linear_coefficients())
+    )
+    sep_hess = profile.separation().hessian_value((0.0,) * profile.nd)
+    min_eig = float(np.linalg.eigvalsh(sep_hess).min())
+    ball = _sample_ball(profile.nd, 1.0, samples_per_dim)
+    c2_h1, c2_h2 = (float(sum(h.c2_samples(ball)).max())
+                    for h in (profile.h1, profile.h2))
+    return origin_resid, min_eig, c2_h1, c2_h2
+
+
 def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=False):
     """Measure the geometric hypotheses and report pass/fail per check.
 
@@ -208,20 +243,11 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
         samples_per_dim=samples_per_dim,
     )
 
-    # exact origin conditions hold by construction; re-measure for the record
-    origin_resid = float(
-        abs(prof.h1.constant_term())
-        + abs(prof.h2.constant_term())
-        + sum(abs(c) for c in prof.h1.linear_coefficients())
-        + sum(abs(c) for c in prof.h2.linear_coefficients())
-    )
+    origin_resid, report.min_eigenvalue, report.c2_norm_h1, report.c2_norm_h2 = \
+        _profile_checks(prof, samples_per_dim)
     report.checks.append(
         CheckResult("origin_normalization", origin_resid == 0.0, origin_resid, 0.0)
     )
-
-    sep_hess = prof.separation().hessian_value((0.0,) * prof.nd)
-    eigs = np.linalg.eigvalsh(sep_hess)
-    report.min_eigenvalue = float(eigs.min())
     convex_ok = report.min_eigenvalue >= prof.kappa0 - tol
     report.checks.append(
         CheckResult(
@@ -233,11 +259,6 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
         )
     )
 
-    ball = _tangential_box(prof.nd, 1.0, samples_per_dim)
-    ball = ball[_ball_mask(ball, 1.0)]
-    # sampled sup of |h| + |grad h| + |hess h|_F
-    report.c2_norm_h1, report.c2_norm_h2 = (
-        float(sum(h.c2_samples(ball)).max()) for h in (prof.h1, prof.h2))
     c2_total = report.c2_norm_h1 + report.c2_norm_h2
     report.checks.append(
         CheckResult(
@@ -249,17 +270,18 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
         )
     )
 
+    ball = _sample_ball(prof.nd, 1.0, samples_per_dim)
     widths = gap_width_many(region, ball)
     min_width = float(widths.min())
     if min_width <= 0:
         raise GeometryError(f"gap closes on the unit ball (min width {min_width:g})")
     report.checks.append(CheckResult("positive_gap", True, min_width, 0.0))
 
-    box = _tangential_box(prof.nd, region.r_solve, samples_per_dim)
-    box = box[_ball_mask(box, region.r_solve)]
-    ratios = gap_width_many(region, box) / (
-        region.epsilon + (box**2).sum(axis=-1)
-    )
+    box, box_widths = ball, widths
+    if region.r_solve != 1.0:
+        box = _sample_ball(prof.nd, region.r_solve, samples_per_dim)
+        box_widths = gap_width_many(region, box)
+    ratios = box_widths / (region.epsilon + (box**2).sum(axis=-1))
     report.c21_lower = float(ratios.min())
     report.c21_upper = float(ratios.max())
     report.checks.append(

@@ -80,21 +80,12 @@ class MappedGrid:
         self.axes.append(np.linspace(0.0, 1.0, nt))
         self.hx = [ax[1] - ax[0] for ax in self.axes]
 
-        grids = np.meshgrid(*self.axes, indexing="ij")
-        self.tang = np.stack([g.ravel() for g in grids[:nd]], axis=-1)  # (M, nd)
-        self.tvals = grids[nd].ravel()
-        self.delta_flat = region.delta_poly.value_many(self.tang)
-        bottom = region.bottom_poly.value_many(self.tang)
-        self.xn_flat = bottom + self.tvals * self.delta_flat
+        # delta, bottom and their slopes depend on x' only: evaluate them once
+        # per column and repeat over the levels
+        self._columns = _column_values(region, self.axes[:nd])
+        self.tang, self.tvals, self.delta_flat, self.xn_flat, self.dT_flat = \
+            _stack_levels(self._columns, self.axes[nd])
         self.points = np.concatenate([self.tang, self.xn_flat[:, None]], axis=-1)
-        self.dT_flat = np.stack(
-            [
-                region.bottom_poly.deriv(a).value_many(self.tang)
-                + self.tvals * region.delta_poly.deriv(a).value_many(self.tang)
-                for a in range(nd)
-            ],
-            axis=0,
-        )  # (nd, M)
 
         idx = np.unravel_index(np.arange(self.nodes), self.dims)
         bnd = np.zeros(self.nodes, dtype=bool)
@@ -116,6 +107,32 @@ class MappedGrid:
 
     def center_index(self):
         return (self.nx // 2,) * self.nd
+
+
+def _column_values(region, tang_axes):
+    """The C-ordered tensor columns over ``tang_axes`` with delta, bottom,
+    d bottom/dx_a and d delta/dx_a evaluated there."""
+    grids = np.meshgrid(*tang_axes, indexing="ij")
+    cols = np.stack([g.ravel() for g in grids], axis=-1)  # (columns, nd)
+    delta, bottom = region.delta_poly, region.bottom_poly
+    nd = len(tang_axes)
+    return (cols, delta.value_many(cols), bottom.value_many(cols),
+            [bottom.deriv(a).value_many(cols) for a in range(nd)],
+            [delta.deriv(a).value_many(cols) for a in range(nd)])
+
+
+def _stack_levels(columns, tax):
+    """Column values repeated over the levels ``tax``, t fastest: flattened
+    tangential points, t, delta, xn = bottom + t*delta and dT (nd, M) with
+    dT_a = d bottom/dx_a + t d delta/dx_a."""
+    cols, delta_c, bottom_c, dbottom_c, ddelta_c = columns
+    m = len(tax)
+    tvals = np.tile(tax, len(cols))
+    delta = np.repeat(delta_c, m)
+    xn = np.repeat(bottom_c, m) + tvals * delta
+    dT = np.stack([np.repeat(db, m) + tvals * np.repeat(dd, m)
+                   for db, dd in zip(dbottom_c, ddelta_c)], axis=0)
+    return np.repeat(cols, m, axis=0), tvals, delta, xn, dT
 
 
 def build_grid(region, nx, nt):
@@ -179,22 +196,25 @@ def _face_average(m):
 
 
 def _central_diff(m, h):
-    D = sp.lil_matrix((m, m))
-    for k in range(1, m - 1):
-        D[k, k - 1] = -0.5 / h
-        D[k, k + 1] = 0.5 / h
-    D[0, 0], D[0, 1], D[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    D[m - 1, m - 1], D[m - 1, m - 2], D[m - 1, m - 3] = 1.5 / h, -2.0 / h, 0.5 / h
-    return D.tocsr()
+    """Central differences inside, one-sided second order in the end rows."""
+    k = np.arange(1, m - 1)
+    indices = np.concatenate([[0, 1, 2], np.column_stack([k - 1, k + 1]).ravel(),
+                              [m - 3, m - 2, m - 1]])
+    data = np.concatenate([[-1.5 / h, 2.0 / h, -0.5 / h],
+                           np.tile([-0.5 / h, 0.5 / h], m - 2),
+                           [0.5 / h, -2.0 / h, 1.5 / h]])
+    # three entries in each end row, two in every row between
+    indptr = np.concatenate([[0], 3 + 2 * np.arange(m - 1), [2 * m + 2]])
+    return sp.csr_matrix((data, indices, indptr), shape=(m, m))
 
 
 def _face_to_node_div(m, h):
     """Difference of face fluxes at interior nodes; boundary rows zero."""
-    D = sp.lil_matrix((m, m - 1))
-    for k in range(1, m - 1):
-        D[k, k - 1] = -1.0 / h
-        D[k, k] = 1.0 / h
-    return D.tocsr()
+    k = np.arange(1, m - 1)
+    indices = np.column_stack([k - 1, k]).ravel()
+    data = np.tile([-1.0 / h, 1.0 / h], m - 2)
+    indptr = np.concatenate([[0], 2 * np.arange(m - 1), [2 * (m - 2)]])
+    return sp.csr_matrix((data, indices, indptr), shape=(m, m - 1))
 
 
 def _kron_chain(mats):
@@ -232,28 +252,21 @@ def _face_geometry(grid, a):
     """Coordinates and metric arrays at the faces of family ``a``.
 
     a is a dim index (tangential 0..nd-1, or nd for the vertical family).
-    Returns flattened face tangential points, t values, delta, dT, physical
-    points, in the same C-order as the kron chains.
+    Returns flattened face physical points, delta, dT, in the same C-order
+    as the kron chains.  Vertical faces sit on the node columns, so they
+    reuse the grid's column values.
     """
-    region = grid.region
     nd = grid.nd
-    axes = [ax.copy() for ax in grid.axes]
-    axes[a] = 0.5 * (axes[a][:-1] + axes[a][1:])
-    grids = np.meshgrid(*axes, indexing="ij")
-    tang = np.stack([g.ravel() for g in grids[:nd]], axis=-1)
-    tvals = grids[nd].ravel()
-    delta = region.delta_poly.value_many(tang)
-    bottom = region.bottom_poly.value_many(tang)
-    xn = bottom + tvals * delta
+    tax = grid.axes[nd]
+    if a < nd:
+        axes = list(grid.axes[:nd])
+        axes[a] = 0.5 * (axes[a][:-1] + axes[a][1:])
+        columns = _column_values(grid.region, axes)
+    else:
+        columns = grid._columns
+        tax = 0.5 * (tax[:-1] + tax[1:])
+    tang, _, delta, xn, dT = _stack_levels(columns, tax)
     points = np.concatenate([tang, xn[:, None]], axis=-1)
-    dT = np.stack(
-        [
-            region.bottom_poly.deriv(d).value_many(tang)
-            + tvals * region.delta_poly.deriv(d).value_many(tang)
-            for d in range(nd)
-        ],
-        axis=0,
-    )
     return points, delta, dT
 
 
@@ -272,7 +285,6 @@ def _face_gradient_ops(grid, a):
                 base = _chain(grid, {a: "avg", b: "cen"})
             ops[b] = base - sp.diags(dT[b] * inv_delta) @ dt_at_face
         ops[nd] = sp.diags(inv_delta) @ dt_at_face
-        avg = _chain(grid, {a: "avg"})
         div = _chain(grid, {a: "div"})
     else:  # vertical face family
         dt_at_face = _chain(grid, {nd: "fwd"})
@@ -280,9 +292,8 @@ def _face_gradient_ops(grid, a):
             base = _chain(grid, {b: "cen", nd: "avg"})
             ops[b] = base - sp.diags(dT[b] * inv_delta) @ dt_at_face
         ops[nd] = sp.diags(inv_delta) @ dt_at_face
-        avg = _chain(grid, {nd: "avg"})
         div = _chain(grid, {nd: "div"})
-    return points, delta, dT, ops, avg, div
+    return points, delta, dT, ops, div
 
 
 def _node_gradient_ops(grid):
@@ -341,14 +352,16 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
 
     blocks = [[None] * N for _ in range(N)]
     families = [_face_gradient_ops(grid, a) for a in range(nd + 1)]
-    node_ops = _node_gradient_ops(grid)
     has_lower = op.has_lower_order_terms()
+    # only B needs the face averages and only C the node gradients
+    face_avg = [_chain(grid, {a: "avg"}) for a in range(nd + 1)] if has_lower else None
+    node_ops = _node_gradient_ops(grid) if has_lower else None
 
     for i in range(N):
         for j in range(N):
             acc = None
             for a in range(nd + 1):
-                points, delta, dT, ops, avg, div = families[a]
+                points, delta, dT, ops, div = families[a]
                 flux = None
                 for b in range(nd + 1):
                     if a < nd:
@@ -369,7 +382,7 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
                         for al in range(nd):
                             wb = wb - dT[al] * op.B[i, j, al].value_many(points)
                     if np.any(wb):
-                        term = sp.diags(wb) @ avg
+                        term = sp.diags(wb) @ face_avg[a]
                         flux = term if flux is None else flux + term
                 if flux is not None:
                     term = div @ flux

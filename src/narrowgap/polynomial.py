@@ -238,6 +238,9 @@ class PolynomialField:
         expos, coefs = self._eval_cache
         if len(coefs) == 0:
             return np.zeros(pts.shape[:-1])
+        if len(coefs) == 1 and not expos.any():
+            # a constant: every power below is 1.0, so the sum is c exactly
+            return np.full(pts.shape[:-1], coefs[0])
         # powers: (..., nterms, nvars) -> product over vars
         powers = pts[..., None, :] ** expos
         return (coefs * powers.prod(axis=-1)).sum(axis=-1)

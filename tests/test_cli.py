@@ -116,6 +116,23 @@ def test_load_config_rejects_bad_input(tmp_path, mutation):
         load_config(write_cfg(tmp_path, QUAD_CFG + mutation))
 
 
+@pytest.mark.parametrize("extra", [
+    'g_plus.0 = "7"\n',     # would land at list index -1, replacing g_plus.1
+    'g_plus.2 = "1"\n',     # the Laplace operator has one component
+], ids=["index0", "above_N"])
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--epsilons", "0.1,0.05,0.025"]],
+                         ids=["solve", "sweep"])
+def test_data_component_index_out_of_range(tmp_path, capsys, extra, command):
+    cfg = write_cfg(tmp_path, QUAD_CFG + extra)
+    with pytest.raises(ConfigError, match="component index"):
+        load_config(cfg)
+    code = main([command[0], "--config", cfg] + command[1:])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "config"
+
+
 def test_load_config_rejects_duplicates_and_orphans(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, QUAD_CFG + "[region]\nn = 3\n"))

@@ -57,6 +57,18 @@ def test_validate_quadratic_profile_passes():
     assert [c.name for c in rep.failures()] == []
 
 
+@pytest.mark.parametrize("r_solve", [1.0, 0.8])
+def test_comparability_constants_sample_the_solve_ball(r_solve):
+    prof = GapProfile(h1=p1("0.5*x1^2 + 0.3*x1^4"), h2=p1("-x1^2 + 0.2*x1^3"))
+    reg = NarrowRegion(n=2, epsilon=0.1, profile=prof, r_solve=r_solve,
+                       r_analyze=0.4)
+    rep = validate_profile(reg, samples_per_dim=64)
+    x = np.linspace(-r_solve, r_solve, 64)
+    x = x[x**2 <= r_solve**2 + 1e-12]
+    ratios = gap_width_many(reg, x[:, None]) / (0.1 + x**2)
+    assert (rep.c21_lower, rep.c21_upper) == (ratios.min(), ratios.max())
+
+
 def test_validate_flat_profile_fails_convexity_only():
     rep = validate_profile(region(profile=flat_profile()))
     assert not rep.passed

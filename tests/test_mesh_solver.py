@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from narrowgap import (
     BoundaryData,
@@ -21,7 +22,8 @@ from narrowgap import (
     solve_dirichlet,
     solve_system,
 )
-from narrowgap.mesh_solver import LinearSystem, MappedGrid, assemble
+from narrowgap.mesh_solver import (LinearSystem, MappedGrid, _central_diff,
+                                   _face_geometry, _face_to_node_div, assemble)
 
 from conftest import flat_profile, p1, quad_profile
 
@@ -61,6 +63,67 @@ def test_grid_rejects_bad_resolution(reg):
         MappedGrid(reg, 10, 17)
     with pytest.raises(GeometryError):
         MappedGrid(reg, 33, 7)
+
+
+# the quartic/cubic profile of the pinned curved Lame case; in 3-D with
+# x2 terms that break the symmetry between the tangential axes
+CURVED = {2: ("0.5*x1^2 + 0.3*x1^4", "-x1^2 + 0.2*x1^3"),
+          3: ("0.5*x1^2 + 0.3*x1^4 + 0.5*x2^2", "-x1^2 + 0.2*x1^3 - x2^2 + 0.1*x1*x2^2")}
+
+
+def _per_node_geometry(region, axes):
+    """Tangential points, t, delta, xn and dT evaluated node by node on the
+    tensor grid of ``axes``."""
+    nd = region.nd
+    grids = np.meshgrid(*axes, indexing="ij")
+    tang = np.stack([g.ravel() for g in grids[:nd]], axis=-1)
+    tvals = grids[nd].ravel()
+    delta = region.delta_poly.value_many(tang)
+    xn = region.bottom_poly.value_many(tang) + tvals * delta
+    dT = np.stack([region.bottom_poly.deriv(a).value_many(tang)
+                   + tvals * region.delta_poly.deriv(a).value_many(tang)
+                   for a in range(nd)], axis=0)
+    return tang, tvals, delta, xn, dT
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.00625])
+@pytest.mark.parametrize("n, nx, nt", [(2, 33, 17), (3, 13, 9)])
+def test_column_geometry_equals_per_node_evaluation(n, nx, nt, eps):
+    h1, h2 = CURVED[n]
+    prof = GapProfile(h1=parse_expression(h1, nvars=n - 1),
+                      h2=parse_expression(h2, nvars=n - 1))
+    region = NarrowRegion(n=n, epsilon=eps, profile=prof)
+    grid = MappedGrid(region, nx, nt)
+    tang, tvals, delta, xn, dT = _per_node_geometry(region, grid.axes)
+    assert np.array_equal(grid.tang, tang) and np.array_equal(grid.tvals, tvals)
+    assert np.array_equal(grid.delta_flat, delta)
+    assert np.array_equal(grid.xn_flat, xn)
+    assert np.array_equal(grid.dT_flat, dT)
+    assert np.array_equal(grid.points, np.column_stack([tang, xn]))
+    for a in range(n):
+        axes = list(grid.axes)
+        axes[a] = 0.5 * (axes[a][:-1] + axes[a][1:])
+        tang, _, delta, xn, dT = _per_node_geometry(region, axes)
+        points_f, delta_f, dT_f = _face_geometry(grid, a)
+        assert np.array_equal(points_f, np.column_stack([tang, xn]))
+        assert np.array_equal(delta_f, delta) and np.array_equal(dT_f, dT)
+
+
+@pytest.mark.parametrize("m", [3, 4, 9, 33])
+def test_difference_blocks_match_their_entrywise_construction(m):
+    h = 2.0 / (m - 1)
+    cen = sp.lil_matrix((m, m))
+    div = sp.lil_matrix((m, m - 1))
+    for k in range(1, m - 1):
+        cen[k, k - 1], cen[k, k + 1] = -0.5 / h, 0.5 / h
+        div[k, k - 1], div[k, k] = -1.0 / h, 1.0 / h
+    cen[0, 0], cen[0, 1], cen[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
+    cen[m - 1, m - 1], cen[m - 1, m - 2], cen[m - 1, m - 3] = 1.5 / h, -2.0 / h, 0.5 / h
+    for got, want in ((_central_diff(m, h), cen.tocsr()),
+                      (_face_to_node_div(m, h), div.tocsr())):
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), attr
 
 
 def test_quadrature_weights_measure_the_region(reg, grid):

@@ -1,8 +1,10 @@
 """CLI outputs pinned to values recorded before solve and sweep shared one
 run path and the C2 sampler and the L[u]-from-jets expansion had one copy
 each, so refactors of those paths cannot move the results.  Small grids keep
-this fast; every number must hold to 1e-12 relative."""
+this fast; every number must hold to 1e-12 relative, and the field CSVs of
+the two pinned solves byte for byte."""
 
+import hashlib
 import json
 
 import pytest
@@ -129,6 +131,13 @@ PINNED_SOLVE = {
         "sup_grad": 10.310823506420626, **REPORT_NONE},
 }
 
+# sha256 of field_eps0p1.csv, recorded while the CSV writer still formatted
+# one value per call
+PINNED_FIELD_CSV = {
+    "lame2d": "f065a2bbf7db7642933881e45d306a2c71aab2d69a6439bf424d7f29845578d5",
+    "laplace3d": "b70e48de0bbd2195cdb077551fca466177bb8dad0cf7dd86a731d951b57bff10",
+}
+
 PINNED_SWEEP = {
     "ratefit.json": {
         "conclusive": True, "metric": "center_grad", "scenario": "", "seed": 0,
@@ -238,6 +247,14 @@ def assert_pinned(got, pinned):
 def test_solve_report_pinned(configs, case, capsys):
     assert main(["solve", "--config", configs[case]]) == EXIT_OK
     assert_pinned(flatten(json.loads(capsys.readouterr().out)), PINNED_SOLVE[case])
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FIELD_CSV))
+def test_solve_field_csv_pinned(configs, case, tmp_path, capsys):
+    assert main(["solve", "--config", configs[case], "--out", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    csv = (tmp_path / "field_eps0p1.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == PINNED_FIELD_CSV[case]
 
 
 def test_sweep_outputs_pinned(configs, tmp_path, capsys):

@@ -125,6 +125,25 @@ def test_value_many_matches_scalar_value():
         assert vals[k] == pytest.approx(float(p.value(tuple(pt))), abs=1e-14)
 
 
+def _value_many_by_terms(poly, pts):
+    """The general evaluation: sum over terms of c * prod_i x_i^e_i."""
+    expos = np.array(sorted(poly.terms), dtype=np.int64).reshape(
+        len(poly.terms), poly.nvars)
+    coefs = np.array([float(poly.terms[tuple(e)]) for e in expos])
+    return (coefs * (pts[..., None, :] ** expos).prod(axis=-1)).sum(axis=-1)
+
+
+@pytest.mark.parametrize("text", ["2.5", "-0.1", "0", "1 + x1*x2 - 0.3*x2^3"])
+@pytest.mark.parametrize("shape", [(7,), (3, 4), (0,)])
+def test_value_many_fast_paths_match_the_term_sum(text, shape):
+    poly = parse_expression(text, nvars=2)
+    pts = np.random.default_rng(0).uniform(-1.0, 1.0, shape + (2,))
+    got = poly.value_many(pts)
+    want = _value_many_by_terms(poly, pts)
+    assert got.shape == shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 def test_rational_derivative_against_finite_difference():
     den = parse_expression("0.1 + x1^2", nvars=1)
     num = parse_expression("x1^3 + 1", nvars=1)
