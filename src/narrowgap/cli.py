@@ -211,20 +211,18 @@ class RunConfig:
         B = np.full((N, N, n), zero, dtype=object)
         Cc = np.full((N, N, n), zero, dtype=object)
         D = np.full((N, N), zero, dtype=object)
+        tensors = {"A": A, "B": B, "C": Cc, "D": D}
         for key, text in self.op_params.items():
             if not isinstance(text, str):
                 continue
-            parts = key.split(".")
-            idx = tuple(int(p) - 1 for p in parts[1:])
-            poly = parse_expression(text, nvars=n)
-            if parts[0] == "A":
-                A[idx] = A[idx] + poly
-            elif parts[0] == "B":
-                B[idx] = B[idx] + poly
-            elif parts[0] == "C":
-                Cc[idx] = Cc[idx] + poly
-            elif parts[0] == "D":
-                D[idx] = D[idx] + poly
+            # the schema admits A.i.j.a.b, B.i.j.a, C.i.j.b, D.i.j
+            name, *index = key.split(".")
+            idx = tuple(int(p) - 1 for p in index)
+            tensor = tensors[name]
+            if not all(0 <= k < m for k, m in zip(idx, tensor.shape)):
+                raise ConfigError(f"[operator] {key}: indices must be i, j in 1..{N}"
+                                  f" and a, b in 1..{n}")
+            tensor[idx] = tensor[idx] + parse_expression(text, nvars=n)
         return EllipticOperator(
             n=n, N=N, A=A, B=B, Cc=Cc, D=D,
             lambda_claim=float(self.op_params.get("lambda", 1.0)),
@@ -243,7 +241,10 @@ class RunConfig:
         for l, text in enumerate(self.g_minus_texts):
             if text is not None:
                 gm[l] = parse_expression(text, nvars=nd)
-        return BoundaryData(g_plus=tuple(gp), g_minus=tuple(gm))
+        try:
+            return BoundaryData(g_plus=tuple(gp), g_minus=tuple(gm))
+        except ValueError as exc:  # e.g. a trace above MAX_DATA_DEGREE
+            raise ConfigError(f"[data] {exc}") from exc
 
     def sweep_problem(self):
         """The SweepProblem that solve and sweep run at each epsilon."""

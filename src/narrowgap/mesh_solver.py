@@ -15,18 +15,20 @@ G_t = F_n - sum_a dT_a F_a, where F are the physical fluxes A du + B u.
 Assembly discretizes each G at cell faces with compact differences in the
 face direction and averaged central differences across it, then differences
 the fluxes back to nodes: second order, exact for fields linear in the
-computational coordinates.  Dirichlet rows are identity rows with the trace
-value on the right-hand side.
+computational coordinates.  Only interior nodes get equations; the Dirichlet
+values of the boundary nodes enter through the coupling block A_IB, and
+every solve factors with one banded LU.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .geometry import GeometryError
 
@@ -156,11 +158,14 @@ def quadrature_weights(grid):
 
 @dataclass
 class LinearSystem:
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
+    """The interior system A_II x_I = b_I - A_IB b_B of one Dirichlet
+    problem, unknowns in (tangential column, t, component) order."""
+    matrix: sp.csr_matrix    # A_II
+    coupling: sp.csr_matrix  # A_IB
+    rhs: np.ndarray          # b_I
+    bc: np.ndarray           # b_B, the boundary values
     grid: MappedGrid
     N: int
-    boundary_mask: np.ndarray
     label: str = ""
 
     @property
@@ -181,80 +186,13 @@ class SolutionField:
         return self.values.shape[0]
 
 
-# ---------------------------------------------------------------------------
-# 1-d building blocks
-
-
-def _forward_diff(m, h):
-    return sp.diags([-np.ones(m - 1) / h, np.ones(m - 1) / h], [0, 1],
-                    shape=(m - 1, m), format="csr")
-
-
-def _face_average(m):
-    return sp.diags([0.5 * np.ones(m - 1), 0.5 * np.ones(m - 1)], [0, 1],
-                    shape=(m - 1, m), format="csr")
-
-
-def _central_diff(m, h):
-    """Central differences inside, one-sided second order in the end rows."""
-    k = np.arange(1, m - 1)
-    indices = np.concatenate([[0, 1, 2], np.column_stack([k - 1, k + 1]).ravel(),
-                              [m - 3, m - 2, m - 1]])
-    data = np.concatenate([[-1.5 / h, 2.0 / h, -0.5 / h],
-                           np.tile([-0.5 / h, 0.5 / h], m - 2),
-                           [0.5 / h, -2.0 / h, 1.5 / h]])
-    # three entries in each end row, two in every row between
-    indptr = np.concatenate([[0], 3 + 2 * np.arange(m - 1), [2 * m + 2]])
-    return sp.csr_matrix((data, indices, indptr), shape=(m, m))
-
-
-def _face_to_node_div(m, h):
-    """Difference of face fluxes at interior nodes; boundary rows zero."""
-    k = np.arange(1, m - 1)
-    indices = np.column_stack([k - 1, k]).ravel()
-    data = np.tile([-1.0 / h, 1.0 / h], m - 2)
-    indptr = np.concatenate([[0], 2 * np.arange(m - 1), [2 * (m - 2)]])
-    return sp.csr_matrix((data, indices, indptr), shape=(m, m - 1))
-
-
-def _kron_chain(mats):
-    return reduce(lambda a, b: sp.kron(a, b, format="csr"), mats)
-
-
-def _chain(grid, which, factory_args=None):
-    """Kron chain with one special 1-d operator at position ``which``.
-
-    which maps dim index -> (kind, ...) where kind in {fwd, avg, cen, div}.
-    All other dims get identities.
-    """
-    mats = []
-    for d, m in enumerate(grid.dims):
-        spec = which.get(d)
-        if spec is None:
-            mats.append(sp.identity(m, format="csr"))
-        else:
-            kind = spec
-            h = grid.hx[d]
-            if kind == "fwd":
-                mats.append(_forward_diff(m, h))
-            elif kind == "avg":
-                mats.append(_face_average(m))
-            elif kind == "cen":
-                mats.append(_central_diff(m, h))
-            elif kind == "div":
-                mats.append(_face_to_node_div(m, h))
-            else:
-                raise ValueError(kind)
-    return _kron_chain(mats)
-
-
 def _face_geometry(grid, a):
     """Coordinates and metric arrays at the faces of family ``a``.
 
     a is a dim index (tangential 0..nd-1, or nd for the vertical family).
-    Returns flattened face physical points, delta, dT, in the same C-order
-    as the kron chains.  Vertical faces sit on the node columns, so they
-    reuse the grid's column values.
+    Returns flattened face physical points, delta, dT in C-order over the
+    face grid (the node grid with one node fewer along a).  Vertical faces
+    sit on the node columns, so they reuse the grid's column values.
     """
     nd = grid.nd
     tax = grid.axes[nd]
@@ -268,44 +206,6 @@ def _face_geometry(grid, a):
     tang, _, delta, xn, dT = _stack_levels(columns, tax)
     points = np.concatenate([tang, xn[:, None]], axis=-1)
     return points, delta, dT
-
-
-def _face_gradient_ops(grid, a):
-    """Sparse node->face operators for all physical derivative directions."""
-    nd = grid.nd
-    points, delta, dT = _face_geometry(grid, a)
-    inv_delta = 1.0 / delta
-    ops = {}
-    if a < nd:  # tangential face family
-        dt_at_face = _chain(grid, {a: "avg", nd: "cen"})
-        for b in range(nd):
-            if b == a:
-                base = _chain(grid, {a: "fwd"})
-            else:
-                base = _chain(grid, {a: "avg", b: "cen"})
-            ops[b] = base - sp.diags(dT[b] * inv_delta) @ dt_at_face
-        ops[nd] = sp.diags(inv_delta) @ dt_at_face
-        div = _chain(grid, {a: "div"})
-    else:  # vertical face family
-        dt_at_face = _chain(grid, {nd: "fwd"})
-        for b in range(nd):
-            base = _chain(grid, {b: "cen", nd: "avg"})
-            ops[b] = base - sp.diags(dT[b] * inv_delta) @ dt_at_face
-        ops[nd] = sp.diags(inv_delta) @ dt_at_face
-        div = _chain(grid, {nd: "div"})
-    return points, delta, dT, ops, div
-
-
-def _node_gradient_ops(grid):
-    """Physical gradient at nodes via central differences plus the metric."""
-    nd = grid.nd
-    inv_delta = 1.0 / grid.delta_flat
-    ct = _chain(grid, {nd: "cen"})
-    ops = {}
-    for b in range(nd):
-        ops[b] = _chain(grid, {b: "cen"}) - sp.diags(grid.dT_flat[b] * inv_delta) @ ct
-    ops[nd] = sp.diags(inv_delta) @ ct
-    return ops
 
 
 def boundary_values(grid, data, lateral_closure="utilde"):
@@ -332,14 +232,54 @@ def boundary_values(grid, data, lateral_closure="utilde"):
     return bc
 
 
+def _derivative_stencil(e, a, c, h):
+    """The computational derivative d/dy_c at the faces of family ``a``
+    (between node p and p + e_a) as (offset from p, weight) pairs: a forward
+    difference across the face when c == a, else the face average of the
+    central differences in c.  ``e`` holds the unit offsets."""
+    if c == a:
+        return [(0 * e[a], -1.0 / h[a]), (e[a], 1.0 / h[a])]
+    w = 0.25 / h[c]
+    return [(-e[c], -w), (e[c], w), (e[a] - e[c], -w), (e[a] + e[c], w)]
+
+
+def _conormal_weight(coeffs, a, points, delta, dT):
+    """The weight of the computational flux G_a on a physical flux with
+    components ``coeffs[al]`` (al = 0..n-1): delta*F_a for a tangential
+    family, F_n - sum_al dT_al F_al for the vertical one."""
+    nd = len(dT)
+    if a < nd:
+        return delta * coeffs[a].value_many(points)
+    w = coeffs[nd].value_many(points)
+    for al in range(nd):
+        w = w - dT[al] * coeffs[al].value_many(points)
+    return w
+
+
+def _computational(W, delta, dT):
+    """Weights W_b of the physical derivatives d/dx_b rewritten as weights of
+    the computational derivatives d/dy_c, with d/dx_a = d/dy_a - (dT_a/delta)
+    d/dt and d/dxn = (1/delta) d/dt."""
+    nd = len(dT)
+    vertical = W[nd]
+    for b in range(nd):
+        vertical = vertical - W[b] * dT[b]
+    return list(W[:nd]) + [vertical / delta]
+
+
 def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="utilde"):
-    """Assemble the mapped-coordinate system with Dirichlet identity rows.
+    """Assemble the interior system A_II x_I = b_I - A_IB b_B.
 
     Exactly one of ``data`` (composed boundary traces) or ``nodal_bc``
     (explicit (N, nodes) or (N, *dims) boundary values, used on every
     boundary node) must be given.  ``source`` is an optional nodal field f
-    with the equation convention L u = f; it enters the right-hand side
-    multiplied by the Jacobian delta.
+    with the equation convention L u = f; it enters b_I multiplied by the
+    Jacobian delta.  Interior and boundary unknowns are both numbered in
+    (tangential column, t, component) order, so every interior column is one
+    contiguous block of N*(nt-2) unknowns.  An interior row reaches only the
+    nodes p + o with o in {-1, 0, 1}^n, at most two entries of o nonzero;
+    the coefficients of those offsets are accumulated in one dense array
+    over the interior nodes and split into A_II and A_IB once.
     """
     if op.n != grid.n:
         raise GeometryError("operator dimension does not match the grid")
@@ -347,174 +287,168 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
         raise ValueError("exactly one of data / nodal_bc must be given")
     if data is not None and data.N != op.N:
         raise ValueError(f"data has {data.N} components, operator wants {op.N}")
-    N, nd = op.N, grid.nd
-    M = grid.nodes
+    N, nd, n = op.N, grid.nd, grid.n
+    dims, h = grid.dims, grid.hx
+    e = np.eye(n, dtype=int)
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=n)
+               if np.count_nonzero(o) <= 2]
+    slot = {o: k for k, o in enumerate(offsets)}
+    coef = np.zeros(tuple(m - 2 for m in dims) + (N, len(offsets), N))
 
-    blocks = [[None] * N for _ in range(N)]
-    families = [_face_gradient_ops(grid, a) for a in range(nd + 1)]
+    def add(i, j, stencil, K):
+        """Add ``weight * K`` at each (offset, weight) of the stencil."""
+        if np.any(K):
+            for off, w in stencil:
+                coef[..., i, slot[tuple(off)], j] += w * K
+
     has_lower = op.has_lower_order_terms()
-    # only B needs the face averages and only C the node gradients
-    face_avg = [_chain(grid, {a: "avg"}) for a in range(nd + 1)] if has_lower else None
-    node_ops = _node_gradient_ops(grid) if has_lower else None
-
-    for i in range(N):
-        for j in range(N):
-            acc = None
-            for a in range(nd + 1):
-                points, delta, dT, ops, div = families[a]
-                flux = None
-                for b in range(nd + 1):
-                    if a < nd:
-                        w = delta * op.A[i, j, a, b].value_many(points)
-                    else:
-                        w = op.A[i, j, nd, b].value_many(points)
-                        for al in range(nd):
-                            w = w - dT[al] * op.A[i, j, al, b].value_many(points)
-                    if not np.any(w):
-                        continue
-                    term = sp.diags(w) @ ops[b]
-                    flux = term if flux is None else flux + term
+    for a in range(n):
+        # the faces of family a next to an interior node: every face across
+        # a, the interior index along the other directions
+        fdims = list(dims)
+        fdims[a] -= 1
+        sel = tuple(slice(None) if d == a else slice(1, -1) for d in range(n))
+        points, delta, dT = _face_geometry(grid, a)
+        points = points.reshape(fdims + [n])[sel]
+        delta = delta.reshape(fdims)[sel]
+        dT = dT.reshape([nd] + fdims)[(slice(None),) + sel]
+        upper = tuple(slice(1, None) if d == a else slice(None) for d in range(n))
+        lower = tuple(slice(None, -1) if d == a else slice(None) for d in range(n))
+        stencils = [_derivative_stencil(e, a, c, h) for c in range(n)]
+        for i in range(N):
+            for j in range(N):
+                W = [_conormal_weight(op.A[i, j, :, b], a, points, delta, dT)
+                     for b in range(n)]
+                terms = list(zip(stencils, _computational(W, delta, dT)))
                 if has_lower:
-                    if a < nd:
-                        wb = delta * op.B[i, j, a].value_many(points)
-                    else:
-                        wb = op.B[i, j, nd].value_many(points)
-                        for al in range(nd):
-                            wb = wb - dT[al] * op.B[i, j, al].value_many(points)
-                    if np.any(wb):
-                        term = sp.diags(wb) @ face_avg[a]
-                        flux = term if flux is None else flux + term
-                if flux is not None:
-                    term = div @ flux
-                    acc = term if acc is None else acc + term
-            if has_lower:
-                for b in range(nd + 1):
-                    wc = grid.delta_flat * op.Cc[i, j, b].value_many(grid.points)
-                    if np.any(wc):
-                        term = sp.diags(wc) @ node_ops[b]
-                        acc = term if acc is None else acc + term
-                wd = grid.delta_flat * op.D[i, j].value_many(grid.points)
-                if np.any(wd):
-                    term = sp.diags(wd)
-                    acc = term if acc is None else acc + term
-            if acc is None:
-                acc = sp.csr_matrix((M, M))
-            blocks[i][j] = acc
+                    wb = _conormal_weight(op.B[i, j], a, points, delta, dT)
+                    terms.append(([(0 * e[a], 0.5), (e[a], 0.5)], wb))
+                # (G_a at the upper face - G_a at the lower face) / h_a
+                for stencil, K in terms:
+                    add(i, j, [(off, w / h[a]) for off, w in stencil], K[upper])
+                    add(i, j, [(off - e[a], -w / h[a]) for off, w in stencil], K[lower])
 
-    # Dirichlet rows: zero the assembled boundary rows, add identity there
-    keep = sp.diags(grid.interior_mask.astype(float))
-    eye_bnd = sp.diags(grid.boundary_mask.astype(float))
-    for i in range(N):
-        for j in range(N):
-            blocks[i][j] = keep @ blocks[i][j]
-            if i == j:
-                blocks[i][j] = blocks[i][j] + eye_bnd
+    if has_lower:
+        inner = (slice(1, -1),) * n
+        points = grid.points.reshape(dims + (n,))[inner]
+        delta = grid.delta_flat.reshape(dims)[inner]
+        dT = grid.dT_flat.reshape((nd,) + dims)[(slice(None),) + inner]
+        central = [[(-e[c], -0.5 / h[c]), (e[c], 0.5 / h[c])] for c in range(n)]
+        for i in range(N):
+            for j in range(N):
+                W = [delta * op.Cc[i, j, b].value_many(points) for b in range(n)]
+                for stencil, K in zip(central, _computational(W, delta, dT)):
+                    add(i, j, stencil, K)
+                add(i, j, [(0 * e[0], 1.0)], delta * op.D[i, j].value_many(points))
 
     if nodal_bc is not None:
-        bc = np.asarray(nodal_bc, dtype=float).reshape(N, M)
+        bc = np.asarray(nodal_bc, dtype=float).reshape(N, grid.nodes)
     else:
         bc = boundary_values(grid, data, lateral_closure)
-
-    rhs = np.zeros((N, M))
+    interior = grid.interior_mask
+    rhs = np.zeros((N, int(interior.sum())))
     if source is not None:
-        src = np.asarray(source, dtype=float).reshape(N, M)
-        for i in range(N):
-            rhs[i][grid.interior_mask] = (grid.delta_flat * src[i])[grid.interior_mask]
-    for i in range(N):
-        rhs[i][grid.boundary_mask] = bc[i][grid.boundary_mask]
+        src = np.asarray(source, dtype=float).reshape(N, grid.nodes)
+        rhs = (grid.delta_flat * src)[:, interior]
 
-    matrix = sp.bmat(blocks, format="csr")
-    return LinearSystem(
-        matrix=matrix,
-        rhs=rhs.ravel(),
-        grid=grid,
-        N=N,
-        boundary_mask=grid.boundary_mask,
-        label=getattr(op, "label", ""),
-    )
+    matrix, coupling = _split_columns(coef, grid, offsets)
+    return LinearSystem(matrix=matrix, coupling=coupling, rhs=rhs.T.ravel(),
+                        bc=bc[:, ~interior].T.ravel(), grid=grid, N=N,
+                        label=getattr(op, "label", ""))
 
 
-def _reduced_ordering(system):
-    """Interior unknowns in (column, component, t) order.
+def _split_columns(coef, grid, offsets):
+    """CSR matrices A_II and A_IB from the offset coefficients ``coef`` of
+    shape (*interior dims, N, offsets, N), keeping the nonzero entries."""
+    N = coef.shape[-1]
+    interior = grid.interior_mask
+    rank = np.empty(grid.nodes, dtype=np.int32)
+    rank[interior] = np.arange(interior.sum())
+    rank[~interior] = np.arange(grid.nodes - interior.sum())
+    strides = [int(np.prod(grid.dims[d + 1:])) for d in range(grid.n)]
+    nodes = np.flatnonzero(interior)[:, None] + np.asarray(offsets) @ strides
+    col = (rank[nodes] * N)[:, None, :, None] + np.arange(N, dtype=np.int32)
+    coef = coef.reshape(len(nodes), N, len(offsets), N)
+    nonzero = coef != 0
 
-    The full vector is component-major over C-ordered nodes, so with a grid
-    node k is column k // nt at level k % nt; without a grid the whole node
-    range is one column.  Returns the interior and boundary indices and the
-    number of interior unknowns per column, so that each column is one
-    contiguous block of the interior ordering.
-    """
-    N = system.N
-    bmask = np.asarray(system.boundary_mask, dtype=bool)
-    M = bmask.size
-    nt = system.grid.nt if system.grid is not None else M
-    ncol = M // nt
-    idx = (np.arange(N)[None, :, None] * M
-           + (np.arange(ncol) * nt)[:, None, None]
-           + np.arange(nt)[None, None, :])
-    free = ~np.broadcast_to(bmask.reshape(ncol, 1, nt), idx.shape)
-    inner = idx[free]
-    block = max(int(free.sum(axis=(1, 2)).max()), 1)
-    return inner, idx[~free], block
+    def pick(inside, ncols):
+        keep = nonzero & inside[:, None, :, None]
+        indptr = np.zeros(keep.shape[0] * N + 1, dtype=np.int32)
+        np.cumsum(keep.reshape(len(indptr) - 1, -1).sum(axis=1), out=indptr[1:])
+        return sp.csr_matrix((coef[keep], np.broadcast_to(col, coef.shape)[keep],
+                              indptr), shape=(len(indptr) - 1, ncols * N))
+
+    inside = interior[nodes]
+    return pick(inside, len(nodes)), pick(~inside, grid.nodes - len(nodes))
 
 
-def _column_preconditioner(A, block):
-    """Exact inverse of the block-diagonal part of A, blocks of size ``block``
-    along the diagonal, all inverted at once as one dense batch."""
-    nblocks = A.shape[0] // block
-    coo = A.tocoo()
+def _band_lu(A):
+    """LU factorization of the sparse square matrix A stored as one band
+    (LAPACK dgbtrf, partial pivoting), its widths kl and ku read from A's
+    sparsity.  Returns the solve x = A^-1 b (dgbtrs)."""
+    A = A.tocoo(copy=False)
+    n = A.shape[0]
+    kl = int((A.row - A.col).max(initial=0))
+    ku = int((A.col - A.row).max(initial=0))
+    # Fortran order, so that dgbtrf factors this array in place
+    band = np.zeros((2 * kl + ku + 1, n), order="F")
+    band[kl + ku + A.row - A.col, A.col] = A.data
+    lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
+    if info != 0:
+        raise SolverError(f"band LU failed (dgbtrf info={info}): "
+                          f"{'zero pivot' if info > 0 else 'bad argument'}")
+
+    def solve(b):
+        x, info = dgbtrs(lu, kl, ku, b, piv)
+        if info != 0:
+            raise SolverError(f"band solve failed (dgbtrs info={info})")
+        return x
+
+    return solve
+
+
+def _column_blocks(A, block):
+    """The entries of A whose row and column lie in the same diagonal block
+    of size ``block``."""
+    coo = A.tocoo(copy=False)
     same = coo.row // block == coo.col // block
-    dense = np.zeros((nblocks, block, block))
-    dense[coo.row[same] // block, coo.row[same] % block,
-          coo.col[same] % block] = coo.data[same]
-    inverse = np.linalg.inv(dense)
-
-    def apply(v):
-        return np.matmul(inverse, v.reshape(nblocks, block, 1)).ravel()
-
-    return spla.LinearOperator(A.shape, apply)
+    return sp.csr_matrix((coo.data[same], (coo.row[same], coo.col[same])),
+                         shape=A.shape)
 
 
 def solve_system(system, tol=1e-10, method=None):
-    """Solve the assembled system over its interior unknowns.
+    """Solve the interior system A_II x_I = b_I - A_IB b_B.
 
-    The Dirichlet rows fix the boundary unknowns, so only
-    A_II x_I = b_I - A_IB b_B is solved.  ``direct`` factors that matrix with
-    sparse LU.  ``krylov`` runs restarted GMRES preconditioned by the exact
-    inverse of each vertical column block (all components along one column
-    in t): the mapped equation couples far more strongly in t than across
-    columns, so those blocks carry most of the operator.  The default picks
-    direct LU for n = 2 (or without a grid) and GMRES for n >= 3.  Returns
-    the solution reshaped per component with the achieved relative residual;
-    raises SolverError on failure, with the GMRES history of preconditioned
-    residual norms relative to the reduced right-hand side.
+    ``direct`` factors A_II as one band in its (column, t, component)
+    order: kl = ku = N*(nt-1) + N - 1 in 2-D, about N*(nt-2)*(nx-2) in 3-D,
+    so it suits 3-D only on small grids.  ``krylov`` runs restarted GMRES
+    preconditioned by the same band LU applied to the vertical column blocks
+    (all components along one column in t, band width 2N-1): the mapped
+    equation couples far more strongly in t than across columns, so those
+    blocks carry most of the operator.  The default picks direct for n = 2
+    and GMRES for n >= 3.  Returns the solution per component, boundary
+    values included, with the relative residual against the full right-hand
+    side [b_I, b_B]; raises SolverError on failure, with the GMRES history
+    of preconditioned residual norms.
     """
-    A = system.matrix.tocsr()
-    b = system.rhs
+    A = system.matrix
+    grid = system.grid
     if method is None:
-        three_d = system.grid is not None and system.grid.n >= 3
-        method = "krylov" if three_d else "direct"
+        method = "krylov" if grid.n >= 3 else "direct"
     if method not in ("direct", "krylov"):
         raise ValueError(f"unknown method {method!r}")
-    bnorm = float(np.linalg.norm(b))
+    bnorm = float(np.hypot(np.linalg.norm(system.rhs), np.linalg.norm(system.bc)))
     scale = bnorm if bnorm > 0 else 1.0
-    inner, outer, block = _reduced_ordering(system)
-    A_I = A[inner]
-    A_II = A_I[:, inner]
-    rhs = b[inner] - A_I[:, outer] @ b[outer]
+    b = system.rhs - system.coupling @ system.bc
     history = []
 
     if method == "direct":
-        try:
-            x_I = spla.splu(A_II.tocsc()).solve(rhs)
-        except RuntimeError as exc:  # singular factorization
-            raise SolverError(f"direct factorization failed: {exc}") from exc
+        x = _band_lu(A)(b)
     else:
-        try:
-            precond = _column_preconditioner(A_II, block)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"column preconditioner failed: {exc}") from exc
-        x_I, info = spla.gmres(
-            A_II, rhs, rtol=0.0, atol=tol * scale, M=precond,
+        block = system.N * (grid.nt - 2)
+        precond = spla.LinearOperator(A.shape, _band_lu(_column_blocks(A, block)))
+        x, info = spla.gmres(
+            A, b, rtol=0.0, atol=tol * scale, M=precond,
             restart=GMRES_RESTART, maxiter=GMRES_MAX_CYCLES,
             callback=history.append, callback_type="pr_norm",
         )
@@ -526,15 +460,15 @@ def solve_system(system, tol=1e-10, method=None):
                 residual_history=history,
             )
 
-    x = b.copy()
-    x[inner] = x_I
     residual = float(np.linalg.norm(b - A @ x)) / scale
     if not np.isfinite(residual) or residual > max(tol * 100, 1e-6):
         raise SolverError(f"solution residual {residual:.3e} exceeds tolerance",
                           residual_history=history)
-    shape = system.grid.dims if system.grid is not None else (-1,)
+    values = np.empty((grid.nodes, system.N))
+    values[grid.interior_mask] = x.reshape(-1, system.N)
+    values[grid.boundary_mask] = system.bc.reshape(-1, system.N)
     return SolutionField(
-        values=x.reshape((system.N,) + shape), grid=system.grid,
+        values=values.T.reshape((system.N,) + grid.dims), grid=grid,
         residual=residual, method=method, iterations=len(history),
     )
 

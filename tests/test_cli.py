@@ -133,6 +133,49 @@ def test_data_component_index_out_of_range(tmp_path, capsys, extra, command):
     assert json.loads(captured.err.strip())["error"] == "config"
 
 
+CUSTOM_1D = """
+[operator]
+kind = custom
+N = 1
+A.1.1.1.1 = "1"
+A.1.1.2.2 = "1"
+
+[solver]
+nx = 17
+nt = 9
+"""
+
+
+@pytest.mark.parametrize("extra", [
+    'A.1.1.0.2 = "5"\n',   # would land at list index -1, adding to A.1.1.2.2
+    'A.1.1.3.2 = "5"\n',   # n = 2 has directions 1..2
+    'B.2.1.1 = "1"\n',     # N = 1
+    'C.1.1.0 = "1"\n',
+    'D.1.2 = "1"\n',
+], ids=["A_index0", "A_above_n", "B_above_N", "C_index0", "D_above_N"])
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_custom_coefficient_index_out_of_range(tmp_path, capsys, extra, command):
+    cfg = write_cfg(tmp_path, QUAD_CFG + CUSTOM_1D + "[operator]\n" + extra)
+    code = main([command, "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "config" and "indices must be" in err["message"]
+
+
+@pytest.mark.parametrize("command", [["solve"], ["sweep", "--epsilons", "0.1,0.05,0.025"]],
+                         ids=["solve", "sweep"])
+def test_data_degree_above_limit_is_a_config_error(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace('g_plus.1 = "1"', 'g_plus.1 = "x1^9"'))
+    code = main([command[0], "--config", cfg] + command[1:])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "config" and "degree 9 > 8" in err["message"]
+
+
 def test_load_config_rejects_duplicates_and_orphans(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_cfg(tmp_path, QUAD_CFG + "[region]\nn = 3\n"))

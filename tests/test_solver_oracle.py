@@ -1,0 +1,156 @@
+"""The interior assembly and the banded solves against the solver oracle
+(``solver_oracle``: the full-matrix assembly with Dirichlet identity rows,
+reduced and factored by sparse LU).
+
+(a) A_II and A_IB equal the oracle's interior rows, permuted to the
+(column, t, component) order, to rounding.
+(b) Every number that ``test_pinned_outputs`` pins from a solve, and every
+number of its two pinned field CSVs, agrees between the oracle and the
+solver to 1e-9 relative.  ``validate`` never reaches the solver, so its pins
+are left out.  The pinned 3-D solve runs GMRES at tol 1e-10 against the
+oracle's direct LU; with the sparse-LU inverse blocks as preconditioner that
+gap was 4.5e-11 on its report and 5.0e-12 on its field CSV.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+
+import numpy as np
+import pytest
+
+import solver_oracle as oracle
+from narrowgap import (BoundaryData, GapProfile, NarrowRegion, PolynomialField,
+                       analysis, build_grid, convergence_study, make_builtin,
+                       manufactured_problem, parse_expression, verification)
+from narrowgap.cli import EXIT_OK, _mms_spec, load_config, main
+from narrowgap.mesh_solver import assemble
+
+from test_pinned_outputs import (CONFIGS, PINNED_MMS_ERRORS, PINNED_SOLVE,
+                                 PINNED_SWEEP, flatten)
+
+REL = 1e-9
+
+
+def _region(n, eps=0.1):
+    h1 = {2: "0.5*x1^2 + 0.3*x1^4", 3: "0.5*x1^2 + 0.3*x1^4 + 0.5*x2^2"}[n]
+    h2 = {2: "-x1^2 + 0.2*x1^3", 3: "-x1^2 + 0.2*x1^3 - x2^2 + 0.1*x1*x2^2"}[n]
+    return NarrowRegion(n=n, epsilon=eps, profile=GapProfile(
+        h1=parse_expression(h1, nvars=n - 1), h2=parse_expression(h2, nvars=n - 1)))
+
+
+def _lame_case(n, nx, nt):
+    def p(text):
+        return parse_expression(text, nvars=n - 1)
+
+    zero = PolynomialField.zero(n - 1)
+    op = make_builtin("lame", n=n, lame_mu=1.0, lame_lambda=1.5)
+    top = (p("1"), p("x1")) + (zero,) * (n - 2)
+    bottom = (zero, p("x1^2")) + (p(f"x{n - 1}"),) * (n - 2)
+    return op, build_grid(_region(n), nx, nt), {"data": BoundaryData(top, bottom)}
+
+
+def _custom_mms_case(tmp_path):
+    path = tmp_path / "custom.cfg"
+    path.write_text(CONFIGS["custom"])
+    cfg = load_config(path)
+    op = cfg.operator()
+    problem = manufactured_problem(op, cfg.region(0.1), _mms_spec(op))
+    grid = build_grid(problem.region, 17, 17)
+    exact, src = problem.nodal_fields(grid)
+    return op, grid, {"nodal_bc": exact, "source": src}
+
+
+@pytest.mark.parametrize("case", ["lame2d", "lame3d", "custom_mms"])
+def test_interior_assembly_matches_the_oracle_rows(case, tmp_path):
+    op, grid, kw = {"lame2d": lambda: _lame_case(2, 17, 9),
+                    "lame3d": lambda: _lame_case(3, 11, 9),
+                    "custom_mms": lambda: _custom_mms_case(tmp_path)}[case]()
+    system = assemble(op, grid, **kw)
+    full = oracle.assemble(op, grid, **kw)
+    # the oracle numbers its unknowns component-major over C-ordered nodes
+    N, M = op.N, grid.nodes
+    inner = (np.flatnonzero(grid.interior_mask)[:, None] + M * np.arange(N)).ravel()
+    outer = (np.flatnonzero(grid.boundary_mask)[:, None] + M * np.arange(N)).ravel()
+    rows = full.matrix.tocsr()[inner]
+    scale = abs(full.matrix).max()
+    # entries are short sums of products: rounding stays within a few ulp
+    assert abs(system.matrix - rows[:, inner]).max() <= 1e-14 * scale
+    assert abs(system.coupling - rows[:, outer]).max() <= 1e-14 * scale
+    assert np.array_equal(system.rhs, full.rhs[inner])
+    assert np.array_equal(system.bc, full.rhs[outer])
+
+
+def _run(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    return out.getvalue()
+
+
+def _pinned_numbers(root):
+    """Every number the pinned solve, sweep and mms runs produce, keyed by
+    run and field; CSVs as arrays."""
+    paths = {}
+    for name, text in CONFIGS.items():
+        paths[name] = root / f"{name}.cfg"
+        paths[name].write_text(text)
+    got = {}
+    for case in ("lame2d", "laplace3d"):
+        out = root / f"solve_{case}"
+        report = flatten(json.loads(_run(["solve", "--config", str(paths[case]),
+                                          "--out", str(out)])))
+        got.update({("solve", case, k): v for k, v in report.items()})
+        got["csv", case] = np.loadtxt(out / "field_eps0p1.csv", delimiter=",",
+                                      skiprows=1)
+    out = root / "sweep"
+    _run(["sweep", "--config", str(paths["laplace2d_sweep"]), "--out", str(out)])
+    for path in sorted(out.iterdir()):
+        got.update({("sweep", path.name, k): v
+                    for k, v in flatten(json.loads(path.read_text())).items()})
+    for case in ("lame2d", "custom"):
+        cfg = load_config(paths[case])
+        op = cfg.operator()
+        problem = manufactured_problem(op, cfg.region(cfg.epsilons[0]), _mms_spec(op))
+        study = convergence_study(problem, [(9, 9), (17, 17), (33, 33)],
+                                  tol=cfg.tol, method=cfg.method)
+        for key in ("errors_inf", "errors_l2", "orders_inf", "orders_l2"):
+            got.update({("mms", case, key, k): v
+                        for k, v in enumerate(getattr(study, key))})
+    return got
+
+
+@pytest.fixture(scope="module")
+def pinned_runs(tmp_path_factory):
+    new = _pinned_numbers(tmp_path_factory.mktemp("new"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "solve_dirichlet", oracle.solve_dirichlet)
+        mp.setattr(verification, "assemble", oracle.assemble)
+        mp.setattr(verification, "solve_system", oracle.solve_system)
+        old = _pinned_numbers(tmp_path_factory.mktemp("oracle"))
+    return new, old
+
+
+def test_pinned_numbers_match_the_oracle(pinned_runs):
+    new, old = pinned_runs
+    assert sorted(new, key=str) == sorted(old, key=str)
+    pinned = ([("solve", case, k) for case, pins in PINNED_SOLVE.items() for k in pins]
+              + [("sweep", name, k) for name, pins in PINNED_SWEEP.items() for k in pins]
+              + [("mms", "custom", key, k) for key, pins in PINNED_MMS_ERRORS.items()
+                 for k in range(len(pins))])
+    assert set(pinned) <= set(old)
+    for key, value in old.items():
+        if isinstance(value, float):
+            assert new[key] == pytest.approx(value, rel=REL, abs=0), key
+        elif not isinstance(value, np.ndarray):
+            assert new[key] == value, key
+
+
+@pytest.mark.parametrize("case", ["lame2d", "laplace3d"])
+def test_pinned_field_csv_matches_the_oracle(pinned_runs, case):
+    new, old = (runs["csv", case] for runs in pinned_runs)
+    assert new.shape == old.shape
+    # relative to each column's largest entry: values that vanish in exact
+    # arithmetic (u_2 on the symmetry line) carry 1e-17 of rounding noise
+    scale = np.abs(old).max(axis=0)
+    assert np.all(np.abs(new - old) <= REL * scale)
