@@ -101,6 +101,14 @@ CONFIG_SCHEMA = {
 }
 
 
+# [operator] key patterns each kind reads besides kind; any other key is an error
+OPERATOR_KEYS = {
+    "laplace": (),
+    "lame": ("mu", "lam"),
+    "custom": ("N", r"[ABCD]\..*", "lambda", "Lambda", "kappa2"),
+}
+
+
 def _match_key(section, key):
     schema = CONFIG_SCHEMA.get(section)
     if schema is None:
@@ -265,8 +273,8 @@ def load_config(path):
     if "h1" not in region or "h2" not in region:
         raise ConfigError("[region] must define h1 and h2")
     cfg.n = int(region.get("n", "2"))
-    if cfg.n < 2:
-        raise ConfigError("n must be >= 2")
+    if cfg.n not in (2, 3):
+        raise ConfigError(f"[region] n must be 2 or 3, got {cfg.n}")
     if "epsilon" in region and "epsilons" in region:
         raise ConfigError("[region] defines both epsilon and epsilons")
     if "epsilon" in region:
@@ -285,6 +293,8 @@ def load_config(path):
     for key, value in op.items():
         if key == "kind":
             continue
+        if not any(re.fullmatch(pat, key) for pat in OPERATOR_KEYS[cfg.op_kind]):
+            raise ConfigError(f"[operator] {key} does not apply to kind = {cfg.op_kind}")
         if key in ("mu", "lam", "lambda", "Lambda", "kappa2"):
             cfg.op_params[key] = float(value)
         elif key == "N":

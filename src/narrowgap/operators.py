@@ -8,7 +8,9 @@ on: an integral ellipticity lower bound from a randomized Rayleigh search, a
 sampled sup bound for |A|, and a sampled C2 coefficient bound.  The Rayleigh
 search evaluates its test fields numerically: separable sine modes built
 from sines on the 1-D quadrature axes, and (n=2, N=2) divergence-free fields
-from a stream function differentiated by the chain rule.
+from a stream function differentiated by the chain rule.  Its quadrature
+evaluates the gap geometry once per tangential column, and each Rayleigh
+quotient is computed from one weighted gradient per trial.
 """
 
 from __future__ import annotations
@@ -277,38 +279,41 @@ def _quadrature_nodes(region, grid_spec):
 
     Returns the 1-D axes, the flattened physical points, weights including
     the vertical Jacobian delta(x'), and the metric arrays needed to push
-    computational gradients to physical ones.  Self-contained on purpose:
-    the ellipticity search must not share the solver's code path.
+    computational gradients to physical ones.  The profiles depend on x'
+    only, so they are evaluated once per tangential column and broadcast
+    over t.  Self-contained on purpose: the ellipticity search must not
+    share the solver's code path.
     """
     nd = region.nd
     mx, mt = grid_spec
     axes = [np.linspace(-region.r_solve, region.r_solve, mx) for _ in range(nd)]
     t_ax = np.linspace(0.0, 1.0, mt)
-    grids = np.meshgrid(*axes, t_ax, indexing="ij")
-    tang = np.stack([g.ravel() for g in grids[:-1]], axis=-1)
-    tvals = grids[-1].ravel()
-    delta = region.delta_poly.value_many(tang)
-    bottom = region.bottom_poly.value_many(tang)
-    xn = bottom + tvals * delta
-    points = np.concatenate([tang, xn[:, None]], axis=-1)
+    cols = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    # (columns, 1) profile values; every (columns, mt) array below is
+    # flattened to the nodes, t fastest
+    delta = region.delta_poly.value_many(cols)[:, None]
+    bottom = region.bottom_poly.value_many(cols)[:, None]
+    xn = bottom + t_ax * delta
+    points = np.concatenate([np.repeat(cols, mt, axis=0), xn.reshape(-1, 1)], axis=-1)
 
     w = _trapezoid_weights(mx)
     weights = w.copy()
     for _ in range(nd - 1):
         weights = np.multiply.outer(weights, w)
-    weights = np.multiply.outer(weights, _trapezoid_weights(mt)).ravel()
+    weights = np.multiply.outer(weights.ravel(), _trapezoid_weights(mt))
     hx = axes[0][1] - axes[0][0]
     ht = t_ax[1] - t_ax[0]
     weights = weights * hx**nd * ht * delta  # dx = delta dt dx'
 
     dT = np.stack(
         [
-            region.bottom_poly.deriv(a).value_many(tang)
-            + tvals * region.delta_poly.deriv(a).value_many(tang)
+            (region.bottom_poly.deriv(a).value_many(cols)[:, None]
+             + t_ax * region.delta_poly.deriv(a).value_many(cols)[:, None]).ravel()
             for a in range(nd)
         ]
     )
-    return _Quadrature(tuple(axes), t_ax, points, weights, delta, dT)
+    return _Quadrature(tuple(axes), t_ax, points, weights.ravel(),
+                       np.repeat(delta, mt), dT)
 
 
 _SINE_KMAX = 4  # sine mode numbers are drawn from 1.._SINE_KMAX on each axis
@@ -325,13 +330,15 @@ def _sine_tables(region, quad):
             for s, scale in scaled + [(quad.t, 1.0)]]
 
 
-def _sine_candidate(rng, tables, quad, N, nmodes=3):
-    """Zero-trace sine tensor mode field: physical gradients, shape (N, n, M).
+def _sine_candidate(rng, tables, quad, grad, nmodes=3):
+    """Zero-trace sine tensor mode field: physical gradients written into
+    ``grad``, shape (N, n, M), which is returned.
 
     Each component is a sum of ``nmodes`` products of 1-D sines, so every
     computational derivative is a sum of outer products of rows of the 1-D
     tables; the t-axis factor enters through one batched matmul.
     """
+    N = grad.shape[0]
     nd = len(tables) - 1
     ks = np.empty((N, nmodes, nd + 1), dtype=np.int64)
     c = np.empty((N, nmodes))
@@ -339,18 +346,21 @@ def _sine_candidate(rng, tables, quad, N, nmodes=3):
         for m in range(nmodes):
             ks[i, m] = rng.integers(1, _SINE_KMAX + 1, size=nd + 1)
             c[i, m] = rng.normal()
-    grad = np.empty((N, nd + 1, len(quad.weights)))
+    mt = len(quad.t)
     for d in range(nd + 1):
         # (N, nmodes, axis length) factor per axis: the derivative on axis d
         factor = [tables[e][int(e == d)][ks[..., e] - 1] for e in range(nd + 1)]
         tang = c[..., None] * factor[0]
         for f in factor[1:nd]:
             tang = (tang[..., :, None] * f[..., None, :]).reshape(N, nmodes, -1)
-        grad[:, d] = np.matmul(tang.transpose(0, 2, 1), factor[nd]).reshape(N, -1)
+        np.matmul(tang.transpose(0, 2, 1), factor[nd],
+                  out=grad[:, d].reshape(N, -1, mt))
     # computational -> physical: d/dxn = (1/delta) d/dt,
-    # d/dx_a = d/dx_a|comp - dT_a d/dxn
-    grad[:, nd] /= quad.delta
-    grad[:, :nd] -= quad.dT * grad[:, nd:]
+    # d/dx_a = d/dx_a|comp - dT_a d/dxn, in place one component at a time
+    for g in grad:
+        g[nd] /= quad.delta
+        for a in range(nd):
+            g[a] -= quad.dT[a] * g[nd]
     return grad
 
 
@@ -422,8 +432,15 @@ def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
     mapped region.  Fields are sine tensor modes, built from sines on the 1-D
     axes; for n=2, N=2 half the trials are exactly divergence-free fields
     from a stream function evaluated by the chain rule, which make the
-    estimate tight (approaches mu) for the Lame tensor.  The numerator sums
-    only the nonzero entries of A.  Deterministic for fixed seed.
+    estimate tight (approaches mu) for the Lame tensor.
+
+    Each trial forms the weighted gradient wG = w * G once, G being the
+    candidate's gradient rows and w the quadrature weights, into a buffer
+    reused across trials; the denominator is sum_k wG_k . G_k.  The
+    numerator sums only the nonzero entries of A, grouped by distinct
+    polynomial: a constant c adds c * sum wG_r . G_s over its entries, and a
+    varying one multiplies each row G_r it needs by its weighted field once.
+    Deterministic for fixed seed.
     """
     if trials < 4:
         raise OperatorError("trials must be >= 4")
@@ -431,24 +448,41 @@ def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
         raise OperatorError("operator and region dimensions differ")
     rng = np.random.default_rng(seed)
     quad = _quadrature_nodes(region, grid_spec)
-    # weighted coefficient field of each nonzero entry, one evaluation per
-    # distinct polynomial
-    fields = {}
-    weighted_a = []
-    for idx in np.ndindex(op.A.shape):
-        p = op.A[idx]
+    n, N = op.n, op.N
+    # each nonzero entry of A as the pair (r, s) = (i*n + a, j*n + b) of rows
+    # of G, the candidate reshaped to (N*n, M); each distinct polynomial is
+    # evaluated once and keeps its value if constant, else its weighted
+    # field and its pairs by row r
+    groups = {}
+    for i, j, a, b in np.ndindex(op.A.shape):
+        p = op.A[i, j, a, b]
         if not p.is_zero():
-            if p not in fields:
-                fields[p] = quad.weights * p.value_many(quad.points)
-            weighted_a.append((idx, fields[p]))
+            groups.setdefault(p, []).append((i * n + a, j * n + b))
+    constant, varying = [], []
+    for p, pairs in groups.items():
+        values = p.value_many(quad.points)
+        if p.degree() == 0:
+            constant.append((values[0], pairs))
+        else:
+            rows = {}
+            for r, s in pairs:
+                rows.setdefault(r, []).append(s)
+            varying.append((quad.weights * values, rows))
+    weighted = np.empty((N * n, len(quad.weights)))
 
     def rayleigh(grad):
-        num = 0.0
-        for (i, j, a, b), wa in weighted_a:
-            num += float(np.dot(wa * grad[i, a], grad[j, b]))
-        den = float(np.dot(quad.weights, (grad**2).sum(axis=(0, 1))))
+        G = grad.reshape(N * n, -1)
+        np.multiply(G, quad.weights, out=weighted)
+        den = sum(float(np.dot(wg, g)) for wg, g in zip(weighted, G))
         if den < 1e-14:
             return None
+        num = 0.0
+        for c, pairs in constant:
+            num += c * sum(float(np.dot(weighted[r], G[s])) for r, s in pairs)
+        for field, rows in varying:
+            for r, cols in rows.items():
+                field_r = field * G[r]
+                num += sum(float(np.dot(field_r, G[s])) for s in cols)
         return num / den
 
     ndiv = trials // 2 if (region.n == 2 and op.N == 2) else 0
@@ -456,13 +490,14 @@ def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
         x1 = quad.axes[0][:, None]
         bottom, delta = _profile_jets(region, x1)
     tables = _sine_tables(region, quad)
+    sine = np.empty((N, n, len(quad.weights)))
     best = np.inf
     for k in range(trials):
         if k < ndiv:
             # u = t at the nodes
             grad = _divfree_candidate(rng, region.r_solve, x1, quad.t, bottom, delta)
         else:
-            grad = _sine_candidate(rng, tables, quad, op.N)
+            grad = _sine_candidate(rng, tables, quad, sine)
         q = rayleigh(grad)
         if q is not None and q < best:
             best = q

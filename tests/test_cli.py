@@ -164,6 +164,49 @@ def test_custom_coefficient_index_out_of_range(tmp_path, capsys, extra, command)
     assert err["error"] == "config" and "indices must be" in err["message"]
 
 
+@pytest.mark.parametrize("kind,extra", [
+    ("laplace", "mu = 5"),
+    ("laplace", "lam = 2"),
+    ("laplace", "N = 1"),
+    ("laplace", 'A.1.1.1.1 = "7"'),
+    ("laplace", 'D.1.1 = "1"'),
+    ("laplace", "lambda = 3.0"),
+    ("laplace", "Lambda = 3.0"),
+    ("laplace", "kappa2 = 3.0"),
+    ("lame", "N = 2"),
+    ("lame", 'B.1.1.1 = "1"'),
+    ("lame", 'C.1.1.1 = "1"'),
+    ("lame", "lambda = 0.5"),
+    ("custom", "mu = 5"),
+    ("custom", "lam = 2"),
+])
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_operator_key_the_kind_ignores_is_a_config_error(tmp_path, capsys, kind,
+                                                         extra, command):
+    text = QUAD_CFG + f"[operator]\nkind = {kind}\n{extra}\n"
+    if kind == "custom":
+        text += 'A.1.1.1.1 = "1"\nA.1.1.2.2 = "1"\n'
+    code = main([command, "--config", write_cfg(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "config"
+    assert err["message"] == (f"[operator] {extra.split()[0]} does not apply "
+                              f"to kind = {kind}")
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_unsupported_dimension_is_a_config_error(tmp_path, capsys, n):
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("n = 2", f"n = {n}"))
+    code = main(["validate", "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err == {"error": "config", "message": f"[region] n must be 2 or 3, got {n}"}
+
+
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--epsilons", "0.1,0.05,0.025"]],
                          ids=["solve", "sweep"])
 def test_data_degree_above_limit_is_a_config_error(tmp_path, capsys, command):

@@ -212,6 +212,20 @@ def test_estimate_bounds_sees_polynomial_growth(reg):
     assert kap > Lam
 
 
+def test_estimate_bounds_builtin_3d(reg3):
+    assert estimate_bounds(make_builtin("laplace", n=3), reg3) == (1.0, 1.0)
+    assert estimate_bounds(make_builtin("lame", n=3), reg3) == (3.0, 3.0)
+
+
+def test_estimate_bounds_sees_polynomial_growth_3d(reg3):
+    varying = parse_expression("1 + x1^2 + x2*x3", nvars=3)
+    zero = PolynomialField.zero(3)
+    A = [[[[varying if a == b else zero for b in range(3)] for a in range(3)]]]
+    Lam, kap = estimate_bounds(EllipticOperator(3, 1, A=A), reg3)
+    assert Lam > 1.0
+    assert kap > Lam
+
+
 def test_rescale_is_exact_substitution():
     # A = 1 + x1 under x1 = 1/2 + y1/4: A_hat = 3/2 + y1/4
     coeff = parse_expression("1 + x1", nvars=2)
