@@ -152,6 +152,21 @@ def _unquote(value):
     return value
 
 
+def _number(text, kind, name):
+    """``kind(text)`` for kind int or float, or a ConfigError that names the
+    key (``[section] key``) or the flag."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {text!r}") from None
+
+
+def _number_list(text, kind, name):
+    """The comma-separated numbers in ``text``, converted by ``_number``."""
+    return [_number(tok, kind, name) for tok in text.split(",") if tok.strip()]
+
+
 def _as_bool(value, key):
     v = value.lower()
     if v in ("true", "1", "on"):
@@ -272,17 +287,17 @@ def load_config(path):
     region = sections.get("region", {})
     if "h1" not in region or "h2" not in region:
         raise ConfigError("[region] must define h1 and h2")
-    cfg.n = int(region.get("n", "2"))
+    cfg.n = _number(region.get("n", "2"), int, "[region] n")
     if cfg.n not in (2, 3):
         raise ConfigError(f"[region] n must be 2 or 3, got {cfg.n}")
     if "epsilon" in region and "epsilons" in region:
         raise ConfigError("[region] defines both epsilon and epsilons")
     if "epsilon" in region:
-        cfg.epsilons = [float(region["epsilon"])]
+        cfg.epsilons = [_number(region["epsilon"], float, "[region] epsilon")]
     elif "epsilons" in region:
-        cfg.epsilons = [float(tok) for tok in region["epsilons"].split(",") if tok.strip()]
-    cfg.r_solve = float(region.get("r_solve", "1.0"))
-    cfg.r_analyze = float(region.get("r_analyze", "0.5"))
+        cfg.epsilons = _number_list(region["epsilons"], float, "[region] epsilons")
+    cfg.r_solve = _number(region.get("r_solve", "1.0"), float, "[region] r_solve")
+    cfg.r_analyze = _number(region.get("r_analyze", "0.5"), float, "[region] r_analyze")
     cfg.h1_text = _unquote(region["h1"])
     cfg.h2_text = _unquote(region["h2"])
 
@@ -296,9 +311,9 @@ def load_config(path):
         if not any(re.fullmatch(pat, key) for pat in OPERATOR_KEYS[cfg.op_kind]):
             raise ConfigError(f"[operator] {key} does not apply to kind = {cfg.op_kind}")
         if key in ("mu", "lam", "lambda", "Lambda", "kappa2"):
-            cfg.op_params[key] = float(value)
+            cfg.op_params[key] = _number(value, float, f"[operator] {key}")
         elif key == "N":
-            cfg.op_params[key] = int(value)
+            cfg.op_params[key] = _number(value, int, "[operator] N")
         else:
             cfg.op_params[key] = _unquote(value)
 
@@ -322,16 +337,16 @@ def load_config(path):
 
     solver = sections.get("solver", {})
     if "nx" in solver:
-        cfg.nx = int(solver["nx"])
-    cfg.nt = int(solver.get("nt", "33"))
-    cfg.tol = float(solver.get("tol", "1e-10"))
+        cfg.nx = _number(solver["nx"], int, "[solver] nx")
+    cfg.nt = _number(solver.get("nt", "33"), int, "[solver] nt")
+    cfg.tol = _number(solver.get("tol", "1e-10"), float, "[solver] tol")
     method = solver.get("method", "auto")
     cfg.method = None if method == "auto" else method
     if cfg.method not in (None, "direct", "krylov"):
         raise ConfigError(f"unknown solver method {method!r}")
 
     analysis = sections.get("analysis", {})
-    cfg.R0 = float(analysis.get("R0", "0.25"))
+    cfg.R0 = _number(analysis.get("R0", "0.25"), float, "[analysis] R0")
     cfg.scenario = _unquote(analysis.get("scenario", ""))
     cfg.metric = analysis.get("metric", "center_grad")
     if cfg.metric not in ("center_grad", "sup_grad"):
@@ -344,7 +359,7 @@ def load_config(path):
     cfg.lateral_closure = flags.get("lateral_closure", "utilde")
     if cfg.lateral_closure not in ("utilde", "constant"):
         raise ConfigError(f"unknown lateral_closure {cfg.lateral_closure!r}")
-    cfg.seed = int(flags.get("seed", "0"))
+    cfg.seed = _number(flags.get("seed", "0"), int, "[flags] seed")
     return cfg
 
 
@@ -497,7 +512,7 @@ def cmd_solve(cfg, args):
 
 def cmd_sweep(cfg, args):
     if args.epsilons:
-        eps_list = [float(tok) for tok in args.epsilons.split(",") if tok.strip()]
+        eps_list = _number_list(args.epsilons, float, "--epsilons")
     else:
         eps_list = cfg.epsilons
     if len(eps_list) < 3:
@@ -549,7 +564,7 @@ def cmd_mms(cfg, args):
     if not cfg.epsilons:
         raise ConfigError("mms needs an epsilon in [region]")
     if args.grids:
-        sizes = [int(tok) for tok in args.grids.split(",") if tok.strip()]
+        sizes = _number_list(args.grids, int, "--grids")
     else:
         sizes = list(DEFAULT_MMS_GRIDS)
     if len(sizes) < 3:

@@ -5,12 +5,15 @@ An operator is  d/dx_a ( A_ij^{ab} d/dx_b u^j + B_ij^a u^j ) + Cc_ij^b d/dx_b u^
 component index.  Builtins: the scalar Laplacian and the isotropic elasticity
 (Lame) tensor.  The module also measures the constants the estimates depend
 on: an integral ellipticity lower bound from a randomized Rayleigh search, a
-sampled sup bound for |A|, and a sampled C2 coefficient bound.  The Rayleigh
-search evaluates its test fields numerically: separable sine modes built
-from sines on the 1-D quadrature axes, and (n=2, N=2) divergence-free fields
-from a stream function differentiated by the chain rule.  Its quadrature
-evaluates the gap geometry once per tangential column, and each Rayleigh
-quotient is computed from one weighted gradient per trial.
+sampled sup bound for |A|, and a sampled C2 coefficient bound.  Every test
+field of the Rayleigh search is a coefficient vector over a fixed
+dictionary: the 4^n separable sine modes per component, and for (n=2, N=2)
+four divergence-free fields of a stream function differentiated by the
+chain rule.  Each quotient is then a small quadratic form in Gram matrices
+built once per estimate.  The sine Grams use the separable trapezoid
+quadrature: sums of Kronecker products of a Gram over the tangential
+columns and one over the vertical levels, with the gap geometry and any
+varying coefficient expanded per column in powers of t.
 """
 
 from __future__ import annotations
@@ -262,58 +265,60 @@ def _trapezoid_weights(m):
 class _Quadrature:
     """Tensor trapezoid nodes on the mapped region.
 
-    ``axes`` are the tangential 1-D axes and ``t`` the vertical one; the
-    flattened arrays run over their tensor product, t fastest.
+    ``axes`` are the tangential 1-D axes and ``t`` the vertical one.  The
+    nodal arrays run over their tensor product, t fastest; the column arrays
+    run over the tangential columns, the first axis slowest.  The weight of
+    the node (column c, level l) is col_weights[c] * level_weights[l], up to
+    rounding.
     """
 
     axes: tuple
     t: np.ndarray
-    points: np.ndarray   # (M, n) physical nodes
-    weights: np.ndarray  # (M,) trapezoid weights times the Jacobian delta
-    delta: np.ndarray    # (M,) gap width delta(x')
-    dT: np.ndarray       # (nd, M) d xn / d x_a at fixed t
+    points: np.ndarray         # (M, n) physical nodes
+    weights: np.ndarray        # (M,) trapezoid weights times the Jacobian delta
+    cols: np.ndarray           # (C, nd) tangential columns
+    delta: np.ndarray          # (C,) gap width delta(x')
+    dbottom: np.ndarray        # (nd, C) d bottom / d x_a
+    ddelta: np.ndarray         # (nd, C) d delta / d x_a
+    col_weights: np.ndarray    # (C,) tangential trapezoid weights * hx^nd * delta
+    level_weights: np.ndarray  # (mt,) trapezoid weights in t * ht
 
 
 def _quadrature_nodes(region, grid_spec):
     """Tensor trapezoid quadrature over the mapped region.
 
-    Returns the 1-D axes, the flattened physical points, weights including
-    the vertical Jacobian delta(x'), and the metric arrays needed to push
-    computational gradients to physical ones.  The profiles depend on x'
-    only, so they are evaluated once per tangential column and broadcast
-    over t.  Self-contained on purpose: the ellipticity search must not
-    share the solver's code path.
+    Returns the 1-D axes, the flattened physical points and their weights
+    including the vertical Jacobian delta(x'), and per tangential column the
+    gap width, the profile derivatives and the column weight.  The profiles
+    depend on x' only, so they are evaluated once per column.
+    Self-contained on purpose: the ellipticity search must not share the
+    solver's code path.
     """
     nd = region.nd
     mx, mt = grid_spec
     axes = [np.linspace(-region.r_solve, region.r_solve, mx) for _ in range(nd)]
     t_ax = np.linspace(0.0, 1.0, mt)
     cols = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-    # (columns, 1) profile values; every (columns, mt) array below is
-    # flattened to the nodes, t fastest
-    delta = region.delta_poly.value_many(cols)[:, None]
-    bottom = region.bottom_poly.value_many(cols)[:, None]
-    xn = bottom + t_ax * delta
+    delta = region.delta_poly.value_many(cols)
+    bottom = region.bottom_poly.value_many(cols)
+    # (columns, mt) arrays flattened to the nodes, t fastest
+    xn = bottom[:, None] + t_ax * delta[:, None]
     points = np.concatenate([np.repeat(cols, mt, axis=0), xn.reshape(-1, 1)], axis=-1)
 
     w = _trapezoid_weights(mx)
-    weights = w.copy()
+    tang = w.copy()
     for _ in range(nd - 1):
-        weights = np.multiply.outer(weights, w)
-    weights = np.multiply.outer(weights.ravel(), _trapezoid_weights(mt))
+        tang = np.multiply.outer(tang, w)
+    tang = tang.ravel()
+    w_t = _trapezoid_weights(mt)
     hx = axes[0][1] - axes[0][0]
     ht = t_ax[1] - t_ax[0]
-    weights = weights * hx**nd * ht * delta  # dx = delta dt dx'
-
-    dT = np.stack(
-        [
-            (region.bottom_poly.deriv(a).value_many(cols)[:, None]
-             + t_ax * region.delta_poly.deriv(a).value_many(cols)[:, None]).ravel()
-            for a in range(nd)
-        ]
-    )
-    return _Quadrature(tuple(axes), t_ax, points, weights.ravel(),
-                       np.repeat(delta, mt), dT)
+    weights = np.multiply.outer(tang, w_t) * hx**nd * ht * delta[:, None]  # dx = delta dt dx'
+    return _Quadrature(
+        tuple(axes), t_ax, points, weights.ravel(), cols, delta,
+        np.stack([region.bottom_poly.deriv(a).value_many(cols) for a in range(nd)]),
+        np.stack([region.delta_poly.deriv(a).value_many(cols) for a in range(nd)]),
+        tang * hx**nd * delta, w_t * ht)
 
 
 _SINE_KMAX = 4  # sine mode numbers are drawn from 1.._SINE_KMAX on each axis
@@ -330,38 +335,122 @@ def _sine_tables(region, quad):
             for s, scale in scaled + [(quad.t, 1.0)]]
 
 
-def _sine_candidate(rng, tables, quad, grad, nmodes=3):
-    """Zero-trace sine tensor mode field: physical gradients written into
-    ``grad``, shape (N, n, M), which is returned.
+def _entry_grams(op, unit, weighted):
+    """(Gram, entries) per distinct nonzero polynomial p of A.
 
-    Each component is a sum of ``nmodes`` products of 1-D sines, so every
-    computational derivative is a sum of outer products of rows of the 1-D
-    tables; the t-axis factor enters through one batched matmul.
+    The Gram is ``c * unit`` for a constant c and ``weighted(p)`` otherwise;
+    entries are the indices (i, j, a, b) of A where p sits.
     """
-    N = grad.shape[0]
-    nd = len(tables) - 1
-    ks = np.empty((N, nmodes, nd + 1), dtype=np.int64)
-    c = np.empty((N, nmodes))
-    for i in range(N):
-        for m in range(nmodes):
-            ks[i, m] = rng.integers(1, _SINE_KMAX + 1, size=nd + 1)
-            c[i, m] = rng.normal()
-    mt = len(quad.t)
-    for d in range(nd + 1):
-        # (N, nmodes, axis length) factor per axis: the derivative on axis d
-        factor = [tables[e][int(e == d)][ks[..., e] - 1] for e in range(nd + 1)]
-        tang = c[..., None] * factor[0]
-        for f in factor[1:nd]:
-            tang = (tang[..., :, None] * f[..., None, :]).reshape(N, nmodes, -1)
-        np.matmul(tang.transpose(0, 2, 1), factor[nd],
-                  out=grad[:, d].reshape(N, -1, mt))
-    # computational -> physical: d/dxn = (1/delta) d/dt,
-    # d/dx_a = d/dx_a|comp - dT_a d/dxn, in place one component at a time
-    for g in grad:
-        g[nd] /= quad.delta
-        for a in range(nd):
-            g[a] -= quad.dT[a] * g[nd]
-    return grad
+    groups = {}
+    for idx in np.ndindex(op.A.shape):
+        p = op.A[idx]
+        if not p.is_zero():
+            groups.setdefault(p, []).append(idx)
+    for p, entries in groups.items():
+        gram = float(p.constant_term()) * unit if p.degree() == 0 else weighted(p)
+        yield gram, entries
+
+
+def _t_expansion(p, region, cols):
+    """[(j, alpha_j)] with p(x', bottom(x') + t delta(x')) = sum_j alpha_j(x') t^j:
+    the alpha_j are composed exactly and evaluated at the columns ``cols``."""
+    n = p.nvars
+    xn = (region.bottom_poly.lift(n)
+          + region.delta_poly.lift(n) * PolynomialField.variable(n, n - 1))
+    composed = PolynomialField.zero(n)
+    for e, c in p.terms.items():
+        composed = composed + PolynomialField(n, {e[:-1] + (0,): c}) * xn ** e[-1]
+    powers = {}
+    for e, c in composed.terms.items():
+        powers.setdefault(e[-1], {})[e[:-1]] = c
+    return [(j, PolynomialField(n - 1, terms).value_many(cols))
+            for j, terms in sorted(powers.items())]
+
+
+def _sine_grams(op, region, quad):
+    """Gram matrices (K, D) of the sine-mode dictionary, (N*m, N*m) each.
+
+    The dictionary holds, in every component i, the m = _SINE_KMAX**n tensor
+    modes phi_k = prod_e sin(k_e pi s_e), k ravelled with the first axis
+    slowest and t fastest.  K[(i, k), (j, l)] is the quadrature of
+    A_ij^{ab} d_a phi_k d_b phi_l and D is |grad phi|^2 in every diagonal
+    block.  The quadrature is separable: a mode's physical derivative is a
+    sum of terms f(x') T(x', k') L(t, k_t), and each Gram is a sum of
+    Kronecker products of a tangential Gram over the columns and a level
+    Gram over t.  A varying entry of A enters through its expansion in t.
+    """
+    n, N = op.n, op.N
+    nd = n - 1
+    tables = _sine_tables(region, quad)
+    sin_t, dsin_t = (f.T for f in tables[nd])
+
+    def tangential(d):
+        # (C, _SINE_KMAX**nd) products of tangential sines, differentiated
+        # on axis d (on none if d == nd)
+        out = np.ones((1, 1))
+        for e in range(nd):
+            out = np.kron(out, tables[e][int(e == d)].T)
+        return out
+
+    # d_a = d_a|t + (u_a + t v_a) d_t for a < nd and d_n = d_t / delta, with
+    # u_a = -bottom_a / delta and v_a = -delta_a / delta; the terms of each
+    # direction as (column factor, tangential factor, level factor)
+    inv = 1.0 / quad.delta
+    flat = tangential(nd)
+    terms = []
+    for a in range(nd):
+        terms += [(np.ones_like(inv), tangential(a), sin_t),
+                  (-quad.dbottom[a] * inv, flat, dsin_t),
+                  (-quad.ddelta[a] * inv, flat, quad.t[:, None] * dsin_t)]
+    terms.append((inv, flat, dsin_t))
+    starts = list(range(0, len(terms), 3))  # first term of each direction
+    col = np.stack([f[:, None] * T for f, T, _ in terms])
+    lev = np.stack([L for _, _, L in terms])
+    R, m = len(terms), _SINE_KMAX ** n
+
+    def pairs(factor, weight):
+        # (R, R, k, k) Grams over the first axis of every pair of terms, as
+        # one small matrix product per pair: a product big enough for the
+        # BLAS to thread leaves its workers spinning on the cores afterwards
+        return np.matmul((factor * weight[:, None]).transpose(0, 2, 1)[:, None],
+                         factor[None])
+
+    def gram(expansion):
+        # (n, m, n, m) direction Grams int w d_a phi_k d_b phi_l for the
+        # weight w = sum_j alpha_j(x') t^j
+        out = 0.0
+        for j, alpha in expansion:
+            TG = pairs(col, quad.col_weights * alpha)
+            LG = pairs(lev, quad.level_weights * quad.t**j)
+            terms_gram = (TG[:, :, :, None, :, None] * LG[:, :, None, :, None, :])
+            terms_gram = terms_gram.transpose(0, 2, 3, 1, 4, 5).reshape(R, m, R, m)
+            out = out + np.add.reduceat(np.add.reduceat(terms_gram, starts, axis=0),
+                                        starts, axis=2)
+        return out
+
+    unit = gram([(0, 1.0)])
+    K = np.zeros((N, m, N, m))
+    for G, entries in _entry_grams(
+            op, unit, lambda p: gram(_t_expansion(p, region, quad.cols))):
+        for i, j, a, b in entries:
+            K[i, :, j, :] += G[a, :, b, :]
+    D = sum(unit[a, :, a, :] for a in range(n))
+    return K.reshape(N * m, N * m), np.kron(np.eye(N), D)
+
+
+def _sine_trials(rng, count, N, n, nmodes=3):
+    """Dictionary indices and weights, (count, N*nmodes) each, of ``count``
+    sine trial fields: each component sums ``nmodes`` modes with random mode
+    numbers and normal weights, drawn trial by trial, component by
+    component."""
+    ks = np.empty((count, N, nmodes, n), dtype=np.int64)
+    c = np.empty((count, N, nmodes))
+    for idx in np.ndindex(c.shape):
+        ks[idx] = rng.integers(1, _SINE_KMAX + 1, size=n)
+        c[idx] = rng.normal()
+    modes = (np.arange(N)[:, None] * _SINE_KMAX ** n
+             + np.ravel_multi_index(np.moveaxis(ks - 1, -1, 0), (_SINE_KMAX,) * n))
+    return modes.reshape(count, -1), c.reshape(count, -1)
 
 
 def _stream_jets(coefs, r, x1, u, bottom, delta):
@@ -411,35 +500,73 @@ def _profile_jets(region, x1):
             [p.value_many(pts) for p in (region.delta_poly, d1, d1.deriv(0))])
 
 
-def _divfree_candidate(rng, r, x1, u, bottom, delta):
-    """Gradient (2, 2, M) of the divergence-free field (Phi_n, -Phi_1) (n=2).
+def _divfree_basis(region, quad):
+    """Gradients (4, 2, 2, M), indexed [q, i, a], of d_a v^i for the
+    divergence-free fields v = (Phi_n, -Phi_1) at the nodes (n=2), where Phi
+    is the stream function of ``_stream_jets`` with coefficients e_q.
 
-    Phi is the stream function of ``_stream_jets`` with random integer
-    coefficients.  The field has zero trace on all four boundary pieces and
-    zero divergence identically, so the Rayleigh quotient of the Lame tensor
-    on it equals mu up to quadrature error.
+    Every such field has zero trace on all four boundary pieces and zero
+    divergence identically, so the Rayleigh quotient of the Lame tensor on
+    it equals mu up to quadrature error.  The fields are linear in the
+    coefficients, so these four span the family.
     """
-    coefs = rng.integers(-3, 4, size=4)
-    _, _, p11, p1n, pnn = _stream_jets(coefs, r, x1, u, bottom, delta)
-    return np.stack([p1n, pnn, -p11, -p1n]).reshape(2, 2, -1)
+    x1 = quad.axes[0][:, None]
+    bottom, delta = _profile_jets(region, x1)
+    basis = []
+    for coefs in np.eye(4):
+        # u = t at the nodes
+        _, _, p11, p1n, pnn = _stream_jets(coefs, region.r_solve, x1, quad.t,
+                                           bottom, delta)
+        basis.append(np.stack([p1n, pnn, -p11, -p1n]).reshape(2, 2, -1))
+    return np.array(basis)
+
+
+def _divfree_grams(op, region, quad):
+    """Gram matrices (K, D), 4x4, of the divergence-free basis fields as
+    nodal quadrature sums (n = N = 2)."""
+    B = _divfree_basis(region, quad).reshape(16, -1)
+
+    def gram(field):
+        return ((B * field) @ B.T).reshape(4, 2, 2, 4, 2, 2)
+
+    unit = gram(quad.weights)
+    K = np.zeros((4, 4))
+    for G, entries in _entry_grams(
+            op, unit, lambda p: gram(quad.weights * p.value_many(quad.points))):
+        for i, j, a, b in entries:
+            K += G[:, i, a, :, j, b]
+    D = sum(unit[:, i, a, :, i, a] for i in range(2) for a in range(2))
+    return K, D
+
+
+def _rayleigh(K, D, modes, coefs):
+    """Rayleigh quotients x.Kx / x.Dx of the trials x = sum_q coefs[:, q]
+    e_{modes[:, q]}, from the submatrices of K and D on each trial's modes;
+    trials with x.Dx < 1e-14 are dropped."""
+    rows, cols = modes[:, :, None], modes[:, None, :]
+    num = np.einsum("ti,tij,tj->t", coefs, K[rows, cols], coefs)
+    den = np.einsum("ti,tij,tj->t", coefs, D[rows, cols], coefs)
+    keep = den >= 1e-14
+    return num[keep] / den[keep]
 
 
 def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
     """Randomized lower estimate of the integral ellipticity constant.
 
     Minimum over seeded random zero-trace test fields of the Rayleigh
-    quotient  int A du dv / int |grad v|^2  with trapezoid quadrature on the
-    mapped region.  Fields are sine tensor modes, built from sines on the 1-D
-    axes; for n=2, N=2 half the trials are exactly divergence-free fields
-    from a stream function evaluated by the chain rule, which make the
-    estimate tight (approaches mu) for the Lame tensor.
+    quotient  int A dv dv / int |grad v|^2  with trapezoid quadrature on the
+    mapped region.  Fields are sums of sine tensor modes; for n=2, N=2 half
+    the trials are exactly divergence-free fields from a stream function,
+    which make the estimate tight (approaches mu) for the Lame tensor.
 
-    Each trial forms the weighted gradient wG = w * G once, G being the
-    candidate's gradient rows and w the quadrature weights, into a buffer
-    reused across trials; the denominator is sum_k wG_k . G_k.  The
-    numerator sums only the nonzero entries of A, grouped by distinct
-    polynomial: a constant c adds c * sum wG_r . G_s over its entries, and a
-    varying one multiplies each row G_r it needs by its weighted field once.
+    Every trial is a coefficient vector x over a fixed dictionary, so its
+    quotient is x.Kx / x.Dx with Gram matrices K and D built once per
+    estimate: over the 4^n sine modes per component by separable quadrature
+    (``_sine_grams``, nothing formed at the nodes), and over the four
+    stream-function coefficients by nodal sums (``_divfree_grams``).  One
+    routine (``_rayleigh``) evaluates every quotient on the submatrices of
+    the trial's few modes.  The random draws are those of the nodal
+    construction, so every trial tests the same field as before.
     Deterministic for fixed seed.
     """
     if trials < 4:
@@ -448,60 +575,16 @@ def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
         raise OperatorError("operator and region dimensions differ")
     rng = np.random.default_rng(seed)
     quad = _quadrature_nodes(region, grid_spec)
-    n, N = op.n, op.N
-    # each nonzero entry of A as the pair (r, s) = (i*n + a, j*n + b) of rows
-    # of G, the candidate reshaped to (N*n, M); each distinct polynomial is
-    # evaluated once and keeps its value if constant, else its weighted
-    # field and its pairs by row r
-    groups = {}
-    for i, j, a, b in np.ndindex(op.A.shape):
-        p = op.A[i, j, a, b]
-        if not p.is_zero():
-            groups.setdefault(p, []).append((i * n + a, j * n + b))
-    constant, varying = [], []
-    for p, pairs in groups.items():
-        values = p.value_many(quad.points)
-        if p.degree() == 0:
-            constant.append((values[0], pairs))
-        else:
-            rows = {}
-            for r, s in pairs:
-                rows.setdefault(r, []).append(s)
-            varying.append((quad.weights * values, rows))
-    weighted = np.empty((N * n, len(quad.weights)))
-
-    def rayleigh(grad):
-        G = grad.reshape(N * n, -1)
-        np.multiply(G, quad.weights, out=weighted)
-        den = sum(float(np.dot(wg, g)) for wg, g in zip(weighted, G))
-        if den < 1e-14:
-            return None
-        num = 0.0
-        for c, pairs in constant:
-            num += c * sum(float(np.dot(weighted[r], G[s])) for r, s in pairs)
-        for field, rows in varying:
-            for r, cols in rows.items():
-                field_r = field * G[r]
-                num += sum(float(np.dot(field_r, G[s])) for s in cols)
-        return num / den
-
     ndiv = trials // 2 if (region.n == 2 and op.N == 2) else 0
+    # the draws in trial order: divergence-free trials first, then sine ones
+    divfree = np.array([rng.integers(-3, 4, size=4) for _ in range(ndiv)], dtype=float)
+    sine = _sine_trials(rng, trials - ndiv, op.N, op.n)
+    quotients = _rayleigh(*_sine_grams(op, region, quad), *sine)
     if ndiv:
-        x1 = quad.axes[0][:, None]
-        bottom, delta = _profile_jets(region, x1)
-    tables = _sine_tables(region, quad)
-    sine = np.empty((N, n, len(quad.weights)))
-    best = np.inf
-    for k in range(trials):
-        if k < ndiv:
-            # u = t at the nodes
-            grad = _divfree_candidate(rng, region.r_solve, x1, quad.t, bottom, delta)
-        else:
-            grad = _sine_candidate(rng, tables, quad, sine)
-        q = rayleigh(grad)
-        if q is not None and q < best:
-            best = q
-    return float(best)
+        modes = np.broadcast_to(np.arange(4), divfree.shape)
+        quotients = np.concatenate(
+            [_rayleigh(*_divfree_grams(op, region, quad), modes, divfree), quotients])
+    return float(quotients.min(initial=np.inf))
 
 
 def estimate_bounds(op, region, samples=(33, 17)):

@@ -192,15 +192,19 @@ class ManufacturedProblem:
     def source(self, points):
         """f* = L u* evaluated exactly at physical points."""
         pts = np.asarray(points, dtype=float)
-        jets = list(zip(*self.jets(pts)))
-        return np.array(apply_operator_jets(self.op, jets, np.zeros(len(pts)),
+        return self._source(pts, self.jets(pts))
+
+    def _source(self, pts, jets):
+        return np.array(apply_operator_jets(self.op, list(zip(*jets)), np.zeros(len(pts)),
                                             lambda p: p.value_many(pts)))
 
     def nodal_fields(self, grid):
-        """(u*, f*) at the grid nodes, shapes (N, *dims)."""
-        vals = self.values(grid.points).reshape((len(self.fields),) + grid.dims)
-        src = self.source(grid.points).reshape((len(self.fields),) + grid.dims)
-        return vals, src
+        """(u*, f*) at the grid nodes, shapes (N, *dims), from one
+        evaluation of the jets."""
+        pts = np.asarray(grid.points, dtype=float)
+        jets = self.jets(pts)
+        shape = (len(self.fields),) + grid.dims
+        return jets[0].reshape(shape), self._source(pts, jets).reshape(shape)
 
 
 def manufactured_problem(op, region, u_star_spec):

@@ -1,24 +1,37 @@
 """Reference implementation of the ellipticity and bounds search as it was
 before the quadrature geometry was evaluated once per column and each
-Rayleigh quotient was computed from one weighted gradient.
+Rayleigh quotient was computed from one weighted gradient, and before the
+quotients were computed from Gram matrices.
 
 ``_quadrature_nodes`` evaluates the gap profiles and their derivatives at
-every flattened node; ``estimate_ellipticity`` builds each Rayleigh quotient
-from one multiply-then-dot per nonzero entry of A, on sine candidates
-allocated afresh for every trial.  The code is kept verbatim from that
-version, docstrings and comments aside, as an oracle for the quadrature
-arrays and the measured constants, in the same way as ``solver_oracle``
-keeps the earlier solver layer.  The random draws and the divergence-free
-candidates are shared with the library.
+every flattened node; ``estimate_ellipticity`` builds the gradient of every
+trial field at the nodes (``_sine_candidate``, ``_divfree_candidate``) and
+each Rayleigh quotient from one multiply-then-dot per nonzero entry of A.
+The code is kept verbatim from that version, docstrings and comments aside,
+as an oracle for the quadrature arrays, the Gram matrices and the measured
+constants, in the same way as ``solver_oracle`` keeps the earlier solver
+layer.  The sine tables, the profile jets and the stream-function jets are
+shared with the library.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from narrowgap.operators import (_SINE_KMAX, OperatorError, _divfree_candidate,
-                                 _profile_jets, _Quadrature, _sine_tables,
-                                 _trapezoid_weights)
+from narrowgap.operators import (_SINE_KMAX, OperatorError, _profile_jets,
+                                 _sine_tables, _stream_jets, _trapezoid_weights)
+
+
+@dataclass(frozen=True)
+class _Quadrature:
+    axes: tuple
+    t: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
+    delta: np.ndarray
+    dT: np.ndarray
 
 
 def _quadrature_nodes(region, grid_spec):
@@ -71,6 +84,12 @@ def _sine_candidate(rng, tables, quad, N, nmodes=3):
     grad[:, nd] /= quad.delta
     grad[:, :nd] -= quad.dT * grad[:, nd:]
     return grad
+
+
+def _divfree_candidate(rng, r, x1, u, bottom, delta):
+    coefs = rng.integers(-3, 4, size=4)
+    _, _, p11, p1n, pnn = _stream_jets(coefs, r, x1, u, bottom, delta)
+    return np.stack([p1n, pnn, -p11, -p1n]).reshape(2, 2, -1)
 
 
 def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):

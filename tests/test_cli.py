@@ -207,6 +207,57 @@ def test_unsupported_dimension_is_a_config_error(tmp_path, capsys, n):
     assert err == {"error": "config", "message": f"[region] n must be 2 or 3, got {n}"}
 
 
+def _with(section, line, kind=None):
+    """QUAD_CFG plus ``line`` in ``section``, under an operator of ``kind``."""
+    text = QUAD_CFG
+    if kind is not None:
+        text += f"[operator]\nkind = {kind}\n"
+        if kind == "custom":
+            text += 'A.1.1.1.1 = "1"\nA.1.1.2.2 = "1"\n'
+    return text + f"[{section}]\n{line}\n"
+
+
+# (name in the message, bad value, config text, command line after --config)
+BAD_NUMBERS = [
+    ("[region] n", "two", QUAD_CFG.replace("n = 2", "n = two"), []),
+    ("[region] epsilon", "abc", QUAD_CFG.replace("epsilon = 0.1", "epsilon = abc"), []),
+    ("[region] epsilons", "x",
+     QUAD_CFG.replace("epsilon = 0.1", "epsilons = 0.1,x,0.05"), []),
+    ("[region] r_solve", "wide", _with("region", "r_solve = wide"), []),
+    ("[region] r_analyze", "1/2", _with("region", "r_analyze = 1/2"), []),
+    ("[operator] mu", "abc", _with("operator", "mu = abc", "lame"), []),
+    ("[operator] lam", "1,5", _with("operator", "lam = 1,5", "lame"), []),
+    ("[operator] lambda", "one", _with("operator", "lambda = one", "custom"), []),
+    ("[operator] Lambda", "3x", _with("operator", "Lambda = 3x", "custom"), []),
+    ("[operator] kappa2", "", _with("operator", "kappa2 =", "custom"), []),
+    ("[operator] N", "1.0", _with("operator", "N = 1.0", "custom"), []),
+    ("[solver] nx", "33.5", _with("solver", "nx = 33.5"), []),
+    ("[solver] nt", "many", _with("solver", "nt = many"), []),
+    ("[solver] tol", "1e-x", _with("solver", "tol = 1e-x"), []),
+    ("[analysis] R0", "quarter", _with("analysis", "R0 = quarter"), []),
+    ("[flags] seed", "0x1", _with("flags", "seed = 0x1"), []),
+    ("--grids", "abc", QUAD_CFG, ["mms", "--grids", "9,abc,33"]),
+    ("--epsilons", "x", QUAD_CFG, ["sweep", "--epsilons", "0.1,x"]),
+]
+
+
+@pytest.mark.parametrize("name,bad,text,command", BAD_NUMBERS,
+                         ids=[case[0].split()[-1] for case in BAD_NUMBERS])
+def test_bad_number_is_a_config_error(tmp_path, capsys, name, bad, text, command):
+    verb, *flags = command or ["validate"]
+    code = main([verb, "--config", write_cfg(tmp_path, text)] + flags)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    what = "an integer" if name.split()[-1] in ("n", "N", "nx", "nt", "seed", "--grids") \
+        else "a number"
+    assert err == {"error": "config", "message": f"{name} must be {what}, got {bad!r}"}
+
+
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--epsilons", "0.1,0.05,0.025"]],
                          ids=["solve", "sweep"])
 def test_data_degree_above_limit_is_a_config_error(tmp_path, capsys, command):

@@ -6,6 +6,7 @@ import pytest
 from narrowgap import (
     BoundaryData,
     EllipticOperator,
+    MappedGrid,
     NarrowRegion,
     convergence_study,
     fd_apply_operator,
@@ -14,7 +15,7 @@ from narrowgap import (
     manufactured_problem,
     parse_expression,
 )
-from narrowgap.verification import Factor1D
+from narrowgap.verification import Factor1D, ManufacturedProblem
 
 from conftest import flat_profile, quad_profile
 
@@ -130,3 +131,28 @@ def test_convergence_study_exact_field_floors_at_rounding():
                                                       ("poly", 0.0, 1.0)])]])
     study = convergence_study(problem, [(9, 9), (17, 17)])
     assert max(study.errors_inf) < 1e-10
+
+
+def test_convergence_study_evaluates_the_jets_once_per_grid(reg, monkeypatch):
+    op = make_builtin("lame", n=2)
+    problem = manufactured_problem(
+        op, reg, [[(1.0, [("sin", 1.0), ("poly", 1.0, 0.5, 0.25)])],
+                  [(1.0, [("cos", 0.7, 0.2), ("poly", 0.5, 0.25)])]])
+    grids = [(9, 9), (17, 17), (33, 33)]
+    calls = []
+    jets = ManufacturedProblem.jets
+
+    def counted(self, points):
+        calls.append(len(points))
+        return jets(self, points)
+
+    monkeypatch.setattr(ManufacturedProblem, "jets", counted)
+    convergence_study(problem, grids)
+    assert calls == [nx * nt for nx, nt in grids]
+
+    monkeypatch.undo()
+    grid = MappedGrid(reg, 17, 17)
+    vals, src = problem.nodal_fields(grid)
+    shape = (op.N,) + grid.dims
+    assert np.array_equal(vals, problem.values(grid.points).reshape(shape))
+    assert np.array_equal(src, problem.source(grid.points).reshape(shape))
