@@ -10,7 +10,7 @@ leading-order interpolant profile.
 from .analysis import (AnalysisError, BoundReport, GradientField, RateFit,
                        SweepProblem, analyze_solution, centerline_lower_constant,
                        correction_field, energy, fit_rate, gradient,
-                       local_energy_profile, pointwise_w_check, solve_epsilon,
+                       pointwise_w_check, solve_epsilon,
                        sup_bound_constant, superposition_check, sweep_and_fit,
                        sweep_grid, sweep_member)
 from .auxiliary import (AuxiliaryEvaluator, BoundaryData, BoundShapeReport,
@@ -22,8 +22,7 @@ from .mesh_solver import (LinearSystem, MappedGrid, SolutionField,
                           quadrature_weights, solve_dirichlet, solve_system)
 from .operators import (EllipticOperator, OperatorError, apply_operator_jets,
                         apply_operator_poly, estimate_bounds,
-                        estimate_ellipticity, make_builtin,
-                        rescale_coefficients)
+                        estimate_ellipticity, make_builtin)
 from .polynomial import (ExpressionError, PolynomialField, RationalField,
                          parse_expression)
 from .verification import (ConvergenceStudy, ManufacturedProblem,
@@ -46,9 +45,9 @@ __all__ = [
     "boundary_values", "energy", "estimate_bounds", "estimate_ellipticity",
     "fd_apply_operator", "fit_rate", "flat_gap_exact",
     "gap_width_many", "gradient",
-    "local_energy_profile", "make_builtin", "manufactured_problem",
+    "make_builtin", "manufactured_problem",
     "parse_expression", "pointwise_w_check", "quadrature_weights",
-    "rescale_coefficients", "solve_dirichlet", "solve_epsilon",
+    "solve_dirichlet", "solve_epsilon",
     "solve_system", "sup_bound_constant", "superposition_check",
     "sweep_and_fit", "sweep_grid", "sweep_member",
     "validate_profile",

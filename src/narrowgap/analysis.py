@@ -36,7 +36,6 @@ __all__ = [
     "sup_bound_constant",
     "centerline_lower_constant",
     "energy",
-    "local_energy_profile",
     "pointwise_w_check",
     "analyze_solution",
     "sweep_grid",
@@ -207,12 +206,6 @@ def energy(gradfield, window=None, refine=513):
     return float((dens * w * mask).sum())
 
 
-def local_energy_profile(gradfield, x0_prime, t_list):
-    """[(t, F(t))] with F(t) the window energy about x0'; monotone in t."""
-    return [(float(t), energy(gradfield, window=(x0_prime, float(t))))
-            for t in t_list]
-
-
 def pointwise_w_check(gradfield_w, data, region, R0=0.25):
     """Empirical constants of the two-regime pointwise bound on |grad w|.
 
@@ -362,7 +355,6 @@ class SweepProblem:
     nt: int = 33
     scenario: str = ""
     tol: float = 1e-10
-    method: str | None = None
 
     def region(self, eps):
         return NarrowRegion(n=self.n, epsilon=eps, profile=self.profile,
@@ -394,7 +386,7 @@ def _solve_one(problem, eps, nx, nt):
     grid = MappedGrid(problem.region(eps), nx, nt)
     return solve_dirichlet(problem.op, grid, problem.data,
                            lateral_closure=problem.lateral_closure,
-                           tol=problem.tol, method=problem.method)
+                           tol=problem.tol)
 
 
 def solve_epsilon(problem, eps, nx=None):

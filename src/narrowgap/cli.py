@@ -34,7 +34,7 @@ from .analysis import (AnalysisError, SweepProblem, analyze_solution,  # noqa: F
                        solve_epsilon, sweep_and_fit)
 from .auxiliary import BoundaryData
 from .geometry import GapProfile, GeometryError, NarrowRegion, validate_profile
-from .mesh_solver import SolverError
+from .mesh_solver import MappedGrid, SolverError
 from .operators import (EllipticOperator, OperatorError, estimate_bounds,
                         estimate_ellipticity, make_builtin)
 from .polynomial import ExpressionError, PolynomialField, parse_expression
@@ -54,49 +54,110 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> key pattern -> short description; patterns are anchored regexes
+def _text(value, name):
+    """``value`` without one pair of enclosing quotes."""
+    if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
+        return value[1:-1]
+    return value
+
+
+def _number(text, kind, name):
+    """``kind(text)`` for kind int or float, or a ConfigError that names the
+    key (``[section] key``) or the flag."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{name} must be {what}, got {text!r}") from None
+
+
+def _int(text, name):
+    return _number(text, int, name)
+
+
+def _float(text, name):
+    return _number(text, float, name)
+
+
+def _list(text, parse, name):
+    """The comma-separated values in ``text``, each converted by ``parse``."""
+    return [parse(tok, name) for tok in text.split(",") if tok.strip()]
+
+
+def _nodes(text, name):
+    """A node count along one grid axis, checked by MappedGrid's rule."""
+    m = _int(text, name)
+    try:
+        MappedGrid.check_nodes(name, m)
+    except GeometryError as exc:
+        raise ConfigError(str(exc)) from None
+    return m
+
+
+def _bool(text, name):
+    v = text.lower()
+    if v in ("true", "1", "on"):
+        return True
+    if v in ("false", "0", "off"):
+        return False
+    raise ConfigError(f"{name} must be true or false, got {text!r}")
+
+
+def _choice(what, *options):
+    def parse(text, name):
+        if text not in options:
+            raise ConfigError(f"unknown {what} {text!r}")
+        return text
+    return parse
+
+
+# section -> key pattern -> (RunConfig field, parser).  Patterns are anchored
+# regexes.  A parser turns the raw text into the field's value, or raises a
+# ConfigError naming the key as "[section] key"; an unset key keeps the
+# RunConfig default.  op_params holds the [operator] keys besides kind by
+# name, g_plus_texts / g_minus_texts the [data] traces by component.
 CONFIG_SCHEMA = {
     "region": {
-        "n": "space dimension (default 2)",
-        "epsilon": "single gap parameter",
-        "epsilons": "comma list of gap parameters",
-        "r_solve": "tangential half-width of the solve box (default 1.0)",
-        "r_analyze": "half region radius (default 0.5)",
-        "h1": "top profile expression in x1..x{n-1}",
-        "h2": "bottom profile expression",
+        "n": ("n", _int),
+        "epsilon": ("epsilons", lambda text, name: [_float(text, name)]),
+        "epsilons": ("epsilons", lambda text, name: _list(text, _float, name)),
+        "r_solve": ("r_solve", _float),
+        "r_analyze": ("r_analyze", _float),
+        "h1": ("h1_text", _text),
+        "h2": ("h2_text", _text),
     },
     "operator": {
-        "kind": "laplace | lame | custom",
-        "mu": "lame shear modulus",
-        "lam": "lame first parameter",
-        "N": "component count (custom)",
-        r"A\.\d+\.\d+\.\d+\.\d+": "custom principal coefficient A.i.j.a.b",
-        r"B\.\d+\.\d+\.\d+": "custom coefficient B.i.j.a",
-        r"C\.\d+\.\d+\.\d+": "custom coefficient C.i.j.b",
-        r"D\.\d+\.\d+": "custom coefficient D.i.j",
-        "lambda": "claimed ellipticity lower bound (custom)",
-        "Lambda": "claimed upper bound (custom)",
-        "kappa2": "claimed coefficient C2 bound (custom)",
+        "kind": ("op_kind", _choice("operator kind", "laplace", "lame", "custom")),
+        "mu": ("op_params", _float),
+        "lam": ("op_params", _float),
+        "N": ("op_params", _int),
+        r"A\.\d+\.\d+\.\d+\.\d+": ("op_params", _text),
+        r"B\.\d+\.\d+\.\d+": ("op_params", _text),
+        r"C\.\d+\.\d+\.\d+": ("op_params", _text),
+        r"D\.\d+\.\d+": ("op_params", _text),
+        "lambda": ("op_params", _float),
+        "Lambda": ("op_params", _float),
+        "kappa2": ("op_params", _float),
     },
     "data": {
-        r"g_plus\.\d+": "top trace expression for component l",
-        r"g_minus\.\d+": "bottom trace expression for component l",
+        r"g_plus\.\d+": ("g_plus_texts", _text),
+        r"g_minus\.\d+": ("g_minus_texts", _text),
     },
     "solver": {
-        "nx": "tangential nodes per direction (default: sweep rule)",
-        "nt": "vertical levels (default 33)",
-        "tol": "relative residual tolerance (default 1e-10)",
-        "method": "auto | direct | krylov",
+        "nx": ("nx", _nodes),
+        "nt": ("nt", _nodes),
+        "tol": ("tol", _float),
     },
     "analysis": {
-        "R0": "inner region radius (default 0.25)",
-        "scenario": "free-form label recorded in reports",
-        "metric": "center_grad | sup_grad (default center_grad)",
+        "R0": ("R0", _float),
+        "scenario": ("scenario", _text),
+        "metric": ("metric", _choice("metric", "center_grad", "sup_grad")),
     },
     "flags": {
-        "allow_degenerate_geometry": "accept kappa0 failure (flat gap)",
-        "lateral_closure": "utilde | constant",
-        "seed": "RNG seed for ellipticity trials (default 0)",
+        "allow_degenerate_geometry": ("allow_degenerate_geometry", _bool),
+        "lateral_closure": ("lateral_closure",
+                            _choice("lateral_closure", "utilde", "constant")),
+        "seed": ("seed", _int),
     },
 }
 
@@ -109,17 +170,16 @@ OPERATOR_KEYS = {
 }
 
 
-def _match_key(section, key):
-    schema = CONFIG_SCHEMA.get(section)
-    if schema is None:
-        raise ConfigError(f"unknown section [{section}]")
-    for pat in schema:
-        if re.fullmatch(pat, key):
-            return
+def _field(section, key):
+    """The RunConfig field and parser of ``key`` in ``section``."""
+    for pattern, entry in CONFIG_SCHEMA[section].items():
+        if re.fullmatch(pattern, key):
+            return entry
     raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
 
 def _parse_sections(text, path="<config>"):
+    """{section: {key: parsed value}} of the config ``text``."""
     sections = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -138,42 +198,11 @@ def _parse_sections(text, path="<config>"):
             raise ConfigError(f"{path}:{lineno}: key outside any section")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        _match_key(current, key)
+        _, parse = _field(current, key)
         if key in sections[current]:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        sections[current][key] = value
+        sections[current][key] = parse(value.strip(), f"[{current}] {key}")
     return sections
-
-
-def _unquote(value):
-    if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
-        return value[1:-1]
-    return value
-
-
-def _number(text, kind, name):
-    """``kind(text)`` for kind int or float, or a ConfigError that names the
-    key (``[section] key``) or the flag."""
-    try:
-        return kind(text)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{name} must be {what}, got {text!r}") from None
-
-
-def _number_list(text, kind, name):
-    """The comma-separated numbers in ``text``, converted by ``_number``."""
-    return [_number(tok, kind, name) for tok in text.split(",") if tok.strip()]
-
-
-def _as_bool(value, key):
-    v = value.lower()
-    if v in ("true", "1", "on"):
-        return True
-    if v in ("false", "0", "off"):
-        return False
-    raise ConfigError(f"{key} must be true or false, got {value!r}")
 
 
 @dataclass
@@ -185,13 +214,15 @@ class RunConfig:
     h1_text: str = "0"
     h2_text: str = "0"
     op_kind: str = "laplace"
-    op_params: dict = dc_field(default_factory=dict)
+    # the [operator] keys besides kind: these defaults and any A/B/C/D texts
+    op_params: dict = dc_field(default_factory=lambda: {
+        "mu": 1.0, "lam": 1.0, "N": 1, "lambda": 1.0, "Lambda": 1.0,
+        "kappa2": 1.0})
     g_plus_texts: list = dc_field(default_factory=list)
     g_minus_texts: list = dc_field(default_factory=list)
     nx: int | None = None
     nt: int = 33
     tol: float = 1e-10
-    method: str | None = None
     R0: float = 0.25
     scenario: str = ""
     metric: str = "center_grad"
@@ -215,16 +246,13 @@ class RunConfig:
             return 1
         if self.op_kind == "lame":
             return self.n
-        return int(self.op_params.get("N", 1))
+        return self.op_params["N"]
 
     def operator(self):
-        if self.op_kind in ("laplace", "lame"):
-            kw = {}
-            if self.op_kind == "lame":
-                kw["lame_mu"] = self.op_params.get("mu", 1.0)
-                kw["lame_lambda"] = self.op_params.get("lam", 1.0)
-            return make_builtin(self.op_kind, n=self.n, **kw)
-        return self._custom_operator()
+        if self.op_kind == "custom":
+            return self._custom_operator()
+        return make_builtin(self.op_kind, n=self.n, lame_mu=self.op_params["mu"],
+                            lame_lambda=self.op_params["lam"])
 
     def _custom_operator(self):
         n = self.n
@@ -248,9 +276,9 @@ class RunConfig:
             tensor[idx] = tensor[idx] + parse_expression(text, nvars=n)
         return EllipticOperator(
             n=n, N=N, A=A, B=B, Cc=Cc, D=D,
-            lambda_claim=float(self.op_params.get("lambda", 1.0)),
-            Lambda_claim=float(self.op_params.get("Lambda", 1.0)),
-            kappa2_claim=float(self.op_params.get("kappa2", 1.0)),
+            lambda_claim=self.op_params["lambda"],
+            Lambda_claim=self.op_params["Lambda"],
+            kappa2_claim=self.op_params["kappa2"],
             label="custom")
 
     def data(self):
@@ -276,90 +304,42 @@ class RunConfig:
                             r_analyze=self.r_analyze,
                             lateral_closure=self.lateral_closure,
                             R0=self.R0, nt=self.nt, scenario=self.scenario,
-                            tol=self.tol, method=self.method)
+                            tol=self.tol)
 
 
 def load_config(path):
-    text = Path(path).read_text()
-    sections = _parse_sections(text, str(path))
-    cfg = RunConfig()
-
+    sections = _parse_sections(Path(path).read_text(), str(path))
     region = sections.get("region", {})
     if "h1" not in region or "h2" not in region:
         raise ConfigError("[region] must define h1 and h2")
-    cfg.n = _number(region.get("n", "2"), int, "[region] n")
-    if cfg.n not in (2, 3):
-        raise ConfigError(f"[region] n must be 2 or 3, got {cfg.n}")
     if "epsilon" in region and "epsilons" in region:
         raise ConfigError("[region] defines both epsilon and epsilons")
-    if "epsilon" in region:
-        cfg.epsilons = [_number(region["epsilon"], float, "[region] epsilon")]
-    elif "epsilons" in region:
-        cfg.epsilons = _number_list(region["epsilons"], float, "[region] epsilons")
-    cfg.r_solve = _number(region.get("r_solve", "1.0"), float, "[region] r_solve")
-    cfg.r_analyze = _number(region.get("r_analyze", "0.5"), float, "[region] r_analyze")
-    cfg.h1_text = _unquote(region["h1"])
-    cfg.h2_text = _unquote(region["h2"])
-
-    op = sections.get("operator", {"kind": "laplace"})
-    cfg.op_kind = op.get("kind", "laplace")
-    if cfg.op_kind not in ("laplace", "lame", "custom"):
-        raise ConfigError(f"unknown operator kind {cfg.op_kind!r}")
-    for key, value in op.items():
-        if key == "kind":
-            continue
-        if not any(re.fullmatch(pat, key) for pat in OPERATOR_KEYS[cfg.op_kind]):
+    cfg = RunConfig()
+    for section, values in sections.items():
+        for key, value in values.items():
+            field = _field(section, key)[0]
+            if field == "op_params":
+                cfg.op_params[key] = value
+            elif section != "data":
+                setattr(cfg, field, value)
+    if cfg.n not in (2, 3):
+        raise ConfigError(f"[region] n must be 2 or 3, got {cfg.n}")
+    for key in sections.get("operator", {}):
+        if key != "kind" and not any(re.fullmatch(pat, key)
+                                     for pat in OPERATOR_KEYS[cfg.op_kind]):
             raise ConfigError(f"[operator] {key} does not apply to kind = {cfg.op_kind}")
-        if key in ("mu", "lam", "lambda", "Lambda", "kappa2"):
-            cfg.op_params[key] = _number(value, float, f"[operator] {key}")
-        elif key == "N":
-            cfg.op_params[key] = _number(value, int, "[operator] N")
-        else:
-            cfg.op_params[key] = _unquote(value)
 
     data = sections.get("data", {})
-    ncomp = 0
-    for key in data:
-        l = int(key.split(".")[1])
+    index = {key: int(key.split(".")[1]) for key in data}
+    for key, l in index.items():
         if not 1 <= l <= cfg.ncomp:
             raise ConfigError(f"[data] {key}: component index must be 1..{cfg.ncomp} "
                               f"for the {cfg.op_kind} operator")
-        ncomp = max(ncomp, l)
+    ncomp = max(index.values(), default=0)
     cfg.g_plus_texts = [None] * ncomp
     cfg.g_minus_texts = [None] * ncomp
-    for key, value in data.items():
-        side, l = key.split(".")
-        l = int(l) - 1
-        if side == "g_plus":
-            cfg.g_plus_texts[l] = _unquote(value)
-        else:
-            cfg.g_minus_texts[l] = _unquote(value)
-
-    solver = sections.get("solver", {})
-    if "nx" in solver:
-        cfg.nx = _number(solver["nx"], int, "[solver] nx")
-    cfg.nt = _number(solver.get("nt", "33"), int, "[solver] nt")
-    cfg.tol = _number(solver.get("tol", "1e-10"), float, "[solver] tol")
-    method = solver.get("method", "auto")
-    cfg.method = None if method == "auto" else method
-    if cfg.method not in (None, "direct", "krylov"):
-        raise ConfigError(f"unknown solver method {method!r}")
-
-    analysis = sections.get("analysis", {})
-    cfg.R0 = _number(analysis.get("R0", "0.25"), float, "[analysis] R0")
-    cfg.scenario = _unquote(analysis.get("scenario", ""))
-    cfg.metric = analysis.get("metric", "center_grad")
-    if cfg.metric not in ("center_grad", "sup_grad"):
-        raise ConfigError(f"unknown metric {cfg.metric!r}")
-
-    flags = sections.get("flags", {})
-    if "allow_degenerate_geometry" in flags:
-        cfg.allow_degenerate_geometry = _as_bool(
-            flags["allow_degenerate_geometry"], "allow_degenerate_geometry")
-    cfg.lateral_closure = flags.get("lateral_closure", "utilde")
-    if cfg.lateral_closure not in ("utilde", "constant"):
-        raise ConfigError(f"unknown lateral_closure {cfg.lateral_closure!r}")
-    cfg.seed = _number(flags.get("seed", "0"), int, "[flags] seed")
+    for key, text in data.items():
+        getattr(cfg, _field("data", key)[0])[index[key] - 1] = text
     return cfg
 
 
@@ -512,7 +492,7 @@ def cmd_solve(cfg, args):
 
 def cmd_sweep(cfg, args):
     if args.epsilons:
-        eps_list = _number_list(args.epsilons, float, "--epsilons")
+        eps_list = _list(args.epsilons, _float, "--epsilons")
     else:
         eps_list = cfg.epsilons
     if len(eps_list) < 3:
@@ -564,7 +544,7 @@ def cmd_mms(cfg, args):
     if not cfg.epsilons:
         raise ConfigError("mms needs an epsilon in [region]")
     if args.grids:
-        sizes = _number_list(args.grids, int, "--grids")
+        sizes = _list(args.grids, _nodes, "--grids")
     else:
         sizes = list(DEFAULT_MMS_GRIDS)
     if len(sizes) < 3:
@@ -574,8 +554,7 @@ def cmd_mms(cfg, args):
     if region.nd != 1:
         raise ConfigError("the built-in mms field is defined for n=2")
     problem = manufactured_problem(op, region, _mms_spec(op))
-    study = convergence_study(problem, [(m, m) for m in sizes],
-                              tol=cfg.tol, method=cfg.method)
+    study = convergence_study(problem, [(m, m) for m in sizes], tol=cfg.tol)
     print("grid      err_inf        err_l2         order_inf order_l2")
     for k, (nx, nt) in enumerate(study.grids):
         oi = "%9.3f" % study.orders_inf[k - 1] if k else "        -"

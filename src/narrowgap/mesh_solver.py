@@ -44,7 +44,7 @@ __all__ = [
     "quadrature_weights",
 ]
 
-# restarted GMRES of the krylov path: Krylov basis size and restart cycles
+# restarted GMRES of the 3-D path: Krylov basis size and restart cycles
 GMRES_RESTART = 30
 GMRES_MAX_CYCLES = 30
 
@@ -68,9 +68,8 @@ class MappedGrid:
     """
 
     def __init__(self, region, nx, nt):
-        for name, m in (("nx", nx), ("nt", nt)):
-            if m < 9 or m % 2 == 0:
-                raise GeometryError(f"{name} must be odd and >= 9, got {m}")
+        self.check_nodes("nx", nx)
+        self.check_nodes("nt", nt)
         self.region = region
         self.nx = int(nx)
         self.nt = int(nt)
@@ -99,6 +98,12 @@ class MappedGrid:
         bnd |= self.bottom_mask | self.top_mask
         self.boundary_mask = bnd
         self.interior_mask = ~bnd
+
+    @staticmethod
+    def check_nodes(name, m):
+        """Raise GeometryError unless ``m`` nodes can span one axis."""
+        if m < 9 or m % 2 == 0:
+            raise GeometryError(f"{name} must be odd and >= 9, got {m}")
 
     @property
     def nodes(self):
@@ -166,7 +171,6 @@ class LinearSystem:
     bc: np.ndarray           # b_B, the boundary values
     grid: MappedGrid
     N: int
-    label: str = ""
 
     @property
     def unknowns(self):
@@ -353,8 +357,7 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
 
     matrix, coupling = _split_columns(coef, grid, offsets)
     return LinearSystem(matrix=matrix, coupling=coupling, rhs=rhs.T.ravel(),
-                        bc=bc[:, ~interior].T.ravel(), grid=grid, N=N,
-                        label=getattr(op, "label", ""))
+                        bc=bc[:, ~interior].T.ravel(), grid=grid, N=N)
 
 
 def _split_columns(coef, grid, offsets):
@@ -416,35 +419,34 @@ def _column_blocks(A, block):
                          shape=A.shape)
 
 
-def solve_system(system, tol=1e-10, method=None):
+def solve_system(system, tol=1e-10):
     """Solve the interior system A_II x_I = b_I - A_IB b_B.
 
-    ``direct`` factors A_II as one band in its (column, t, component)
-    order: kl = ku = N*(nt-1) + N - 1 in 2-D, about N*(nt-2)*(nx-2) in 3-D,
-    so it suits 3-D only on small grids.  ``krylov`` runs restarted GMRES
+    In 2-D the band LU factors all of A_II in its (column, t, component)
+    order, with kl = ku = N*(nt-1) + N - 1 (``direct``).  In 3-D that band
+    would grow like N*(nt-2)*(nx-2), so restarted GMRES runs to the absolute
+    tolerance ``tol`` times the right-hand side's norm (``krylov``),
     preconditioned by the same band LU applied to the vertical column blocks
     (all components along one column in t, band width 2N-1): the mapped
     equation couples far more strongly in t than across columns, so those
-    blocks carry most of the operator.  The default picks direct for n = 2
-    and GMRES for n >= 3.  Returns the solution per component, boundary
-    values included, with the relative residual against the full right-hand
-    side [b_I, b_B]; raises SolverError on failure, with the GMRES history
-    of preconditioned residual norms.
+    blocks carry most of the operator.  Returns the solution per component,
+    boundary values included, with the relative residual against the full
+    right-hand side [b_I, b_B]; raises SolverError when that residual exceeds
+    max(100*tol, 1e-6) or GMRES fails, with the GMRES history of
+    preconditioned residual norms.
     """
     A = system.matrix
     grid = system.grid
-    if method is None:
-        method = "krylov" if grid.n >= 3 else "direct"
-    if method not in ("direct", "krylov"):
-        raise ValueError(f"unknown method {method!r}")
     bnorm = float(np.hypot(np.linalg.norm(system.rhs), np.linalg.norm(system.bc)))
     scale = bnorm if bnorm > 0 else 1.0
     b = system.rhs - system.coupling @ system.bc
     history = []
 
-    if method == "direct":
+    if grid.n == 2:
+        method = "direct"
         x = _band_lu(A)(b)
     else:
+        method = "krylov"
         block = system.N * (grid.nt - 2)
         precond = spla.LinearOperator(A.shape, _band_lu(_column_blocks(A, block)))
         x, info = spla.gmres(
@@ -474,8 +476,8 @@ def solve_system(system, tol=1e-10, method=None):
 
 
 def solve_dirichlet(op, grid, data, source=None, lateral_closure="utilde",
-                    tol=1e-10, method=None):
+                    tol=1e-10):
     """Assemble-and-solve convenience for the composed-trace problem."""
     system = assemble(op, grid, data=data, source=source,
                       lateral_closure=lateral_closure)
-    return solve_system(system, tol=tol, method=method)
+    return solve_system(system, tol=tol)

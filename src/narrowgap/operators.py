@@ -34,7 +34,6 @@ __all__ = [
     "apply_operator_poly",
     "estimate_ellipticity",
     "estimate_bounds",
-    "rescale_coefficients",
 ]
 
 
@@ -610,38 +609,3 @@ def estimate_bounds(op, region, samples=(33, 17)):
 
     kappa2_est = sum(tensor_c2(t) for t in (op.A, op.B, op.Cc, op.D))
     return Lambda_est, kappa2_est
-
-
-def rescale_coefficients(op, x0, delta):
-    """Exact coefficient transform under x' = x0' + delta y', xn = delta yn.
-
-    A_hat(y) = A(x0' + delta y', delta yn), B_hat = delta B, Cc_hat = delta Cc,
-    D_hat = delta^2 D, composed exactly (polynomial substitution with rational
-    scale/shift).  The claimed ellipticity constants carry over unchanged.
-    """
-    if delta <= 0:
-        raise OperatorError("delta must be positive")
-    x0 = tuple(float(v) for v in np.atleast_1d(x0))
-    if len(x0) != op.n - 1:
-        raise OperatorError("x0 must be a tangential point")
-    d = Fraction(delta)
-    scales = [d] * op.n
-    shifts = [Fraction(v) for v in x0] + [Fraction(0)]
-
-    def mapped(tensor, factor):
-        out = np.empty(tensor.shape, dtype=object)
-        for idx in np.ndindex(tensor.shape):
-            out[idx] = tensor[idx].compose_affine(scales, shifts) * factor
-        return out
-
-    return EllipticOperator(
-        op.n, op.N,
-        mapped(op.A, Fraction(1)),
-        mapped(op.B, d),
-        mapped(op.Cc, d),
-        mapped(op.D, d * d),
-        lambda_claim=op.lambda_claim,
-        Lambda_claim=op.Lambda_claim,
-        kappa2_claim=op.kappa2_claim,
-        label=op.label + "@rescaled",
-    )

@@ -266,36 +266,6 @@ class PolynomialField:
                 hess_sq = hess_sq + d.deriv(j).value_many(points) ** 2
         return value, np.sqrt(grad_sq), np.sqrt(hess_sq)
 
-    # -- substitution ------------------------------------------------------
-
-    def compose_affine(self, scales, shifts):
-        """Exact substitution x_i = scales[i]*y_i + shifts[i]."""
-        if len(scales) != self.nvars or len(shifts) != self.nvars:
-            raise ValueError("scales/shifts have wrong length")
-        scales = [_as_fraction(s) for s in scales]
-        shifts = [_as_fraction(s) for s in shifts]
-        lin = [
-            PolynomialField.variable(self.nvars, i) * scales[i] + shifts[i]
-            for i in range(self.nvars)
-        ]
-        # cache powers of each substituted variable
-        powcache = [{0: PolynomialField.constant(self.nvars, 1)} for _ in range(self.nvars)]
-
-        def power(i, k):
-            cache = powcache[i]
-            if k not in cache:
-                cache[k] = power(i, k - 1) * lin[i]
-            return cache[k]
-
-        out = PolynomialField.zero(self.nvars)
-        for e, c in self.terms.items():
-            term = PolynomialField.constant(self.nvars, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
-
     def lift(self, nvars_new, var_map=None):
         """Embed into a larger variable set.
 

@@ -324,16 +324,13 @@ class ConvergenceStudy:
     orders_l2: list = field(default_factory=list)
     monotone: bool = True
 
-    def min_order(self):
-        return min(self.orders_inf) if self.orders_inf else math.nan
 
-
-def convergence_study(problem, grid_list, tol=1e-12, method=None):
+def convergence_study(problem, grid_list, tol=1e-12):
     """Solve the manufactured problem on each grid and report errors.
 
     grid_list: (nx, nt) pairs, expected in 2:1-ish refinement.  Errors are
     nodal L-infinity and Jacobian-weighted L2 against u*; orders are log2
-    ratios of successive errors.  ``tol`` and ``method`` go to solve_system.
+    ratios of successive errors.  ``tol`` goes to solve_system.
     """
     region = problem.region
     errors_inf, errors_l2, grids = [], [], []
@@ -341,7 +338,7 @@ def convergence_study(problem, grid_list, tol=1e-12, method=None):
         grid = MappedGrid(region, nx, nt)
         exact, src = problem.nodal_fields(grid)
         system = assemble(problem.op, grid, nodal_bc=exact, source=src)
-        sol = solve_system(system, tol=tol, method=method)
+        sol = solve_system(system, tol=tol)
         diff = sol.values - exact
         errors_inf.append(float(np.abs(diff).max()))
         w = quadrature_weights(grid)

@@ -4,9 +4,11 @@ system was assembled directly and factored by one banded LU.
 ``assemble`` builds the full matrix over every node, with each Dirichlet row
 an identity row carrying the boundary value; ``solve_system`` strips those
 rows again (``_reduced_ordering``) and factors the interior matrix with
-``scipy.sparse.linalg.splu``.  The code is kept verbatim from that version,
-as an oracle for the assembly and for the pinned outputs, in the same way as
-the exact-rational ellipticity construction in ``test_operators``.
+``scipy.sparse.linalg.splu`` in every dimension.  The code is kept verbatim
+from that version, less the ``method`` argument that selected nothing here,
+as an oracle for the assembly, the pinned outputs and the 3-D GMRES path,
+in the same way as the exact-rational ellipticity construction in
+``test_operators``.
 """
 
 from __future__ import annotations
@@ -267,9 +269,9 @@ def _reduced_ordering(system):
     return inner, idx[~free], block
 
 
-def solve_system(system, tol=1e-10, method=None):
+def solve_system(system, tol=1e-10):
     """The direct path of the old solver: sparse LU of A_II in the
-    (column, component, t) ordering, whatever ``method`` asks for."""
+    (column, component, t) ordering, in every dimension."""
     A = system.matrix.tocsr()
     b = system.rhs
     bnorm = float(np.linalg.norm(b))
@@ -295,8 +297,8 @@ def solve_system(system, tol=1e-10, method=None):
 
 
 def solve_dirichlet(op, grid, data, source=None, lateral_closure="utilde",
-                    tol=1e-10, method=None):
+                    tol=1e-10):
     """Assemble-and-solve convenience for the composed-trace problem."""
     system = assemble(op, grid, data=data, source=source,
                       lateral_closure=lateral_closure)
-    return solve_system(system, tol=tol, method=method)
+    return solve_system(system, tol=tol)

@@ -17,7 +17,6 @@ from narrowgap import (
     energy,
     fit_rate,
     gradient,
-    local_energy_profile,
     make_builtin,
     pointwise_w_check,
     solve_dirichlet,
@@ -81,8 +80,7 @@ def test_centerline_constant_matched_is_none(lap):
 def test_energy_windows_nest(lap):
     reg, grid, data, sol = solve_case(lap)
     gw = gradient(correction_field(sol, data))
-    profile = local_energy_profile(gw, np.array([0.0]), [0.05, 0.1, 0.2, 0.4])
-    values = [v for _, v in profile]
+    values = [energy(gw, window=(np.array([0.0]), s)) for s in (0.05, 0.1, 0.2, 0.4)]
     assert all(b >= a for a, b in zip(values, values[1:]))
     # a slab wider than the analysis region equals the half-region energy
     wide = energy(gw, window=(np.array([0.0]), 10.0))

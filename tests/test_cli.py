@@ -1,10 +1,12 @@
 """Command line interface: config schema, outputs, exit codes, determinism."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from narrowgap import analysis
+from narrowgap import analysis, verification
 from narrowgap.analysis import fit_rate
 from narrowgap.cli import (
     EXIT_GATE,
@@ -16,6 +18,7 @@ from narrowgap.cli import (
     load_config,
     main,
 )
+from narrowgap.mesh_solver import solve_system
 
 QUAD_CFG = """
 # quadratic gap, unit constant mismatch
@@ -85,7 +88,6 @@ lam = 1.5
 [solver]
 nx = 45
 tol = 1e-11
-method = krylov
 
 [analysis]
 R0 = 0.2
@@ -99,7 +101,7 @@ seed = 4
     cfg = load_config(write_cfg(tmp_path, text))
     assert cfg.op_kind == "lame"
     assert cfg.op_params["mu"] == 2.0
-    assert cfg.nx == 45 and cfg.tol == 1e-11 and cfg.method == "krylov"
+    assert cfg.nx == 45 and cfg.tol == 1e-11
     assert cfg.R0 == 0.2 and cfg.metric == "sup_grad" and cfg.scenario == "demo"
     assert cfg.lateral_closure == "constant" and cfg.seed == 4
 
@@ -109,6 +111,7 @@ seed = 4
     "[orbit]\nx = 1\n",
     "[region]\nepsilons = 0.1,0.05\n",     # together with epsilon
     "[solver]\nmethod = gauss\n",
+    "[solver]\nmethod = krylov\n",      # the dimension picks the solver
     "[analysis]\nmetric = max_grad\n",
 ])
 def test_load_config_rejects_bad_input(tmp_path, mutation):
@@ -256,6 +259,31 @@ def test_bad_number_is_a_config_error(tmp_path, capsys, name, bad, text, command
     what = "an integer" if name.split()[-1] in ("n", "N", "nx", "nt", "seed", "--grids") \
         else "a number"
     assert err == {"error": "config", "message": f"{name} must be {what}, got {bad!r}"}
+
+
+# (name in the message, bad size, config text, command line after --config)
+BAD_GRID_SIZES = [
+    ("[solver] nx", 10, _with("solver", "nx = 10"), ["solve"]),
+    ("[solver] nx", 7, _with("solver", "nx = 7"), ["validate"]),
+    ("[solver] nt", 32, _with("solver", "nt = 32"),
+     ["sweep", "--epsilons", "0.1,0.05,0.025"]),
+    ("--grids", 16, QUAD_CFG, ["mms", "--grids", "9,16,33"]),
+]
+
+
+@pytest.mark.parametrize("name,bad,text,command", BAD_GRID_SIZES,
+                         ids=["nx_even", "nx_small", "nt_even", "grids_even"])
+def test_bad_grid_size_is_a_config_error(tmp_path, capsys, name, bad, text, command):
+    # rejected when the config or the flag is read, before any solve
+    verb, *flags = command
+    code = main([verb, "--config", write_cfg(tmp_path, text)] + flags)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "config", "message": f"{name} must be odd and >= 9, got {bad}"}
 
 
 @pytest.mark.parametrize("command", [["solve"], ["sweep", "--epsilons", "0.1,0.05,0.025"]],
@@ -424,10 +452,8 @@ def test_sweep_3d_blowup_rate(tmp_path, capsys):
 
 
 def test_sweep_honours_solver_settings(tmp_path, capsys):
-    # direct LU would pass the residual check; GMRES cannot reach 1e-30
-    cfg = write_cfg(tmp_path, QUAD_CFG.replace("epsilon = 0.1",
-                                               "epsilons = 0.1,0.05,0.025")
-                    + "[solver]\nmethod = krylov\ntol = 1e-30\n")
+    # the 3-D path is GMRES, which cannot reach 1e-30
+    cfg = write_cfg(tmp_path, QUAD3D_CFG + "[solver]\nnx = 9\nnt = 9\ntol = 1e-30\n")
     code = main(["sweep", "--config", cfg])
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert code == EXIT_SOLVER
@@ -484,14 +510,17 @@ def test_mms_gate(tmp_path, capsys):
     assert json.loads(captured.err.strip())["error"] == "convergence"
 
 
-def test_mms_honours_solver_settings(tmp_path, capsys):
-    # direct LU would pass the residual check; GMRES cannot reach 1e-30
-    cfg = write_cfg(tmp_path, QUAD_CFG + "[solver]\nmethod = krylov\ntol = 1e-30\n")
-    code = main(["mms", "--config", cfg, "--grids", "9,17,33"])
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert code == EXIT_SOLVER
-    assert err["error"] == "solver"
-    assert "GMRES" in err["message"]
+def test_mms_honours_solver_settings(tmp_path, capsys, monkeypatch):
+    tols = []
+
+    def recording(system, tol=1e-10):
+        tols.append(tol)
+        return solve_system(system, tol=tol)
+
+    monkeypatch.setattr(verification, "solve_system", recording)
+    cfg = write_cfg(tmp_path, QUAD_CFG + "[solver]\ntol = 1e-11\n")
+    assert main(["mms", "--config", cfg, "--grids", "9,17,33"]) == EXIT_OK
+    assert tols == [1e-11] * 3
 
 
 def test_custom_operator_matches_builtin(tmp_path, capsys):
@@ -528,3 +557,20 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
     capsys.readouterr()
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_config_example_loads(tmp_path):
+    (example,) = re.findall(r"```ini\n(.*?)```", README, re.S)
+    cfg = load_config(write_cfg(tmp_path, example))
+    assert cfg.op_kind == "lame" and cfg.epsilons == [0.1] and cfg.nx == 45
+    assert cfg.operator().N == 2 and cfg.data().N == 2
+
+
+def test_readme_library_example_runs(capsys):
+    library = README[README.index("## Library use"):]
+    (code,) = re.findall(r"```python\n(.*?)```", library, re.S)
+    exec(code, {})
+    assert len(capsys.readouterr().out.split()) == 3

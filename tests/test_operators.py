@@ -17,7 +17,6 @@ from narrowgap import (
     estimate_ellipticity,
     make_builtin,
     parse_expression,
-    rescale_coefficients,
 )
 from narrowgap.operators import (_divfree_basis, _profile_jets,
                                  _quadrature_nodes, _stream_jets)
@@ -224,23 +223,6 @@ def test_estimate_bounds_sees_polynomial_growth_3d(reg3):
     Lam, kap = estimate_bounds(EllipticOperator(3, 1, A=A), reg3)
     assert Lam > 1.0
     assert kap > Lam
-
-
-def test_rescale_is_exact_substitution():
-    # A = 1 + x1 under x1 = 1/2 + y1/4: A_hat = 3/2 + y1/4
-    coeff = parse_expression("1 + x1", nvars=2)
-    zero = PolynomialField.zero(2)
-    d = PolynomialField.constant(2, 1)
-    op = EllipticOperator(2, 1, A=[[[[coeff, zero], [zero, coeff]]]],
-                          B=[[[coeff, zero]]], D=[[d]],
-                          lambda_claim=1.0, Lambda_claim=2.0, kappa2_claim=9.0)
-    hat = rescale_coefficients(op, (0.5,), 0.25)
-    assert hat.A[0, 0, 0, 0].constant_term() == Fraction(3, 2)
-    assert hat.A[0, 0, 0, 0].coefficient((1, 0)) == Fraction(1, 4)
-    # B picks up one delta factor, D two
-    assert hat.B[0, 0, 0].constant_term() == Fraction(3, 8)
-    assert hat.D[0, 0].constant_term() == Fraction(1, 16)
-    assert hat.lambda_claim == 1.0 and hat.kappa2_claim == 9.0
 
 
 def test_operator_validation_errors(reg):

@@ -108,15 +108,6 @@ def test_product_rule_property(terms_p, terms_q):
     assert lhs == rhs
 
 
-def test_compose_affine_is_exact_substitution():
-    p = parse_expression("x1^2", nvars=1)
-    q = p.compose_affine([Fraction(1, 2)], [Fraction(1)])
-    # (1 + y/2)^2 = 1 + y + y^2/4
-    assert q.coefficient((0,)) == 1
-    assert q.coefficient((1,)) == 1
-    assert q.coefficient((2,)) == Fraction(1, 4)
-
-
 def test_value_many_matches_scalar_value():
     p = parse_expression("x1^2 - x1*x2 + 3", nvars=2)
     pts = np.array([[0.5, -1.0], [2.0, 0.25], [0.0, 0.0]])

@@ -121,7 +121,6 @@ def test_convergence_study_orders(reg):
     assert len(study.orders_inf) == 2
     for order in study.orders_inf:
         assert 1.6 <= order <= 2.4
-    assert study.min_order() == min(study.orders_inf)
 
 
 def test_convergence_study_exact_field_floors_at_rounding():
