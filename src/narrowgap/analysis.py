@@ -409,7 +409,9 @@ def sweep_member(problem, eps, metric="center_grad", nx=None):
 
     The metric is recomputed on a half-resolution grid; a drift beyond
     RICHARDSON_TOL means the member is not trustworthy at this resolution
-    and raises.  Returns (metric value, BoundReport).
+    and raises.  No axis goes below 9 nodes, so a 9 x 9 solve grid has no
+    coarser check grid: that raises as well, rather than comparing the grid
+    with itself.  Returns (metric value, BoundReport).
     """
     sol, grad_u, report = solve_epsilon(problem, eps, nx)
     value = _metric_value(grad_u, metric, problem.R0)
@@ -417,6 +419,11 @@ def sweep_member(problem, eps, metric="center_grad", nx=None):
     nx, nt = sol.grid.nx, sol.grid.nt
     nx_c = max(9, (nx // 2) | 1)
     nt_c = max(9, (nt // 2) | 1)
+    if (nx_c, nt_c) == (nx, nt):
+        raise AnalysisError(
+            f"Richardson check impossible at eps={eps:g}: the check grid "
+            f"({nx_c},{nt_c}) equals the solve grid ({nx},{nt}); it needs "
+            f"nx or nt above 9")
     sol_c = _solve_one(problem, eps, nx_c, nt_c)
     value_c = _metric_value(gradient(sol_c), metric, problem.R0)
     drift = abs(value - value_c) / abs(value) if value != 0 else abs(value_c)

@@ -4,6 +4,10 @@
 the bench scripts import the others; a deletion should fail here first."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -49,3 +53,16 @@ def test_bench_names_exist(module):
             assert hasattr(owner, part), f"narrowgap.{module}.{dotted}"
             owner = getattr(owner, part)
         assert callable(owner), dotted
+
+
+def test_cli_import_leaves_out_sparse_linalg():
+    # the solvers need only scipy.sparse and scipy.linalg; importing
+    # scipy.sparse.linalg as well would slow every fresh interpreter
+    src = str(Path(narrowgap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, narrowgap.cli; "
+             "print(any(m.startswith('scipy.sparse.linalg') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"

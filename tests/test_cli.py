@@ -461,6 +461,18 @@ def test_sweep_honours_solver_settings(tmp_path, capsys):
     assert "GMRES" in err["message"]
 
 
+def test_sweep_without_a_coarser_check_grid_exits_gate(tmp_path, capsys):
+    # at nx = nt = 9 the half grid is the solve grid itself
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace("epsilon = 0.1",
+                                               "epsilons = 0.1,0.05,0.025")
+                    + "[solver]\nnx = 9\nnt = 9\n")
+    code = main(["sweep", "--config", cfg])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == EXIT_GATE
+    assert err["error"] == "gate"
+    assert "check grid (9,9) equals the solve grid (9,9)" in err["message"]
+
+
 def test_solver_error_line_shows_residual_history(tmp_path, capsys):
     cfg = write_cfg(tmp_path, QUAD3D_CFG.replace("epsilons = 0.1,0.05,0.025",
                                                  "epsilon = 0.1")

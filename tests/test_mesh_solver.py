@@ -22,8 +22,9 @@ from narrowgap import (
     quadrature_weights,
     solve_dirichlet,
 )
-from narrowgap.mesh_solver import (MappedGrid, _band_lu, _column_blocks,
-                                   _face_geometry, assemble)
+from narrowgap.mesh_solver import (GMRES_MAX_CYCLES, GMRES_RESTART, MappedGrid,
+                                   _band_lu, _coarse_operator, _column_blocks,
+                                   _face_geometry, _gmres, assemble, solve_system)
 
 from conftest import flat_profile, p1, quad_profile
 import solver_oracle as oracle
@@ -211,10 +212,10 @@ def p2(text):
     return parse_expression(text, nvars=2)
 
 
-def quad_grid_3d(nx, nt):
+def quad_grid_3d(nx, nt, eps=0.05):
     profile = GapProfile(h1=p2("0.5*x1^2 + 0.5*x2^2"),
                          h2=p2("-0.5*x1^2 - 0.5*x2^2"))
-    return build_grid(NarrowRegion(n=3, epsilon=0.05, profile=profile), nx, nt)
+    return build_grid(NarrowRegion(n=3, epsilon=eps, profile=profile), nx, nt)
 
 
 def test_direct_and_krylov_paths_agree_3d():
@@ -240,6 +241,65 @@ def test_krylov_failure_carries_its_history():
     again = pickle.loads(pickle.dumps(info.value))
     assert str(again) == str(info.value)
     assert again.residual_history == history
+
+
+def _diagonally_dominant(n, seed=3):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(n, n))
+    A += np.diag(np.abs(A).sum(axis=1))
+    return A, rng.normal(size=n)
+
+
+def test_gmres_matches_a_dense_solve():
+    A, b = _diagonally_dominant(60)
+    jacobi = 1.0 / np.diag(A)
+    history = []
+    x, converged = _gmres(A, b, lambda v: jacobi * v,
+                          1e-12 * np.linalg.norm(b), history)
+    expect = np.linalg.solve(A, b)
+    assert converged
+    assert np.linalg.norm(x - expect) <= 1e-10 * np.linalg.norm(expect)
+    assert 0 < len(history) < GMRES_RESTART
+    assert all(later <= earlier for earlier, later in zip(history, history[1:]))
+
+
+def test_gmres_without_tolerance_runs_every_cycle():
+    A, b = _diagonally_dominant(40)
+    history = []
+    _, converged = _gmres(A, b, lambda v: v, 0.0, history)
+    assert not converged
+    assert len(history) == GMRES_RESTART * GMRES_MAX_CYCLES
+
+
+def test_coarse_operator_is_the_galerkin_product():
+    # P takes one value per (column, component) to every t-level of it
+    grid = quad_grid_3d(9, 11)
+    op = make_builtin("lame", n=3)
+    zero = PolynomialField.zero(2)
+    data = BoundaryData((p2("1"), zero, p2("x1")), (zero, p2("x2"), zero))
+    A = assemble(op, grid, data=data).matrix
+    N, levels = op.N, grid.nt - 2
+    columns = A.shape[0] // (N * levels)
+    P = np.kron(np.eye(columns), np.kron(np.ones((levels, 1)), np.eye(N)))
+    expect = P.T @ A.toarray() @ P
+    got = _coarse_operator(A, N * levels, N).toarray()
+    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("kind, eps, nx, nt, most", [
+    ("laplace", 0.1, 25, 17, 30),   # the two solves of the solve3d workload
+    ("lame", 0.1, 17, 13, 30),
+    ("laplace", 0.05, 49, 17, 60),
+])
+def test_two_level_gmres_iterations(kind, eps, nx, nt, most):
+    grid = quad_grid_3d(nx, nt, eps)
+    op = make_builtin(kind, n=3)
+    zero = PolynomialField.zero(2)
+    data = BoundaryData((p2("1"),) + (zero,) * (op.N - 1), (zero,) * op.N)
+    sol = solve_system(assemble(op, grid, data=data), tol=1e-10)
+    assert sol.method == "krylov"
+    assert 0 < sol.iterations <= most
+    assert sol.residual <= 1e-10
 
 
 def test_component_split_matches_full_solve(reg, grid):

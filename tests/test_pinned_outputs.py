@@ -2,9 +2,10 @@
 run path and the C2 sampler and the L[u]-from-jets expansion had one copy
 each, so refactors of those paths cannot move the results.  Small grids keep
 this fast; every number must hold to 1e-12 relative, and the field CSVs of
-the two pinned solves byte for byte.  The values that the banded LU and the
-interior assembly moved by more than 1e-12 were re-recorded with them;
-``test_solver_oracle`` bounds their distance to the earlier solver by 1e-9."""
+the two pinned solves byte for byte.  The values that the banded LU, the
+interior assembly and the two-level 3-D GMRES moved by more than 1e-12 were
+re-recorded with them; ``test_solver_oracle`` bounds their distance to the
+earlier solver by 1e-9."""
 
 import hashlib
 import json
@@ -122,23 +123,24 @@ PINNED_SOLVE = {
         "lemma_constants.k226": None,
         "sup_grad": 18.55541092522721, **REPORT_NONE},
     "laplace3d": {
-        "C_emp": 0.6857610821844459, "F_delta0": 0.00014317803276531324,
-        "c_low": 0.9846124607409854, "energy_half": 0.0006904004090581674,
+        "C_emp": 0.6857610821835153, "F_delta0": 0.00014317803276194424,
+        "c_low": 0.9846124607410106, "energy_half": 0.0006904004090510986,
         "epsilon": 0.1, "grid.nt": 9, "grid.nx": 9,
-        "lemma_constants.k213": 7.323334133342676e-05,
-        "lemma_constants.k219": 0.007369899822384722,
+        "lemma_constants.k213": 7.323334133267695e-05,
+        "lemma_constants.k219": 0.007369899822211308,
         "lemma_constants.k220": None,
-        "lemma_constants.k225": 0.020000925044682875,
+        "lemma_constants.k225": 0.020000925043781814,
         "lemma_constants.k226": None,
-        "sup_grad": 10.310823506420626, **REPORT_NONE},
+        "sup_grad": 10.310823506406628, **REPORT_NONE},
 }
 
 # sha256 of field_eps0p1.csv, recorded while the CSV writer still formatted
-# one value per call and re-recorded with the banded LU (test_solver_oracle
-# holds every value of both files within 1e-9 of the sparse-LU oracle)
+# one value per call and re-recorded with the banded LU and, for laplace3d,
+# with the two-level GMRES (test_solver_oracle holds every value of both
+# files within 1e-9 of the sparse-LU oracle)
 PINNED_FIELD_CSV = {
     "lame2d": "38d3faae3d5e63a4cf2d1eb715b210faa6f0f4e1bf378b0236f7f8ce5bf6e666",
-    "laplace3d": "7ff16834a59582664c6d757ead9814817eb4dfc3d4754061344f30b777a6fb0b",
+    "laplace3d": "75c83316ca0beb8572f01c3b1cd5b3cc48b17b72b01c75a0eb285afa7a15bc62",
 }
 
 PINNED_SWEEP = {

@@ -8,8 +8,9 @@ reduced and factored by sparse LU).
 number of its two pinned field CSVs, agrees between the oracle and the
 solver to 1e-9 relative.  ``validate`` never reaches the solver, so its pins
 are left out.  The pinned 3-D solve runs GMRES at tol 1e-10 against the
-oracle's direct LU; with the sparse-LU inverse blocks as preconditioner that
-gap was 4.5e-11 on its report and 5.0e-12 on its field CSV.
+oracle's direct LU; with the two-level preconditioner that gap is 7.7e-13 on
+its report and 2.4e-14 on its field CSV (4.5e-11 and 5.0e-12 with the
+column blocks alone).
 """
 
 import io
