@@ -9,6 +9,8 @@ windows, and the two-regime pointwise bounds for |grad w| on either side of
 the |x'| = sqrt(eps) transition.  Each constant is reported as the smallest
 value making the corresponding inequality hold on the discrete solution;
 stability of these constants as eps shrinks is the empirical content.
+Every energy, for n = 2 and n = 3 alike, is one quadrature of the column
+density delta(x') int |grad w|^2 dt over its window (see energy).
 """
 
 from __future__ import annotations
@@ -158,52 +160,72 @@ def centerline_lower_constant(gradfield, data, region):
     return float(col.min() * region.epsilon / mx[0])
 
 
-def _window_mask(grid, x0_prime, s):
-    """Nodes with |x' - x0'| < s intersected with |x'| <= r_analyze."""
-    x0 = np.zeros(grid.nd) if x0_prime is None else np.asarray(x0_prime, dtype=float)
-    d2 = ((grid.tang - x0[None, :]) ** 2).sum(axis=-1)
-    r2 = (grid.tang**2).sum(axis=-1)
-    return (d2 < s**2) & (r2 <= grid.region.r_analyze**2 + 1e-15)
+# trapezoid samples along x1 in every window-energy quadrature
+ENERGY_SAMPLES = 513
 
 
-def energy(gradfield, window=None, refine=513):
+def _chord_integrals(rows, x2, xs, c, s, ra):
+    """Exact integral of each piecewise-linear row ``rows[j]`` (the column
+    density at x1 = xs[j] on the x2 nodes) over the chord that the window
+    |x' - c| < s and the disk |x'| <= ra cut at that x1: the difference of the
+    row's cumulative trapezoid at the chord's ends."""
+    hw = np.sqrt(np.maximum(s**2 - (xs - c[0]) ** 2, 0.0))
+    ha = np.sqrt(np.maximum(ra**2 - xs**2, 0.0))
+    a = np.maximum(np.maximum(c[1] - hw, -ha), x2[0])
+    b = np.maximum(np.minimum(np.minimum(c[1] + hw, ha), x2[-1]), a)
+    h = x2[1] - x2[0]
+    cum = np.zeros_like(rows)
+    cum[:, 1:] = np.cumsum(0.5 * h * (rows[:, 1:] + rows[:, :-1]), axis=1)
+    j = np.arange(len(xs))
+
+    def primitive(x):
+        k = np.minimum(np.searchsorted(x2, x, side="right") - 1, len(x2) - 2)
+        d = x - x2[k]
+        r0, r1 = rows[j, k], rows[j, k + 1]
+        return cum[j, k] + d * (r0 + 0.5 * (r1 - r0) * d / h)
+
+    return primitive(b) - primitive(a)
+
+
+def energy(gradfield, window=None):
     """Jacobian-weighted integral of |grad field|^2.
 
     window=None integrates over the half region |x'| <= r_analyze; otherwise
-    window is (x0_prime, s) and the integral runs over the vertical slab
-    |x' - x0'| < s intersected with the half region.  Slab windows can be
-    narrower than a tangential spacing at small eps, so for n=2 the column
-    density delta(x1)*int_t |grad|^2 dt is interpolated onto a refined
-    tangential sampling before the trapezoid sum; the no-window case takes
-    the same path with the slab widened past r_analyze, so a wide window
-    and the half-region integral agree exactly.  For n=3 a masked node sum
-    is used.
+    window is (x0_prime, s) and the integral runs over the vertical window
+    |x' - x0'| < s intersected with the half region.  One quadrature serves
+    n = 2 and n = 3: the column density q(x') = delta(x') int_t |grad|^2 dt
+    (trapezoid in t) is taken linear between grid columns and integrated by
+    an ENERGY_SAMPLES-point trapezoid along x1 over the window; for n = 3 the
+    value at each x1 sample is the exact integral of the interpolated row
+    along x2 over the chord the window cuts there.  So a window narrower
+    than a tangential spacing (delta0 = eps at small eps) still gets its
+    share, and as the no-window case is the same path with s = inf, a window
+    wider than r_analyze equals the half-region integral exactly.
     """
     grid = gradfield.grid
-    dens2 = (gradfield.values**2).sum(axis=(0, 1))
-    if grid.nd == 1:
-        if window is None:
-            c, s = 0.0, np.inf
-        else:
-            x0, s = window
-            c = 0.0 if x0 is None else float(np.asarray(x0).ravel()[0])
-        ra = grid.region.r_analyze
-        lo = max(c - s, -ra, grid.axes[0][0])
-        hi = min(c + s, ra, grid.axes[0][-1])
-        if hi <= lo:
-            return 0.0
-        q = np.trapezoid(dens2, dx=grid.hx[1], axis=1)
-        q = q * grid.reshape(grid.delta_flat)[:, 0]
-        xs = np.linspace(lo, hi, refine)
-        return float(np.trapezoid(np.interp(xs, grid.axes[0], q), xs))
-    dens = dens2.ravel()
-    w = quadrature_weights(grid)
-    if window is None:
-        mask = (grid.tang**2).sum(axis=-1) <= grid.region.r_analyze**2 + 1e-15
-    else:
+    nd = grid.nd
+    c, s = np.zeros(nd), np.inf
+    if window is not None:
         x0, s = window
-        mask = _window_mask(grid, x0, s)
-    return float((dens * w * mask).sum())
+        if x0 is not None:
+            c = np.asarray(x0, dtype=float).ravel()
+    ra = grid.region.r_analyze
+    ax = grid.axes[0]
+    lo = max(c[0] - s, -ra, ax[0])
+    hi = min(c[0] + s, ra, ax[-1])
+    if hi <= lo:
+        return 0.0
+    dens2 = (gradfield.values**2).sum(axis=(0, 1))
+    q = np.trapezoid(dens2, dx=grid.hx[nd], axis=-1)
+    q = (q * grid.reshape(grid.delta_flat)[..., 0]).reshape(grid.nx, -1)
+    xs = np.linspace(lo, hi, ENERGY_SAMPLES)
+    # q interpolated along x1 to each sample: one row of x2 nodes per sample
+    rows = np.stack([np.interp(xs, ax, col) for col in q.T], axis=-1)
+    if nd == 1:
+        vals = rows[:, 0]
+    else:
+        vals = _chord_integrals(rows, grid.axes[1], xs, c, s, ra)
+    return float(np.trapezoid(vals, xs))
 
 
 def pointwise_w_check(gradfield_w, data, region, R0=0.25):

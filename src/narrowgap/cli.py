@@ -497,6 +497,9 @@ def cmd_sweep(cfg, args):
         eps_list = cfg.epsilons
     if len(eps_list) < 3:
         raise ConfigError("sweep needs at least 3 epsilons")
+    if len(set(eps_list)) < len(eps_list):
+        raise ConfigError("sweep epsilons must be distinct, got "
+                          + ",".join(f"{e:g}" for e in eps_list))
     eps_list = sorted(eps_list, reverse=True)
     _check_geometry(cfg, eps_list)
     fit = sweep_and_fit(cfg.sweep_problem(), eps_list, cfg.metric, nx=cfg.nx,
@@ -602,6 +605,17 @@ def cmd_report(cfg, args):
 # argument handling
 
 
+def _jobs(text):
+    """The --jobs worker count: an integer K >= 1."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return k
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -635,7 +649,7 @@ def _build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--epsilons", default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1)
 
     p = add("mms", help="manufactured-solution convergence study")
     p.add_argument("--config", required=True)

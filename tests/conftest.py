@@ -41,12 +41,16 @@ def p1(text):
     return parse_expression(text, nvars=1)
 
 
-def quad_profile():
-    """h1 = |x'|^2/2, h2 = -|x'|^2/2: gap eps + |x'|^2, curvature exactly 2.
+def quad_profile(nd=1):
+    """h1 = |x'|^2/2, h2 = -|x'|^2/2 over nd tangential variables: gap
+    eps + |x'|^2, curvature exactly 2.
 
-    The claimed C2 bound covers the measured per-graph norm 2.5 (value plus
-    gradient plus Hessian at the rim of the unit ball) for both graphs."""
-    return GapProfile(h1=p1("0.5*x1^2"), h2=p1("-0.5*x1^2"),
+    The claimed C2 bound covers the measured per-graph norm (2.5 for nd = 1:
+    value plus gradient plus Hessian at the rim of the unit ball) for both
+    graphs."""
+    sq = " + ".join(f"0.5*x{a + 1}^2" for a in range(nd))
+    return GapProfile(h1=parse_expression(sq, nvars=nd),
+                      h2=parse_expression("-" + sq.replace("+", "-"), nvars=nd),
                       kappa0=1.0, kappa1=6.0)
 
 
@@ -57,8 +61,10 @@ def flat_profile():
 
 def mismatch_data(op):
     """Unit constant mismatch in the first component, zero elsewhere."""
-    zero = PolynomialField.zero(1)
-    gp = tuple(p1("1") if l == 0 else zero for l in range(op.N))
+    nd = op.n - 1
+    zero = PolynomialField.zero(nd)
+    gp = tuple(parse_expression("1", nvars=nd) if l == 0 else zero
+               for l in range(op.N))
     return BoundaryData(gp, (zero,) * op.N)
 
 

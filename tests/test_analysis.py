@@ -34,7 +34,8 @@ def lap():
 
 
 def solve_case(op, eps=0.1, profile=None, data=None, nx=33, nt=17):
-    reg = NarrowRegion(n=2, epsilon=eps, profile=profile or quad_profile())
+    reg = NarrowRegion(n=op.n, epsilon=eps,
+                       profile=profile or quad_profile(op.n - 1))
     grid = build_grid(reg, nx, nt)
     data = data or mismatch_data(op)
     sol = solve_dirichlet(op, grid, data)
@@ -77,14 +78,31 @@ def test_centerline_constant_matched_is_none(lap):
     assert centerline_lower_constant(gradient(sol), data, reg) is None
 
 
-def test_energy_windows_nest(lap):
-    reg, grid, data, sol = solve_case(lap)
+@pytest.mark.parametrize("n", [2, 3])
+def test_energy_windows_nest(n):
+    op = make_builtin("laplace", n=n)
+    nx, nt = (33, 17) if n == 2 else (17, 9)
+    reg, grid, data, sol = solve_case(op, nx=nx, nt=nt)
     gw = gradient(correction_field(sol, data))
-    values = [energy(gw, window=(np.array([0.0]), s)) for s in (0.05, 0.1, 0.2, 0.4)]
-    assert all(b >= a for a, b in zip(values, values[1:]))
-    # a slab wider than the analysis region equals the half-region energy
-    wide = energy(gw, window=(np.array([0.0]), 10.0))
-    assert wide == pytest.approx(energy(gw), rel=5e-3)
+    center = np.zeros(n - 1)
+    values = [energy(gw, window=(center, s)) for s in (0.05, 0.1, 0.2, 0.4)]
+    assert 0 < values[0] and all(b > a for a, b in zip(values, values[1:]))
+    # a window wider than the analysis region is the half-region energy
+    assert energy(gw, window=(center, 10.0)) == energy(gw)
+
+
+def test_3d_energies_converge():
+    # each energy and k220 moves one way under nx refinement, by shrinking steps
+    op = make_builtin("laplace", n=3)
+    reports = []
+    for nx in (17, 25, 33):
+        reg, grid, data, sol = solve_case(op, eps=0.05, nx=nx, nt=9)
+        reports.append(analyze_solution(sol, data, reg))
+    for name in ("energy_half", "F_delta0", "k220"):
+        values = [getattr(rep, name) for rep in reports]
+        steps = np.diff(values)
+        assert np.all(steps > 0) or np.all(steps < 0), (name, values)
+        assert abs(steps[1]) < abs(steps[0]), (name, values)
 
 
 def test_pointwise_band_applicability(lap):

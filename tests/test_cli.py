@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from narrowgap import analysis, verification
+from narrowgap import analysis, mesh_solver, verification
 from narrowgap.analysis import fit_rate
 from narrowgap.cli import (
     EXIT_GATE,
@@ -508,6 +508,43 @@ def test_sweep_needs_three_epsilons(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert json.loads(captured.err.strip())["error"] == "config"
+
+
+@pytest.mark.parametrize("text, flag", [
+    (QUAD_CFG.replace("epsilon = 0.1", "epsilons = 0.1,0.1,0.05"), []),
+    # a flat gap fails the geometry gate (exit 2), which must come later
+    (FLAT_CFG, ["--epsilons", "0.05,0.1,0.05"]),
+], ids=["config", "flag"])
+def test_sweep_repeated_epsilon_is_a_config_error_before_any_solve(
+        tmp_path, capsys, monkeypatch, text, flag):
+    solves = []
+
+    def recording(system, tol=1e-10):
+        solves.append(tol)
+        return solve_system(system, tol=tol)
+
+    monkeypatch.setattr(mesh_solver, "solve_system", recording)
+    code = main(["sweep", "--config", write_cfg(tmp_path, text)] + flag)
+    err = json.loads(capsys.readouterr().err.strip())
+    assert code == EXIT_USAGE
+    assert err["error"] == "config"
+    assert "distinct" in err["message"]
+    assert solves == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, jobs):
+    pools = []
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+                        lambda *a, **kw: pools.append(kw))
+    cfg = write_cfg(tmp_path, QUAD_CFG)
+    code = main(["sweep", "--config", cfg, "--epsilons", "0.1,0.05,0.025",
+                 "--jobs", jobs])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == EXIT_USAGE
+    assert err["error"] == "usage"
+    assert "--jobs" in err["message"]
+    assert pools == []
 
 
 def test_mms_gate(tmp_path, capsys):

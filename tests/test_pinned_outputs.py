@@ -5,7 +5,10 @@ this fast; every number must hold to 1e-12 relative, and the field CSVs of
 the two pinned solves byte for byte.  The values that the banded LU, the
 interior assembly and the two-level 3-D GMRES moved by more than 1e-12 were
 re-recorded with them; ``test_solver_oracle`` bounds their distance to the
-earlier solver by 1e-9."""
+earlier solver by 1e-9.  The laplace3d energy_half, F_delta0, k213 and k219
+were re-recorded when the 3-D window energies moved from a masked node sum
+to the quadrature of the 2-D path; ``test_3d_energies_converge`` in
+test_analysis.py shows the new values converge under refinement."""
 
 import hashlib
 import json
@@ -123,11 +126,11 @@ PINNED_SOLVE = {
         "lemma_constants.k226": None,
         "sup_grad": 18.55541092522721, **REPORT_NONE},
     "laplace3d": {
-        "C_emp": 0.6857610821835153, "F_delta0": 0.00014317803276194424,
-        "c_low": 0.9846124607410106, "energy_half": 0.0006904004090510986,
+        "C_emp": 0.6857610821835153, "F_delta0": 5.116667994263691e-05,
+        "c_low": 0.9846124607410106, "energy_half": 0.0008829827296851511,
         "epsilon": 0.1, "grid.nt": 9, "grid.nx": 9,
-        "lemma_constants.k213": 7.323334133267695e-05,
-        "lemma_constants.k219": 0.007369899822211308,
+        "lemma_constants.k213": 9.366126495024357e-05,
+        "lemma_constants.k219": 0.0026337371602203736,
         "lemma_constants.k220": None,
         "lemma_constants.k225": 0.020000925043781814,
         "lemma_constants.k226": None,
