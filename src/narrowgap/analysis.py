@@ -19,13 +19,13 @@ import math
 import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .auxiliary import AuxiliaryEvaluator
 from .geometry import NarrowRegion
-from .mesh_solver import (MappedGrid, SolutionField, quadrature_weights,
-                          solve_dirichlet)
+from .mesh_solver import (MappedGrid, SolutionField, boundary_values,
+                          quadrature_weights, solve_dirichlet)
 
 __all__ = [
     "GradientField",
@@ -78,6 +78,15 @@ class GradientField:
         v = self.solution.values.reshape(self.solution.values.shape[0], -1)
         return float(np.sqrt(((v**2) * w).sum()))
 
+    @cached_property
+    def _column_density(self):
+        """q(x') = delta(x') int |grad|^2 dt (trapezoid in t), shape
+        (nx, nx^(nd-1)): computed once, shared by every window energy."""
+        grid = self.grid
+        q = np.trapezoid((self.values**2).sum(axis=(0, 1)),
+                         dx=grid.hx[grid.nd], axis=-1)
+        return (q * grid.reshape(grid.delta_flat)[..., 0]).reshape(grid.nx, -1)
+
 
 def gradient(solution, grid=None):
     """Physical-space gradient of a nodal field by mapped central differences.
@@ -107,23 +116,26 @@ def gradient(solution, grid=None):
 
 
 def correction_field(solution, data):
-    """w = u - utilde as a nodal field on the same grid."""
-    grid = solution.grid
-    aux = AuxiliaryEvaluator(grid.region, data)
-    ut = aux.utilde_values(grid.points).reshape(solution.values.shape)
-    return SolutionField(values=solution.values - ut, grid=grid,
+    """w = u - utilde as a nodal field on the same grid, utilde the nodal
+    interpolant of mesh_solver.boundary_values.  w vanishes on the top and
+    bottom rows, and on the lateral columns under the utilde closure."""
+    ut = boundary_values(solution.grid, data).reshape(solution.values.shape)
+    return SolutionField(values=solution.values - ut, grid=solution.grid,
                          residual=solution.residual, method="derived")
+
+
+def _by_column(gradfield):
+    """|grad| as (columns, nt), the tangential columns and their |x'|^2."""
+    grid = gradfield.grid
+    cols = grid.tang[::grid.nt]
+    return (gradfield.norm().reshape(len(cols), grid.nt), cols,
+            (cols**2).sum(axis=-1))
 
 
 def _mismatch_norms(data, tang):
     """Euclidean and max-component mismatch magnitude at tangential points."""
-    sq = np.zeros(len(tang))
-    mx = np.zeros(len(tang))
-    for l in range(data.N):
-        m = data.mismatch_poly(l).value_many(tang)
-        sq += m**2
-        mx = np.maximum(mx, np.abs(m))
-    return np.sqrt(sq), mx
+    m = np.stack([data.mismatch_poly(l).value_many(tang) for l in range(data.N)])
+    return np.sqrt((m**2).sum(axis=0)), np.abs(m).max(axis=0)
 
 
 def _norm_budget(data, gradfield):
@@ -136,15 +148,11 @@ def sup_bound_constant(gradfield, data, region, R0=0.25):
     on |x'| <= R0; the budget is the data C2 norms plus the solution's L2
     norm over the solve box.
     """
-    grid = gradfield.grid
-    gn = gradfield.norm().ravel()
-    r2 = (grid.tang**2).sum(axis=-1)
+    gn, cols, r2 = _by_column(gradfield)
     mask = r2 <= R0**2 + 1e-15
-    mm, _ = _mismatch_norms(data, grid.tang)
-    kernel = mm / (region.epsilon + r2)
-    den = kernel + _norm_budget(data, gradfield)
-    ratios = gn[mask] / den[mask]
-    return float(ratios.max())
+    mm, _ = _mismatch_norms(data, cols)
+    den = mm / (region.epsilon + r2) + _norm_budget(data, gradfield)
+    return float((gn[mask] / den[mask, None]).max())
 
 
 def centerline_lower_constant(gradfield, data, region):
@@ -194,7 +202,8 @@ def energy(gradfield, window=None):
     window is (x0_prime, s) and the integral runs over the vertical window
     |x' - x0'| < s intersected with the half region.  One quadrature serves
     n = 2 and n = 3: the column density q(x') = delta(x') int_t |grad|^2 dt
-    (trapezoid in t) is taken linear between grid columns and integrated by
+    (trapezoid in t), computed once per GradientField and shared by all its
+    windows, is taken linear between grid columns and integrated by
     an ENERGY_SAMPLES-point trapezoid along x1 over the window; for n = 3 the
     value at each x1 sample is the exact integral of the interpolated row
     along x2 over the chord the window cuts there.  So a window narrower
@@ -215,9 +224,7 @@ def energy(gradfield, window=None):
     hi = min(c[0] + s, ra, ax[-1])
     if hi <= lo:
         return 0.0
-    dens2 = (gradfield.values**2).sum(axis=(0, 1))
-    q = np.trapezoid(dens2, dx=grid.hx[nd], axis=-1)
-    q = (q * grid.reshape(grid.delta_flat)[..., 0]).reshape(grid.nx, -1)
+    q = gradfield._column_density
     xs = np.linspace(lo, hi, ENERGY_SAMPLES)
     # q interpolated along x1 to each sample: one row of x2 nodes per sample
     rows = np.stack([np.interp(xs, ax, col) for col in q.T], axis=-1)
@@ -235,17 +242,15 @@ def pointwise_w_check(gradfield_w, data, region, R0=0.25):
     m_outer: max of |grad w|*|x'|/(mismatch + budget) over sqrt(eps) < |x'| <= R0.
     Either is None when its band contains no grid column.
     """
-    grid = gradfield_w.grid
-    gn = gradfield_w.norm().ravel()
-    r = np.sqrt((grid.tang**2).sum(axis=-1))
+    gn, cols, r2 = _by_column(gradfield_w)
+    r = np.sqrt(r2)
     se = math.sqrt(region.epsilon)
-    mm, _ = _mismatch_norms(data, grid.tang)
-    budget = _norm_budget(data, gradfield_w)
-    den = mm + budget
+    mm, _ = _mismatch_norms(data, cols)
+    den = (mm + _norm_budget(data, gradfield_w))[:, None]
     inner = r <= se + 1e-15
     outer = (r > se) & (r <= R0 + 1e-15)
     m_inner = float((gn[inner] * se / den[inner]).max()) if inner.any() else None
-    m_outer = float((gn[outer] * r[outer] / den[outer]).max()) if outer.any() else None
+    m_outer = float((gn[outer] * r[outer, None] / den[outer]).max()) if outer.any() else None
     return m_inner, m_outer
 
 
@@ -273,8 +278,7 @@ class BoundReport:
 
 def _sup_grad(grad_u, R0):
     """max |grad u| over the nodes with |x'| <= R0."""
-    gn = grad_u.norm().ravel()
-    r2 = (grad_u.grid.tang**2).sum(axis=-1)
+    gn, _, r2 = _by_column(grad_u)
     return float(gn[r2 <= R0**2 + 1e-15].max())
 
 
@@ -462,6 +466,8 @@ def sweep_and_fit(problem, eps_list, metric="center_grad", nx=None, jobs=1):
     each sent the pickled problem; the results equal a serial run."""
     eps_list = sorted(eps_list, reverse=True)
     args = [(problem, eps, metric, nx) for eps in eps_list]
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:

@@ -60,6 +60,7 @@ class BoundaryData:
         self.N = len(g_plus)
         self.nd = nd
         self._key = (g_plus, g_minus)
+        self._mismatch = tuple(p - m for p, m in zip(g_plus, g_minus))
         self._norms = None
 
     def __eq__(self, other):
@@ -69,7 +70,7 @@ class BoundaryData:
         return hash(self._key)
 
     def mismatch_poly(self, l):
-        return self.g_plus[l] - self.g_minus[l]
+        return self._mismatch[l]
 
     def norms(self):
         """Per-component sampled norms on the unit ball.
@@ -160,8 +161,9 @@ class AuxiliaryEvaluator:
     """Vectorized evaluation of ubar / utilde / ftilde over point arrays.
 
     Builds the exact rational representatives once per (region, data) and
-    reuses their cached evaluation tables; the solver and analysis layers
-    feed it whole grids.
+    reuses their cached evaluation tables.  They serve the derivative-bound
+    checks, the manufactured-solution jets and the tests; the solver and
+    the analysis take the nodal interpolant from mesh_solver.boundary_values.
     """
 
     def __init__(self, region, data=None, op=None):
@@ -178,13 +180,7 @@ class AuxiliaryEvaluator:
 
     def ubar_hess(self, points):
         _, _, d2 = _ubar_jet(self.region)
-        n = self.region.n
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros((n, n) + pts.shape[:-1])
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = d2[i][j].value_many(points)
-        return out
+        return np.array([[d.value_many(points) for d in row] for row in d2])
 
     def utilde_values(self, points):
         """(N, ...) array of interpolant values."""
@@ -194,12 +190,7 @@ class AuxiliaryEvaluator:
     def utilde_grad(self, points):
         """(N, n, ...) array of exact physical gradients."""
         jets = _utilde_jets(self.region, self.data)
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros((self.data.N, self.region.n) + pts.shape[:-1])
-        for l, (_, d1, _) in enumerate(jets):
-            for i in range(self.region.n):
-                out[l, i] = d1[i].value_many(points)
-        return out
+        return np.array([[d.value_many(points) for d in d1] for _, d1, _ in jets])
 
     def ftilde_values(self, points):
         fr = _ftilde_rationals(self.op, self.region, self.data)

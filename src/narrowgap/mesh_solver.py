@@ -218,27 +218,27 @@ def _face_geometry(grid, a):
 
 
 def boundary_values(grid, data, lateral_closure="utilde"):
-    """Dirichlet values on the boundary nodes for composed-trace data.
+    """The interpolant utilde = g- + t*(g+ - g-) of the traces at every node,
+    shape (N, nodes), with g+ and g- evaluated once per tangential column.
 
-    Top t=1 takes g+, bottom t=0 takes g-.  The lateral closure is either the
-    interpolant trace g- + t*(g+ - g-) (the vertical coordinate makes the
-    interpolant linear in t, so this is exact) or the t-constant vertical
-    average (g+ + g-)/2.  Corners belong to the top/bottom rows.
+    The vertical coordinate makes the interpolant linear in t, so this is
+    exact up to rounding, and its rows t = 0 and t = 1 are exactly g- and g+.
+    On the lateral columns between those rows the closure applies: ``utilde``
+    keeps the interpolant, ``constant`` takes the vertical average
+    (g+ + g-)/2.  assemble reads the boundary nodes only; the correction
+    field subtracts the whole array.
     """
     if lateral_closure not in ("utilde", "constant"):
         raise ValueError(f"unknown lateral closure {lateral_closure!r}")
-    bc = np.zeros((data.N, grid.nodes))
-    for i in range(data.N):
-        gp = data.g_plus[i].value_many(grid.tang)
-        gm = data.g_minus[i].value_many(grid.tang)
-        if lateral_closure == "utilde":
-            lat = gm + grid.tvals * (gp - gm)
-        else:
-            lat = 0.5 * (gp + gm)
-        bc[i][grid.lateral_mask] = lat[grid.lateral_mask]
-        bc[i][grid.bottom_mask] = gm[grid.bottom_mask]
-        bc[i][grid.top_mask] = gp[grid.top_mask]
-    return bc
+    cols = grid.tang[::grid.nt]
+    gp = np.stack([g.value_many(cols) for g in data.g_plus])[..., None]
+    gm = np.stack([g.value_many(cols) for g in data.g_minus])[..., None]
+    ut = gm + grid.axes[grid.nd] * (gp - gm)
+    if lateral_closure == "constant":
+        lateral = grid.lateral_mask[::grid.nt]
+        ut[:, lateral] = 0.5 * (gp + gm)[:, lateral]
+    ut[..., 0], ut[..., -1] = gm[..., 0], gp[..., 0]
+    return ut.reshape(data.N, grid.nodes)
 
 
 def _derivative_stencil(e, a, c, h):

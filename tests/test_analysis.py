@@ -18,10 +18,12 @@ from narrowgap import (
     fit_rate,
     gradient,
     make_builtin,
+    parse_expression,
     pointwise_w_check,
     solve_dirichlet,
     superposition_check,
     sweep_grid,
+    sweep_and_fit,
     sweep_member,
 )
 
@@ -64,6 +66,21 @@ def test_correction_vanishes_for_matched_linear_data(lap):
     w = correction_field(sol, data)
     assert np.abs(w.values).max() < 1e-10
     assert energy(gradient(w)) < 1e-18
+
+
+@pytest.mark.parametrize("kind, n, traces", [
+    ("lame", 2, (("1", "0.5*x1"), ("x1^2", "0"))),
+    ("laplace", 3, (("1 + x1*x2",), ("x1^2",))),
+], ids=["lame2d", "laplace3d"])
+def test_correction_is_zero_on_the_boundary(kind, n, traces):
+    # u and utilde share one nodal interpolant, so under the utilde closure
+    # w = u - utilde is exactly zero on every boundary node
+    op = make_builtin(kind, n=n)
+    gp, gm = ([parse_expression(t, nvars=n - 1) for t in side] for side in traces)
+    data = BoundaryData(tuple(gp), tuple(gm))
+    reg, grid, _, sol = solve_case(op, data=data, nx=17, nt=9)
+    w = correction_field(sol, data)
+    assert np.count_nonzero(w.values.reshape(op.N, -1)[:, grid.boundary_mask]) == 0
 
 
 def test_centerline_constant_flat_gap_is_one(lap):
@@ -194,3 +211,16 @@ def test_superposition_zero_for_single_component(lap):
     grid = build_grid(reg, 17, 9)
     disc = superposition_check(lap, reg, mismatch_data(lap), grid)
     assert disc < 1e-11
+
+
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_sweep_and_fit_rejects_jobs_below_one(lap, monkeypatch, jobs):
+    pools = []
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+                        lambda *a, **kw: pools.append(kw))
+    monkeypatch.setattr(analysis, "sweep_member",
+                        lambda *a: pytest.fail("a member was solved"))
+    problem = SweepProblem(op=lap, profile=quad_profile(), data=mismatch_data(lap))
+    with pytest.raises(ValueError, match=f"got {jobs}"):
+        sweep_and_fit(problem, [0.1, 0.05, 0.025], jobs=jobs)
+    assert pools == []

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from narrowgap import analysis, mesh_solver, verification
+from narrowgap import RationalField, analysis, mesh_solver, verification
 from narrowgap.analysis import fit_rate
 from narrowgap.cli import (
     EXIT_GATE,
@@ -545,6 +545,26 @@ def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, jo
     assert err["error"] == "usage"
     assert "--jobs" in err["message"]
     assert pools == []
+
+
+@pytest.mark.parametrize("args, text", [
+    (["solve"], QUAD_CFG),
+    (["solve", "--epsilon", "0.1"], QUAD3D_CFG + "[solver]\nnx = 9\nnt = 9\n"),
+    (["sweep", "--epsilons", "0.1,0.05,0.025"], QUAD_CFG),
+], ids=["solve2d", "solve3d", "sweep2d"])
+def test_run_path_evaluates_no_rational_field(tmp_path, capsys, monkeypatch,
+                                              args, text):
+    # the nodal utilde comes from the traces alone: solve and sweep never
+    # evaluate the exact rationals of the auxiliary fields
+    calls = []
+    value_many = RationalField.value_many
+    monkeypatch.setattr(RationalField, "value_many",
+                        lambda self, points: calls.append(self)
+                        or value_many(self, points))
+    cfg = write_cfg(tmp_path, text)
+    assert main([args[0], "--config", cfg] + args[1:]) == EXIT_OK
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_mms_gate(tmp_path, capsys):

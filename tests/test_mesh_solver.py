@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from narrowgap import (
+    AuxiliaryEvaluator,
     BoundaryData,
     GapProfile,
     GeometryError,
@@ -188,6 +189,27 @@ def test_lateral_closures_differ_only_laterally(reg, grid):
     assert np.abs(bu[inner] - bc[inner]).max() > 0.1
     assert np.array_equal(bu[grid.top_mask], bc[grid.top_mask])
     assert np.array_equal(bu[grid.bottom_mask], bc[grid.bottom_mask])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_nodal_interpolant_matches_the_exact_rationals(n):
+    # the closure-free nodal utilde against its exact rational oracle, on a
+    # curved 2-D gap and a 3-D one
+    if n == 2:
+        profile = GapProfile(h1=p1("0.5*x1^2 + 0.3*x1^4"),
+                             h2=p1("-x1^2 + 0.2*x1^3"), kappa0=1.0, kappa1=10.0)
+        traces = ("1 + x1^3", "0.5*x1 - x1^2")
+        nx, nt = 33, 17
+    else:
+        profile = quad_profile(2)
+        traces = ("1 + x1*x2", "x1^2 - 0.5*x2")
+        nx, nt = 17, 9
+    gp, gm = (parse_expression(t, nvars=n - 1) for t in traces)
+    data = BoundaryData((gp,), (gm,))
+    grid = build_grid(NarrowRegion(n=n, epsilon=0.05, profile=profile), nx, nt)
+    exact = AuxiliaryEvaluator(grid.region, data).utilde_values(grid.points)
+    np.testing.assert_allclose(boundary_values(grid, data), exact, rtol=0,
+                               atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["laplace", "lame"])
