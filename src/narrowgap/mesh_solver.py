@@ -19,10 +19,8 @@ computational coordinates.  Only interior nodes get equations; the Dirichlet
 values of the boundary nodes enter through the coupling block A_IB.
 
 Every factorization is one banded LU (LAPACK dgbtrf).  In 2-D it factors
-all of A_II.  In 3-D restarted GMRES solves A_II, right-preconditioned by
-two levels: the band LU of the vertical column blocks smooths, and the band
-LU of the depth-averaged operator, one unknown per tangential column and
-component, corrects what the columns leave out.
+all of A_II.  In 3-D BiCGSTAB solves A_II, right-preconditioned by the band
+LU of the vertical column blocks: no restart and no coarse level.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .geometry import GeometryError
@@ -49,9 +46,8 @@ __all__ = [
     "quadrature_weights",
 ]
 
-# restarted GMRES of the 3-D path: Krylov basis size and restart cycles
-GMRES_RESTART = 30
-GMRES_MAX_CYCLES = 30
+# iteration cap of the 3-D BiCGSTAB
+KRYLOV_MAX_ITERS = 500
 
 
 class SolverError(RuntimeError):
@@ -424,91 +420,51 @@ def _column_blocks(A, block):
                          shape=A.shape)
 
 
-def _coarse_operator(A, block, N):
-    """P^T A P, where P takes one value per column block of size ``block``
-    and component (of N) to every t-level of that column: the operator
-    summed over t, one unknown per (tangential column, component)."""
-    n = A.shape[0]
-    rows = np.arange(n)
-    P = sp.csr_matrix((np.ones(n), rows // block * N + rows % N,
-                       np.arange(n + 1)), shape=(n, n // block * N))
-    return P.T.tocsr() @ (A @ P)
+def _bicgstab(A, b, M, atol, history):
+    """BiCGSTAB for A x = b, right-preconditioned by the fixed map M (van der
+    Vorst, SIAM J. Sci. Stat. Comput. 13, 1992; Saad, Iterative Methods for
+    Sparse Linear Systems, 2003, Alg. 7.7 applied to A M).
 
-
-def _two_level(A, block, N):
-    """The 3-D preconditioner r -> x: smooth with the band LU S of the
-    column blocks of size ``block``, correct with the depth-averaged
-    operator C = P^T A P (``_coarse_operator``, factored by the same band
-    LU; band N*(nx-1) + N - 1 over the columns in C order), smooth again:
-
-        x = S r;  x += P C^-1 P^T (r - A x);  x += S (r - A x).
-
-    The blocks hold the strong coupling in t; what they leave out is smooth
-    in t and spread over the columns, which C captures."""
-    smooth = _band_lu(_column_blocks(A, block))
-    coarse = _band_lu(_coarse_operator(A, block, N))
-    levels = (-1, block // N, N)
-
-    def apply(r):
-        x = smooth(r)
-        correction = coarse((r - A @ x).reshape(levels).sum(axis=1).ravel())
-        x.reshape(levels)[...] += correction.reshape(-1, 1, N)
-        x += smooth(r - A @ x)
-        return x
-
-    return apply
-
-
-def _gmres(A, b, M, atol, history):
-    """Restarted GMRES for A x = b, right-preconditioned by the fixed map M
-    (Saad, Iterative Methods for Sparse Linear Systems, 2003, Alg. 9.5).
-
-    A cycle starts from the true residual r = b - A x and builds an
-    orthonormal basis V of the Krylov space of A M by classical Gram-Schmidt
-    with one reorthogonalization pass.  Givens rotations keep the Hessenberg
-    least-squares problem triangular, so its residual norm (the residual of
-    the updated x in exact arithmetic) is appended to ``history`` at every
-    step.  A cycle ends after GMRES_RESTART steps or once that estimate is
-    at most ``atol``; then x += M(V y).  Returns (x, converged) as soon as
-    the recomputed ||b - A x|| is at most ``atol``, or after
-    GMRES_MAX_CYCLES cycles.
+    Starts from x = 0 with the shadow residual rhat = b.  Each iteration
+    applies M and A twice: a BiCG step along p, then a one-dimensional
+    minimal-residual step along s.  The norm of the recurrence residual (not
+    recomputed, and not monotone) is appended to ``history`` at every
+    iteration.  Once it is at most ``atol``, r is replaced by the recomputed
+    b - A x (van der Vorst & Ye, SIAM J. Sci. Comput. 22, 2000), and
+    (x, True) is returned if that is at most ``atol`` too.  After
+    KRYLOV_MAX_ITERS iterations, or at a breakdown (rhat.v = 0, omega = 0 or
+    a non-finite scalar), returns the last iterate unconverged.
     """
-    m = GMRES_RESTART
     x = np.zeros_like(b)
-    V = np.empty((m + 1, len(b)))
-    H = np.zeros((m, m))
-    for cycle in range(GMRES_MAX_CYCLES + 1):
-        r = b - A @ x
-        beta = np.linalg.norm(r)
-        if beta <= atol or cycle == GMRES_MAX_CYCLES:
-            return x, bool(beta <= atol)
-        V[0] = r / beta
-        g = np.zeros(m + 1)
-        g[0] = beta
-        rotations = []
-        for j in range(m):
-            w = A @ M(V[j])
-            h = V[:j + 1] @ w
-            w -= h @ V[:j + 1]
-            dh = V[:j + 1] @ w
-            w -= dh @ V[:j + 1]
-            h += dh
-            below = np.linalg.norm(w)
-            for i, (c, s) in enumerate(rotations):
-                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-            d = np.hypot(h[j], below)
-            c, s = h[j] / d, below / d
-            rotations.append((c, s))
-            h[j] = d
-            H[:j + 1, j] = h
-            g[j], g[j + 1] = c * g[j], -s * g[j]
-            history.append(abs(g[j + 1]))
-            if history[-1] <= atol or below == 0:
-                break
-            V[j + 1] = w / below
-        k = len(rotations)
-        y = solve_triangular(H[:k, :k], g[:k])
-        x += M(y @ V[:k])
+    r, rhat = b.copy(), b.copy()
+    p = v = np.zeros_like(b)
+    rho = alpha = omega = 1.0
+    for _ in range(KRYLOV_MAX_ITERS):
+        rho, previous = rhat @ r, rho
+        p = r + rho / previous * alpha / omega * (p - omega * v)
+        phat = M(p)
+        v = A @ phat
+        rv = rhat @ v
+        if rv == 0 or not np.isfinite(rho / rv):
+            break
+        alpha = rho / rv
+        x += alpha * phat
+        s = r - alpha * v
+        shat = M(s)
+        t = A @ shat
+        omega = (t @ s) / (t @ t)
+        if omega == 0 or not np.isfinite(omega):
+            break
+        x += omega * shat
+        r = s - omega * t
+        history.append(np.linalg.norm(r))
+        if history[-1] <= atol:
+            # the recurrence drifts from b - A x: go on from the true
+            # residual unless that has converged too
+            r = b - A @ x
+            if np.linalg.norm(r) <= atol:
+                return x, True
+    return x, False
 
 
 def solve_system(system, tol=1e-10):
@@ -516,20 +472,19 @@ def solve_system(system, tol=1e-10):
 
     In 2-D the band LU factors all of A_II in its (column, t, component)
     order, with kl = ku = N*(nt-1) + N - 1 (``direct``).  In 3-D that band
-    would grow like N*(nt-2)*(nx-2), so restarted GMRES (``_gmres``) runs,
-    right-preconditioned by ``_two_level``: the same band LU applied to the
-    vertical column blocks (all components along one column in t, band
-    width 2N-1) as a smoother around a coarse correction by the
-    depth-averaged operator, one unknown per column and component
-    (``krylov``).  The mapped equation couples far more strongly in t than
+    would grow like N*(nt-2)*(nx-2), so BiCGSTAB (``_bicgstab``) runs,
+    right-preconditioned by the same band LU applied to the vertical column
+    blocks (all components along one column in t, band width 2N-1;
+    ``krylov``).  The mapped equation couples far more strongly in t than
     across columns, so those blocks carry most of the operator.
 
     Returns the solution per component, boundary values included, with the
     relative residual ||b - A x|| / ||[b_I, b_B]|| against the full
     right-hand side.  The acceptance rule depends on the dimension: in 3-D
-    the residual must be at most ``tol`` (GMRES stops there), in 2-D at
-    most max(100*tol, 1e-6).  Otherwise raises SolverError, with the GMRES
-    residual estimates of every iteration on the same relative scale.
+    the residual must be at most ``tol`` (BiCGSTAB stops once it is there),
+    in 2-D at most max(100*tol, 1e-6).  Otherwise raises SolverError, with
+    the BiCGSTAB recurrence residual of every iteration on the same relative
+    scale.
     """
     A = system.matrix
     grid = system.grid
@@ -542,10 +497,9 @@ def solve_system(system, tol=1e-10):
         method, solver, limit = "direct", "banded LU", max(100 * tol, 1e-6)
         x = _band_lu(A)(b)
     else:
-        method, solver, limit = "krylov", "GMRES", tol
-        block = system.N * (grid.nt - 2)
-        x, _ = _gmres(A, b, _two_level(A, block, system.N), tol * scale,
-                      history)
+        method, solver, limit = "krylov", "BiCGSTAB", tol
+        columns = _band_lu(_column_blocks(A, system.N * (grid.nt - 2)))
+        x, _ = _bicgstab(A, b, columns, tol * scale, history)
         history = [h / scale for h in history]
 
     residual = float(np.linalg.norm(b - A @ x)) / scale

@@ -6,7 +6,7 @@ an identity row carrying the boundary value; ``solve_system`` strips those
 rows again (``_reduced_ordering``) and factors the interior matrix with
 ``scipy.sparse.linalg.splu`` in every dimension.  The code is kept verbatim
 from that version, less the ``method`` argument that selected nothing here,
-as an oracle for the assembly, the pinned outputs and the 3-D GMRES path,
+as an oracle for the assembly, the pinned outputs and the 3-D Krylov path,
 in the same way as the exact-rational ellipticity construction in
 ``test_operators``.
 """

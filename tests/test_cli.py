@@ -452,13 +452,13 @@ def test_sweep_3d_blowup_rate(tmp_path, capsys):
 
 
 def test_sweep_honours_solver_settings(tmp_path, capsys):
-    # the 3-D path is GMRES, which cannot reach 1e-30
+    # the 3-D path is BiCGSTAB, which cannot reach 1e-30
     cfg = write_cfg(tmp_path, QUAD3D_CFG + "[solver]\nnx = 9\nnt = 9\ntol = 1e-30\n")
     code = main(["sweep", "--config", cfg])
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert code == EXIT_SOLVER
     assert err["error"] == "solver"
-    assert "GMRES" in err["message"]
+    assert "BiCGSTAB" in err["message"]
 
 
 def test_sweep_without_a_coarser_check_grid_exits_gate(tmp_path, capsys):

@@ -23,9 +23,9 @@ from narrowgap import (
     quadrature_weights,
     solve_dirichlet,
 )
-from narrowgap.mesh_solver import (GMRES_MAX_CYCLES, GMRES_RESTART, MappedGrid,
-                                   _band_lu, _coarse_operator, _column_blocks,
-                                   _face_geometry, _gmres, assemble, solve_system)
+from narrowgap.mesh_solver import (KRYLOV_MAX_ITERS, MappedGrid, _band_lu,
+                                   _bicgstab, _column_blocks, _face_geometry,
+                                   assemble, solve_system)
 
 from conftest import flat_profile, p1, quad_profile
 import solver_oracle as oracle
@@ -241,7 +241,7 @@ def quad_grid_3d(nx, nt, eps=0.05):
 
 
 def test_direct_and_krylov_paths_agree_3d():
-    # GMRES, the 3-D path, against the sparse LU of the reference solver
+    # BiCGSTAB, the 3-D path, against the sparse LU of the reference solver
     zero = PolynomialField.zero(2)
     grid = quad_grid_3d(13, 9)
     op = make_builtin("lame", n=3)
@@ -272,48 +272,59 @@ def _diagonally_dominant(n, seed=3):
     return A, rng.normal(size=n)
 
 
-def test_gmres_matches_a_dense_solve():
+def test_bicgstab_matches_a_dense_solve():
     A, b = _diagonally_dominant(60)
     jacobi = 1.0 / np.diag(A)
     history = []
-    x, converged = _gmres(A, b, lambda v: jacobi * v,
-                          1e-12 * np.linalg.norm(b), history)
+    x, converged = _bicgstab(A, b, lambda v: jacobi * v,
+                             1e-12 * np.linalg.norm(b), history)
     expect = np.linalg.solve(A, b)
     assert converged
     assert np.linalg.norm(x - expect) <= 1e-10 * np.linalg.norm(expect)
-    assert 0 < len(history) < GMRES_RESTART
-    assert all(later <= earlier for earlier, later in zip(history, history[1:]))
+    assert 0 < len(history) < KRYLOV_MAX_ITERS
 
 
-def test_gmres_without_tolerance_runs_every_cycle():
-    A, b = _diagonally_dominant(40)
+def test_bicgstab_without_tolerance_runs_to_the_cap():
+    # unpreconditioned, the 1-D Laplacian converges slowly enough that the
+    # recurrence residual stays above zero for every iteration of the cap
+    n = 200
+    A = 2 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     history = []
-    _, converged = _gmres(A, b, lambda v: v, 0.0, history)
+    x, converged = _bicgstab(A, np.ones(n), lambda v: v, 0.0, history)
     assert not converged
-    assert len(history) == GMRES_RESTART * GMRES_MAX_CYCLES
+    assert len(history) == KRYLOV_MAX_ITERS
+    assert np.all(np.isfinite(history)) and np.all(np.isfinite(x))
 
 
-def test_coarse_operator_is_the_galerkin_product():
-    # P takes one value per (column, component) to every t-level of it
-    grid = quad_grid_3d(9, 11)
-    op = make_builtin("lame", n=3)
-    zero = PolynomialField.zero(2)
-    data = BoundaryData((p2("1"), zero, p2("x1")), (zero, p2("x2"), zero))
-    A = assemble(op, grid, data=data).matrix
-    N, levels = op.N, grid.nt - 2
-    columns = A.shape[0] // (N * levels)
-    P = np.kron(np.eye(columns), np.kron(np.ones((levels, 1)), np.eye(N)))
-    expect = P.T @ A.toarray() @ P
-    got = _coarse_operator(A, N * levels, N).toarray()
-    assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+def test_bicgstab_converges_on_the_true_residual():
+    # unpreconditioned convection-diffusion: the recurrence residual drifts
+    # four orders below b - A x before it reaches atol
+    n = 100
+    A = 2 * np.eye(n) - 1.3 * np.eye(n, k=-1) - 0.7 * np.eye(n, k=1)
+    b = np.ones(n)
+    atol = 1e-10 * np.linalg.norm(b)
+    x, converged = _bicgstab(A, b, lambda v: v, atol, [])
+    assert converged
+    assert np.linalg.norm(b - A @ x) <= atol
+
+
+def test_bicgstab_breakdown_returns_unconverged():
+    # skew-symmetric A gives rhat . A p = 0 at the first step
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    history = []
+    x, converged = _bicgstab(A, np.array([1.0, 2.0]), lambda v: v, 1e-12,
+                             history)
+    assert not converged
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(history))
 
 
 @pytest.mark.parametrize("kind, eps, nx, nt, most", [
-    ("laplace", 0.1, 25, 17, 30),   # the two solves of the solve3d workload
-    ("lame", 0.1, 17, 13, 30),
-    ("laplace", 0.05, 49, 17, 60),
+    ("laplace", 0.1, 25, 17, 41),   # the two solves of the solve3d workload
+    ("lame", 0.1, 17, 13, 42),
+    ("laplace", 0.05, 49, 17, 86),
+    ("lame", 0.05, 33, 17, 86),
 ])
-def test_two_level_gmres_iterations(kind, eps, nx, nt, most):
+def test_bicgstab_iterations(kind, eps, nx, nt, most):
     grid = quad_grid_3d(nx, nt, eps)
     op = make_builtin(kind, n=3)
     zero = PolynomialField.zero(2)

@@ -3,9 +3,10 @@ run path and the C2 sampler and the L[u]-from-jets expansion had one copy
 each, so refactors of those paths cannot move the results.  Small grids keep
 this fast; every number must hold to 1e-12 relative, and the field CSVs of
 the two pinned solves byte for byte.  The values that the banded LU, the
-interior assembly and the two-level 3-D GMRES moved by more than 1e-12 were
-re-recorded with them; ``test_solver_oracle`` bounds their distance to the
-earlier solver by 1e-9.  The laplace3d energy_half, F_delta0, k213 and k219
+interior assembly and each 3-D Krylov solver (last the BiCGSTAB on the
+column-block band LU, which moved the laplace3d report by at most 2.8e-12)
+moved by more than 1e-12 were re-recorded with them; ``test_solver_oracle``
+bounds their distance to the earlier solver by 1e-9.  The laplace3d energy_half, F_delta0, k213 and k219
 were re-recorded when the 3-D window energies moved from a masked node sum
 to the quadrature of the 2-D path; ``test_3d_energies_converge`` in
 test_analysis.py shows the new values converge under refinement."""
@@ -126,24 +127,24 @@ PINNED_SOLVE = {
         "lemma_constants.k226": None,
         "sup_grad": 18.55541092522721, **REPORT_NONE},
     "laplace3d": {
-        "C_emp": 0.6857610821835153, "F_delta0": 5.116667994263691e-05,
-        "c_low": 0.9846124607410106, "energy_half": 0.0008829827296851511,
+        "C_emp": 0.6857610821835364, "F_delta0": 5.116667994249155e-05,
+        "c_low": 0.9846124607410252, "energy_half": 0.0008829827296841948,
         "epsilon": 0.1, "grid.nt": 9, "grid.nx": 9,
-        "lemma_constants.k213": 9.366126495024357e-05,
-        "lemma_constants.k219": 0.0026337371602203736,
+        "lemma_constants.k213": 9.366126495014214e-05,
+        "lemma_constants.k219": 0.0026337371602128913,
         "lemma_constants.k220": None,
-        "lemma_constants.k225": 0.020000925043781814,
+        "lemma_constants.k225": 0.020000925043802097,
         "lemma_constants.k226": None,
-        "sup_grad": 10.310823506406628, **REPORT_NONE},
+        "sup_grad": 10.31082350640693, **REPORT_NONE},
 }
 
 # sha256 of field_eps0p1.csv, recorded while the CSV writer still formatted
 # one value per call and re-recorded with the banded LU and, for laplace3d,
-# with the two-level GMRES (test_solver_oracle holds every value of both
-# files within 1e-9 of the sparse-LU oracle)
+# with the 3-D BiCGSTAB (test_solver_oracle holds every value of both files
+# within 1e-9 of the sparse-LU oracle)
 PINNED_FIELD_CSV = {
     "lame2d": "38d3faae3d5e63a4cf2d1eb715b210faa6f0f4e1bf378b0236f7f8ce5bf6e666",
-    "laplace3d": "75c83316ca0beb8572f01c3b1cd5b3cc48b17b72b01c75a0eb285afa7a15bc62",
+    "laplace3d": "74c20d121279763e308367396aae77c734e296adf60c5d49bb9e8707ce47ab38",
 }
 
 PINNED_SWEEP = {

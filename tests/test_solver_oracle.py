@@ -7,10 +7,10 @@ reduced and factored by sparse LU).
 (b) Every number that ``test_pinned_outputs`` pins from a solve, and every
 number of its two pinned field CSVs, agrees between the oracle and the
 solver to 1e-9 relative.  ``validate`` never reaches the solver, so its pins
-are left out.  The pinned 3-D solve runs GMRES at tol 1e-10 against the
-oracle's direct LU; with the two-level preconditioner that gap is 7.7e-13 on
-its report and 2.4e-14 on its field CSV (4.5e-11 and 5.0e-12 with the
-column blocks alone).
+are left out.  The pinned 3-D solve runs BiCGSTAB, preconditioned by the
+band LU of the column blocks, at tol 1e-10 against the oracle's direct LU;
+that gap is 2.0e-12 on its report and 6.6e-13 on its field CSV (8.8e-13 and
+2.4e-14 with the earlier two-level GMRES).
 """
 
 import io
