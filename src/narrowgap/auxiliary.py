@@ -1,12 +1,12 @@
 """Auxiliary interpolant machinery: ubar, utilde, the source ftilde, bound shapes.
 
-ubar is the vertical affine coordinate that is 0 on the bottom boundary and 1
-on the top one; utilde_l interpolates the component-l boundary traces through
-the gap; ftilde is what the operator produces when applied to utilde, i.e. the
-source felt by the correction w = u - utilde.  All three live in the exact
-rational family {p / delta^k} (delta the gap polynomial), so every derivative
-here is exact and the structural identities (second vertical derivatives
-vanish) hold as polynomial zeros.
+ubar is the vertical affine coordinate t = (x_n - bottom(x'))/delta(x'), 0 on
+the bottom boundary and 1 on the top one; utilde_l = g-_l + t (g+_l - g-_l)
+interpolates the component-l boundary traces through the gap; ftilde = -L[utilde]
+is the source felt by the correction w = u - utilde.  Every jet is a float
+array: the closed-form jets of t (geometry.vertical_jets) carry the jets of a
+field given in (x', t) to physical space by one chain rule, so t_nn and the
+second vertical derivative of utilde are exactly zero.
 
 check_derivative_bounds measures, per inequality of the derivative-bound
 family, the smallest constant C that makes it hold over a sample cloud; the
@@ -16,22 +16,23 @@ constants are the sweep-stability quantities the verification layer tracks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _sample_ball
+from .geometry import _sample_ball, vertical_coordinate, vertical_jets
 from .operators import OperatorError, apply_operator_jets
-from .polynomial import PolynomialField, RationalField
+from .polynomial import PolynomialField
 
 __all__ = [
     "BoundaryData",
     "AuxiliaryEvaluator",
     "BoundShapeReport",
+    "chain_rule",
     "check_derivative_bounds",
 ]
 
 MAX_DATA_DEGREE = 8
+BOUND_SAMPLES = (129, 9)  # tangential points per axis, vertical levels
 
 
 class BoundaryData:
@@ -59,15 +60,8 @@ class BoundaryData:
         self.g_minus = g_minus
         self.N = len(g_plus)
         self.nd = nd
-        self._key = (g_plus, g_minus)
         self._mismatch = tuple(p - m for p, m in zip(g_plus, g_minus))
         self._norms = None
-
-    def __eq__(self, other):
-        return isinstance(other, BoundaryData) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
 
     def mismatch_poly(self, l):
         return self._mismatch[l]
@@ -104,66 +98,35 @@ class BoundaryData:
         return BoundaryData(gp, gm)
 
 
-@lru_cache(maxsize=32)
-def _ubar_rational(region):
-    n = region.n
-    den = region.delta_poly.lift(n)
-    num = PolynomialField.variable(n, n - 1) - region.bottom_poly.lift(n)
-    return RationalField(num, den, 1)
+def chain_rule(dU, d2U, grad_t, hess_t):
+    """Physical gradient and Hessian of u(x) = U(x', t(x)).
 
+    ``dU`` (n, ...) and ``d2U`` (n, n, ...) are the partials of U in the
+    computational coordinates (x', t), t last; ``grad_t`` and ``hess_t`` are
+    the physical jets of t from geometry.vertical_jets.  With J the Jacobian
+    of (x', t) in x, grad = J^T dU and hess = J^T d2U J + U_t hess_t.
+    """
+    def pull(v, jet):
+        # J^T v over the first axis: v_a + v_t t_a tangential, v_t t_n vertical
+        out = v[-1] * jet
+        out[:-1] += v[:-1]
+        return out
 
-@lru_cache(maxsize=32)
-def _ubar_jet(region):
-    u = _ubar_rational(region)
-    n = region.n
-    d1 = [u.deriv(i) for i in range(n)]
-    d2 = [[d1[i].deriv(j) for j in range(n)] for i in range(n)]
-    return u, d1, d2
-
-
-@lru_cache(maxsize=64)
-def _utilde_scalars(region, data):
-    """Component rationals g+_l * ubar + g-_l * (1 - ubar), all components."""
-    u = _ubar_rational(region)
-    n = region.n
-    out = []
-    for l in range(data.N):
-        gp = data.g_plus[l].lift(n)
-        gm = data.g_minus[l].lift(n)
-        out.append(u * (gp - gm) + gm)
-    return tuple(out)
-
-
-@lru_cache(maxsize=64)
-def _utilde_jets(region, data):
-    n = region.n
-    jets = []
-    for s in _utilde_scalars(region, data):
-        d1 = [s.deriv(i) for i in range(n)]
-        d2 = [[d1[i].deriv(j) for j in range(n)] for i in range(n)]
-        jets.append((s, d1, d2))
-    return tuple(jets)
-
-
-@lru_cache(maxsize=64)
-def _ftilde_rationals(op, region, data):
-    """Exact source components  -L[utilde]  in the rational family."""
-    if op.n != region.n:
-        raise OperatorError("operator and region dimensions differ")
-    if op.N != data.N:
-        raise OperatorError(f"data has {data.N} components, operator wants {op.N}")
-    zero = RationalField.from_poly(PolynomialField.zero(op.n),
-                                   region.delta_poly.lift(op.n))
-    return tuple(-f for f in apply_operator_jets(op, _utilde_jets(region, data), zero))
+    grad = pull(dU, grad_t)
+    half = pull(d2U, grad_t[:, None])
+    hess = pull(half.swapaxes(0, 1), grad_t[:, None]) + dU[-1] * hess_t
+    return grad, hess
 
 
 class AuxiliaryEvaluator:
     """Vectorized evaluation of ubar / utilde / ftilde over point arrays.
 
-    Builds the exact rational representatives once per (region, data) and
-    reuses their cached evaluation tables.  They serve the derivative-bound
-    checks, the manufactured-solution jets and the tests; the solver and
-    the analysis take the nodal interpolant from mesh_solver.boundary_values.
+    Points are physical, shape (..., n).  ubar = t is recomputed from them,
+    utilde = g- + t (g+ - g-) and its jets come from the trace polynomials
+    through chain_rule, and ftilde = -L[utilde] applies the operator to
+    those float jets.  They serve the derivative-bound checks and the tests;
+    the solver and the analysis take the nodal interpolant from
+    mesh_solver.boundary_values.
     """
 
     def __init__(self, region, data=None, op=None):
@@ -172,29 +135,63 @@ class AuxiliaryEvaluator:
         self.op = op
 
     def ubar_values(self, points):
-        return _ubar_rational(self.region).value_many(points)
+        return vertical_coordinate(self.region, points)[1]
 
     def ubar_grad(self, points):
-        _, d1, _ = _ubar_jet(self.region)
-        return np.stack([d.value_many(points) for d in d1], axis=0)
+        return vertical_jets(self.region, *vertical_coordinate(self.region, points))[0]
 
     def ubar_hess(self, points):
-        _, _, d2 = _ubar_jet(self.region)
-        return np.array([[d.value_many(points) for d in row] for row in d2])
+        return vertical_jets(self.region, *vertical_coordinate(self.region, points))[1]
+
+    def _utilde_jets(self, points):
+        """Values (N, ...), gradients (N, n, ...) and Hessians (N, n, n, ...)
+        of utilde at ``points``."""
+        tang, t = vertical_coordinate(self.region, points)
+        tjets = vertical_jets(self.region, tang, t)
+        nd = self.region.nd
+        vals, grads, hesss = [], [], []
+        for l, gm in enumerate(self.data.g_minus):
+            (gm0, gm1, gm2), (m0, m1, m2) = (
+                _poly_jets(p, tang) for p in (gm, self.data.mismatch_poly(l)))
+            dU = np.empty((nd + 1,) + t.shape)
+            d2U = np.zeros((nd + 1, nd + 1) + t.shape)
+            dU[:nd] = gm1 + t * m1
+            dU[nd] = m0
+            d2U[:nd, :nd] = gm2 + t * m2
+            d2U[:nd, nd] = d2U[nd, :nd] = m1
+            grad, hess = chain_rule(dU, d2U, *tjets)
+            vals.append(gm0 + t * m0)
+            grads.append(grad)
+            hesss.append(hess)
+        return np.array(vals), np.array(grads), np.array(hesss)
 
     def utilde_values(self, points):
         """(N, ...) array of interpolant values."""
-        scalars = _utilde_scalars(self.region, self.data)
-        return np.stack([s.value_many(points) for s in scalars], axis=0)
+        return self._utilde_jets(points)[0]
 
     def utilde_grad(self, points):
-        """(N, n, ...) array of exact physical gradients."""
-        jets = _utilde_jets(self.region, self.data)
-        return np.array([[d.value_many(points) for d in d1] for _, d1, _ in jets])
+        """(N, n, ...) array of physical gradients."""
+        return self._utilde_jets(points)[1]
 
     def ftilde_values(self, points):
-        fr = _ftilde_rationals(self.op, self.region, self.data)
-        return np.stack([f.value_many(points) for f in fr], axis=0)
+        """(N, ...) array of the source -L[utilde]."""
+        op, N, pts = self.op, self.data.N, np.asarray(points, dtype=float)
+        if op.n != self.region.n:
+            raise OperatorError("operator and region dimensions differ")
+        if op.N != N:
+            raise OperatorError(f"data has {N} components, operator wants {op.N}")
+        jets = list(zip(*self._utilde_jets(pts)))
+        return -np.array(apply_operator_jets(op, jets, np.zeros(pts.shape[:-1]),
+                                             lambda p: p.value_many(pts)))
+
+
+def _poly_jets(p, points):
+    """Value (...), gradient (nd, ...) and Hessian (nd, nd, ...) of the
+    polynomial p at ``points``."""
+    grad = p.grad()
+    return (p.value_many(points), np.array([d.value_many(points) for d in grad]),
+            np.array([[d.deriv(b).value_many(points) for b in range(p.nvars)]
+                      for d in grad]))
 
 
 @dataclass
@@ -235,15 +232,15 @@ def _ratio_max(num, den, floor=1e-13):
     return float((num[ok] / den[ok]).max())
 
 
-def check_derivative_bounds(region, data, samples=(129, 9)):
+def check_derivative_bounds(region, data):
     """Measure the derivative-bound constants for ubar and utilde.
 
-    samples = (tangential points per dim, vertical levels).  Sample cloud is
-    the tensor grid over the solve box crossed with uniform levels through
-    the gap.  Pointwise quantities use exact rational derivatives; the
-    right-hand sides use the sampled data norms.
+    The sample cloud is the 129^(n-1) tangential grid points inside the ball
+    |x'| <= r_solve, each crossed with 9 uniform levels through the gap.
+    Pointwise quantities use the closed-form jets of AuxiliaryEvaluator;
+    the right-hand sides use the sampled data norms.
     """
-    mx, mt = samples
+    mx, mt = BOUND_SAMPLES
     nd, n = region.nd, region.n
     tang = _sample_ball(nd, region.r_solve, mx)
     tlev = np.linspace(0.0, 1.0, mt)
@@ -262,41 +259,37 @@ def check_derivative_bounds(region, data, samples=(129, 9)):
     ev = AuxiliaryEvaluator(region, data)
     report = BoundShapeReport(epsilon=region.epsilon, n_samples=len(pts))
 
-    ug = ev.ubar_grad(pts)
-    uh = ev.ubar_hess(pts)
+    ug, uh = vertical_jets(region, *vertical_coordinate(region, pts))
     report.c23 = max(
         _ratio_max(np.abs(ug[a]) * peak, r) for a in range(nd)
     )
     report.c24_residual = float(np.abs(uh[n - 1, n - 1]).max())
 
     norms = data.norms()
-    for l in range(data.N):
-        jets = _utilde_jets(region, data.component(l))[l]
-        _, d1, d2 = jets
+    _, grads, hesss = ev._utilde_jets(pts)
+    for l, (d1, d2) in enumerate(zip(grads, hesss)):
         mm = np.abs(data.mismatch_poly(l).value_many(tang_rep))
         n1 = float(norms["plus"]["c1"][l] + norms["minus"]["c1"][l])
         n2 = float(norms["plus"]["c2"][l] + norms["minus"]["c2"][l])
-        dvals = [d1[i].value_many(pts) for i in range(n)]
-        tang_mag = np.sqrt(sum(dvals[a] ** 2 for a in range(nd)))
+        tang_mag = np.sqrt(sum(d1[a] ** 2 for a in range(nd)))
         comp = {}
         comp["c26"] = _ratio_max(tang_mag, r / peak * mm + n1)
-        dn = np.abs(dvals[n - 1])
+        dn = np.abs(d1[n - 1])
         comp["c27_upper"] = _ratio_max(dn * peak, mm)
         comp["c27_lower"] = _ratio_max(mm, peak * dn)
         c28 = 0.0
         c29 = 0.0
-        c210 = 0.0
         for a in range(nd):
             for b in range(nd):
                 c28 = max(c28, _ratio_max(
-                    np.abs(d2[a][b].value_many(pts)),
+                    np.abs(d2[a, b]),
                     mm / peak + (r / peak + 1.0) * n1 + n2,
                 ))
             c29 = max(c29, _ratio_max(
-                np.abs(d2[a][n - 1].value_many(pts)),
+                np.abs(d2[a, n - 1]),
                 r * mm / peak**2 + n1 / peak,
             ))
-        c210 = max(c210, float(np.abs(d2[n - 1][n - 1].value_many(pts)).max()))
+        c210 = float(np.abs(d2[n - 1, n - 1]).max())
         comp["c28"], comp["c29"], comp["c210_residual"] = c28, c29, c210
         report.per_component.append(comp)
         report.c26 = max(report.c26, comp["c26"])

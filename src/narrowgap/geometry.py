@@ -27,6 +27,8 @@ __all__ = [
     "ValidationReport",
     "validate_profile",
     "gap_width_many",
+    "vertical_coordinate",
+    "vertical_jets",
 ]
 
 MAX_PROFILE_DEGREE = 8
@@ -192,6 +194,57 @@ def _ball_mask(points, r):
 
 def gap_width_many(region, points):
     return region.delta_poly.value_many(points)
+
+
+def vertical_coordinate(region, points):
+    """(x', t) of the physical points (..., n): the tangential part and
+    t = (x_n - bottom(x'))/delta(x')."""
+    pts = np.asarray(points, dtype=float)
+    tang = pts[..., :-1]
+    t = ((pts[..., -1] - region.bottom_poly.value_many(tang))
+         / region.delta_poly.value_many(tang))
+    return tang, t
+
+
+def vertical_jets(region, tang, t):
+    """Physical first and second derivatives of the vertical coordinate
+    t = (x_n - bottom(x')) / delta(x') at the tangential points ``tang``,
+    shape (..., n-1), and the levels ``t``, which broadcast against them.
+
+    Returns (grad, hess) of shapes (n, *S) and (n, n, *S), S the broadcast
+    shape.  Differentiating t delta = x_n - bottom gives, for tangential
+    a, b: t_n = 1/delta, t_a = -(bottom_a + t delta_a)/delta,
+    t_an = -delta_a/delta^2, t_ab = -(bottom_ab + t_a delta_b + t_b delta_a
+    + t delta_ab)/delta and t_nn = 0.
+
+    >>> flat = NarrowRegion(2, 0.25, GapProfile(PolynomialField.zero(1),
+    ...                                         PolynomialField.zero(1)))
+    >>> grad, hess = vertical_jets(flat, np.array([[0.3], [-0.7]]), 0.5)
+    >>> grad[-1].tolist()
+    [4.0, 4.0]
+    >>> bool((grad[:-1] == 0).all() and (hess == 0).all())
+    True
+    """
+    tang = np.asarray(tang, dtype=float)
+    nd = region.nd
+    shape = np.broadcast_shapes(tang.shape[:-1], np.shape(t))
+    db = [region.bottom_poly.deriv(a) for a in range(nd)]
+    dd = [region.delta_poly.deriv(a) for a in range(nd)]
+    inv = 1.0 / region.delta_poly.value_many(tang)
+    d1 = [p.value_many(tang) for p in dd]
+    grad = [-(p.value_many(tang) + t * d) * inv for p, d in zip(db, d1)] + [inv]
+    hess = [[0.0] * (nd + 1) for _ in range(nd + 1)]
+    for a in range(nd):
+        for b in range(a, nd):
+            hess[a][b] = hess[b][a] = -(
+                db[a].deriv(b).value_many(tang) + (grad[a] * d1[b] + grad[b] * d1[a])
+                + t * dd[a].deriv(b).value_many(tang)) * inv
+        hess[a][nd] = hess[nd][a] = -d1[a] * inv * inv
+
+    def stack(entries):
+        return np.stack([np.broadcast_to(e, shape) for e in entries])
+
+    return stack(grad), np.stack([stack(row) for row in hess])
 
 
 def _sample_ball(nd, r, m):

@@ -518,9 +518,7 @@ def solve_system(system, tol=1e-10):
     )
 
 
-def solve_dirichlet(op, grid, data, source=None, lateral_closure="utilde",
-                    tol=1e-10):
+def solve_dirichlet(op, grid, data, lateral_closure="utilde", tol=1e-10):
     """Assemble-and-solve convenience for the composed-trace problem."""
-    system = assemble(op, grid, data=data, source=source,
-                      lateral_closure=lateral_closure)
+    system = assemble(op, grid, data=data, lateral_closure=lateral_closure)
     return solve_system(system, tol=tol)

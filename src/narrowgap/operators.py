@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import vertical_jets
 from .polynomial import PolynomialField
 
 __all__ = [
@@ -320,6 +321,9 @@ def _quadrature_nodes(region, grid_spec):
         tang * hx**nd * delta, w_t * ht)
 
 
+# (tangential points per axis, vertical levels) of the quadratures
+ELLIPTICITY_GRID = (49, 25)
+BOUNDS_GRID = (33, 17)
 _SINE_KMAX = 4  # sine mode numbers are drawn from 1.._SINE_KMAX on each axis
 
 
@@ -452,23 +456,17 @@ def _sine_trials(rng, count, N, n, nmodes=3):
     return modes.reshape(count, -1), c.reshape(count, -1)
 
 
-def _stream_jets(coefs, r, x1, u, bottom, delta):
+def _stream_jets(coefs, r, x1, u, ujets):
     """Partials of the stream function Phi = S(u) B(x1) (G(x1) + c3 u) (n=2).
 
     u = (xn - bottom(x1)) / delta(x1), S = u^2 (1-u)^2, B = (r^2 - x1^2)^2 and
-    G = c0 + c1 x1 + c2 x1^2 with coefs = (c0, c1, c2, c3).  ``bottom`` is
-    (bottom', bottom'') and ``delta`` is (delta, delta', delta'') at x1; all
-    arguments broadcast.  Returns (Phi_1, Phi_n, Phi_11, Phi_1n, Phi_nn), by
-    the chain rule through the closed-form jets of u.
+    G = c0 + c1 x1 + c2 x1^2 with coefs = (c0, c1, c2, c3); ``ujets`` is the
+    (grad, hess) pair of u from geometry.vertical_jets.  All arguments
+    broadcast.  Returns (Phi_1, Phi_n, Phi_11, Phi_1n, Phi_nn) by the chain
+    rule through the jets of u (u_nn = 0).
     """
     c0, c1, c2, c3 = (float(v) for v in coefs)
-    b1, b2 = bottom
-    d0, d1, d2 = delta
-    # jets of u from u * delta = xn - bottom, differentiated (u_nn = 0)
-    un = 1.0 / d0
-    u1 = -(b1 + u * d1) * un
-    u1n = -d1 * un * un
-    u11 = -(b2 + 2 * u1 * d1 + u * d2) * un
+    (u1, un), ((u11, u1n), _) = ujets
     S = u**2 * (1 - u) ** 2
     S1 = 2 * u * (1 - u) * (1 - 2 * u)
     S2 = 2 - 12 * u + 12 * u**2
@@ -489,16 +487,6 @@ def _stream_jets(coefs, r, x1, u, bottom, delta):
             Fuu * un * un)
 
 
-def _profile_jets(region, x1):
-    """(bottom', bottom'') and (delta, delta', delta'') at the tangential
-    values x1 (n=2), each shaped like x1."""
-    b1 = region.bottom_poly.deriv(0)
-    d1 = region.delta_poly.deriv(0)
-    pts = np.asarray(x1, dtype=float)[..., None]
-    return ([p.value_many(pts) for p in (b1, b1.deriv(0))],
-            [p.value_many(pts) for p in (region.delta_poly, d1, d1.deriv(0))])
-
-
 def _divfree_basis(region, quad):
     """Gradients (4, 2, 2, M), indexed [q, i, a], of d_a v^i for the
     divergence-free fields v = (Phi_n, -Phi_1) at the nodes (n=2), where Phi
@@ -510,12 +498,11 @@ def _divfree_basis(region, quad):
     coefficients, so these four span the family.
     """
     x1 = quad.axes[0][:, None]
-    bottom, delta = _profile_jets(region, x1)
+    ujets = vertical_jets(region, x1[..., None], quad.t)
     basis = []
     for coefs in np.eye(4):
         # u = t at the nodes
-        _, _, p11, p1n, pnn = _stream_jets(coefs, region.r_solve, x1, quad.t,
-                                           bottom, delta)
+        _, _, p11, p1n, pnn = _stream_jets(coefs, region.r_solve, x1, quad.t, ujets)
         basis.append(np.stack([p1n, pnn, -p11, -p1n]).reshape(2, 2, -1))
     return np.array(basis)
 
@@ -549,7 +536,7 @@ def _rayleigh(K, D, modes, coefs):
     return num[keep] / den[keep]
 
 
-def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
+def estimate_ellipticity(op, region, trials=64, seed=0):
     """Randomized lower estimate of the integral ellipticity constant.
 
     Minimum over seeded random zero-trace test fields of the Rayleigh
@@ -573,7 +560,7 @@ def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
     if op.n != region.n:
         raise OperatorError("operator and region dimensions differ")
     rng = np.random.default_rng(seed)
-    quad = _quadrature_nodes(region, grid_spec)
+    quad = _quadrature_nodes(region, ELLIPTICITY_GRID)
     ndiv = trials // 2 if (region.n == 2 and op.N == 2) else 0
     # the draws in trial order: divergence-free trials first, then sine ones
     divfree = np.array([rng.integers(-3, 4, size=4) for _ in range(ndiv)], dtype=float)
@@ -586,14 +573,14 @@ def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
     return float(quotients.min(initial=np.inf))
 
 
-def estimate_bounds(op, region, samples=(33, 17)):
+def estimate_bounds(op, region):
     """Sampled sup |A| and C2 coefficient norm over the mapped region.
 
     Returns (Lambda_est, kappa2_est): Lambda_est is the sup over samples and
     entries of |A|; kappa2_est sums, over the four tensors, the sup over
     samples of the largest entrywise |f| + |grad f| + |hess f|.
     """
-    points = _quadrature_nodes(region, samples).points
+    points = _quadrature_nodes(region, BOUNDS_GRID).points
 
     def distinct_nonzero(tensor):
         # a sup over entries needs each distinct polynomial only once

@@ -1,11 +1,11 @@
 """Exact multivariate polynomial and rational-function arithmetic.
 
-Everything downstream that claims an "exact" derivative (gap profiles,
-coefficient tensors, the vertical interpolant and its source term) is built on
-the two classes here.  Coefficients are fractions.Fraction, so values,
-gradients and Hessians of polynomial inputs carry no rounding beyond the final
-float conversion, and identities like d2u/dxn2 = 0 come out as literally zero
-polynomials instead of small numbers.
+Gap profiles, boundary traces and coefficient tensors are PolynomialFields.
+Coefficients are fractions.Fraction, so values, gradients and Hessians of
+polynomial inputs carry no rounding beyond the final float conversion.  The
+float jets of the vertical interpolant are closed form (geometry,
+auxiliary); RationalField is the exact quotient family they are checked
+against in the tests.
 
 PolynomialField   dense-by-terms polynomial in variables x1..xm
 RationalField     quotients num / den**k with a fixed base denominator, closed
@@ -266,23 +266,12 @@ class PolynomialField:
                 hess_sq = hess_sq + d.deriv(j).value_many(points) ** 2
         return value, np.sqrt(grad_sq), np.sqrt(hess_sq)
 
-    def lift(self, nvars_new, var_map=None):
-        """Embed into a larger variable set.
-
-        ``var_map[i]`` is the index of old variable i in the new set; identity
-        mapping by default (extra variables appended).
-        """
+    def lift(self, nvars_new):
+        """Embed into a larger variable set, the extra variables appended."""
         if nvars_new < self.nvars:
             raise ValueError("cannot lift to fewer variables")
-        if var_map is None:
-            var_map = list(range(self.nvars))
-        terms = {}
-        for e, c in self.terms.items():
-            e2 = [0] * nvars_new
-            for i, k in enumerate(e):
-                e2[var_map[i]] = k
-            terms[tuple(e2)] = c
-        return PolynomialField(nvars_new, terms)
+        pad = (0,) * (nvars_new - self.nvars)
+        return PolynomialField(nvars_new, {e + pad: c for e, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:
@@ -301,9 +290,10 @@ class RationalField:
 
     The vertical interpolant and everything derived from it are quotients by
     powers of the single gap polynomial, so the family {p / q**k : p poly}
-    is closed under sums, products and derivatives.  Addition requires both
-    operands to share the same base ``den`` (enforced), which keeps quotient
-    arithmetic exact without any gcd machinery.
+    is closed under sums, products and derivatives: the exact oracle for
+    their float jets.  Addition requires both operands to share the same
+    base ``den`` (enforced), which keeps quotient arithmetic exact without
+    any gcd machinery.
     """
 
     def __init__(self, num, den, power=1):

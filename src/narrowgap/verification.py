@@ -4,9 +4,9 @@ and grid-convergence studies.
 The manufactured fields are separable in the computational coordinates
 (x', t): each component is a sum of products of per-coordinate factors,
 polynomial in the tangential directions and polynomial or trigonometric in
-t.  Physical-space derivatives come from the exact chain rule through
-t = (x_n - bottom)/delta, whose jets the auxiliary module evaluates in
-closed form, so the induced source f* = L u* is exact up to rounding.  A
+t.  Physical-space derivatives come from auxiliary.chain_rule through
+t = (x_n - bottom)/delta, whose jets geometry.vertical_jets gives in closed
+form, so the induced source f* = L u* is exact up to rounding.  A
 separate nested finite-difference application of the operator, working
 purely in physical coordinates with its own stencils, cross-checks f*
 without sharing any code with the assembly path.
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import AuxiliaryEvaluator
+from .auxiliary import chain_rule
+from .geometry import vertical_coordinate, vertical_jets
 from .mesh_solver import MappedGrid, assemble, quadrature_weights, solve_system
 from .operators import apply_operator_jets
 
@@ -95,36 +96,34 @@ class SeparableField:
             self.terms.append((float(coef), tuple(factors)))
 
     def jets(self, comp_points):
-        """Value, gradient, Hessian w.r.t. computational coordinates.
+        """Value, gradient and Hessian w.r.t. the computational coordinates.
 
-        comp_points: (M, n) with t in the last slot.  Returns (M,), (M, n),
-        (M, n, n).
+        comp_points: (M, n) with t in the last slot.  Returns (M,), (n, M),
+        (n, n, M).
         """
         pts = np.asarray(comp_points, dtype=float)
         M, n = pts.shape
         val = np.zeros(M)
-        grad = np.zeros((M, n))
-        hess = np.zeros((M, n, n))
+        grad = np.zeros((n, M))
+        hess = np.zeros((n, n, M))
         for coef, factors in self.terms:
             jets = [f.jet(pts[:, d]) for d, f in enumerate(factors)]
-            v = coef * np.prod([j[0] for j in jets], axis=0)
-            val += v
+
+            def partial(*axes):
+                # coef times each factor differentiated once per listed axis
+                out = coef * np.ones(M)
+                for k, jet in enumerate(jets):
+                    out = out * jet[axes.count(k)]
+                return out
+
+            val += coef * np.prod([j[0] for j in jets], axis=0)
             for d in range(n):
-                g = coef * np.ones(M)
-                for e in range(n):
-                    g = g * (jets[e][1] if e == d else jets[e][0])
-                grad[:, d] += g
-            for d in range(n):
+                grad[d] += partial(d)
                 for e in range(d, n):
-                    h = coef * np.ones(M)
-                    for k in range(n):
-                        if d == e:
-                            h = h * (jets[k][2] if k == d else jets[k][0])
-                        else:
-                            h = h * (jets[k][1] if k in (d, e) else jets[k][0])
-                    hess[:, d, e] += h
+                    h = partial(d, e)
+                    hess[d, e] += h
                     if e != d:
-                        hess[:, e, d] += h
+                        hess[e, d] += h
         return val, grad, hess
 
 
@@ -134,57 +133,21 @@ class ManufacturedProblem:
     region: object
     fields: tuple  # SeparableField per component
 
-    def __post_init__(self):
-        self._aux = AuxiliaryEvaluator(self.region)
-
-    def _comp_coords(self, points):
-        pts = np.asarray(points, dtype=float)
-        region = self.region
-        tang = pts[:, :-1]
-        delta = region.delta_poly.value_many(tang)
-        bottom = region.bottom_poly.value_many(tang)
-        t = (pts[:, -1] - bottom) / delta
-        return np.concatenate([tang, t[:, None]], axis=-1)
-
     def jets(self, points):
         """Values, physical gradients and Hessians of u* at physical points,
-        shapes (N, M), (N, n, M) and (N, n, n, M).
-
-        Chain rule through t = ubar(x): with U the computational field,
-            du/dx_a   = U_a + U_t t_a
-            d2u/dab   = U_ab + U_at t_b + U_bt t_a + U_tt t_a t_b + U_t t_ab
-        where t_a are the exact ubar derivatives (t_nn = 0).
-        """
-        pts = np.asarray(points, dtype=float)
-        M, n = pts.shape
-        N = len(self.fields)
-        comp = self._comp_coords(pts)
-        tg = self._aux.ubar_grad(pts)        # (n, M), derivative-major
-        th = self._aux.ubar_hess(pts)        # (n, n, M)
-        vals = np.zeros((N, M))
-        grads = np.zeros((N, n, M))
-        hesss = np.zeros((N, n, n, M))
-        for i, f in enumerate(self.fields):
+        shapes (N, M), (N, n, M) and (N, n, n, M): the jets of each field in
+        (x', t) carried to x by auxiliary.chain_rule."""
+        tang, t = vertical_coordinate(self.region, points)
+        tjets = vertical_jets(self.region, tang, t)
+        comp = np.concatenate([tang, t[:, None]], axis=-1)
+        vals, grads, hesss = [], [], []
+        for f in self.fields:
             V, G, H = f.jets(comp)
-            Ut = G[:, -1]
-            Utt = H[:, -1, -1]
-            vals[i] = V
-            for a in range(n):
-                base = G[:, a] if a < n - 1 else 0.0
-                grads[i, a] = base + Ut * tg[a]
-            for a in range(n):
-                for b in range(a, n):
-                    term = Ut * th[a, b] + Utt * tg[a] * tg[b]
-                    if a < n - 1 and b < n - 1:
-                        term = term + H[:, a, b] \
-                            + H[:, a, -1] * tg[b] + H[:, b, -1] * tg[a]
-                    elif a < n - 1:  # b == n-1 physical vertical
-                        term = term + H[:, a, -1] * tg[b]
-                    elif b < n - 1:
-                        term = term + H[:, b, -1] * tg[a]
-                    hesss[i, a, b] = term
-                    hesss[i, b, a] = term
-        return vals, grads, hesss
+            grad, hess = chain_rule(G, H, *tjets)
+            vals.append(V)
+            grads.append(grad)
+            hesss.append(hess)
+        return np.array(vals), np.array(grads), np.array(hesss)
 
     def values(self, points):
         return self.jets(points)[0]

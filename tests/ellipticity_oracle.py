@@ -10,8 +10,8 @@ each Rayleigh quotient from one multiply-then-dot per nonzero entry of A.
 The code is kept verbatim from that version, docstrings and comments aside,
 as an oracle for the quadrature arrays, the Gram matrices and the measured
 constants, in the same way as ``solver_oracle`` keeps the earlier solver
-layer.  The sine tables, the profile jets and the stream-function jets are
-shared with the library.
+layer.  The sine tables, the jets of the vertical coordinate and the
+stream-function jets are shared with the library.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from narrowgap.operators import (_SINE_KMAX, OperatorError, _profile_jets,
-                                 _sine_tables, _stream_jets, _trapezoid_weights)
+from narrowgap.geometry import vertical_jets
+from narrowgap.operators import (_SINE_KMAX, OperatorError, _sine_tables,
+                                 _stream_jets, _trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -86,9 +87,9 @@ def _sine_candidate(rng, tables, quad, N, nmodes=3):
     return grad
 
 
-def _divfree_candidate(rng, r, x1, u, bottom, delta):
+def _divfree_candidate(rng, r, x1, u, ujets):
     coefs = rng.integers(-3, 4, size=4)
-    _, _, p11, p1n, pnn = _stream_jets(coefs, r, x1, u, bottom, delta)
+    _, _, p11, p1n, pnn = _stream_jets(coefs, r, x1, u, ujets)
     return np.stack([p1n, pnn, -p11, -p1n]).reshape(2, 2, -1)
 
 
@@ -120,12 +121,12 @@ def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
     ndiv = trials // 2 if (region.n == 2 and op.N == 2) else 0
     if ndiv:
         x1 = quad.axes[0][:, None]
-        bottom, delta = _profile_jets(region, x1)
+        ujets = vertical_jets(region, x1[..., None], quad.t)
     tables = _sine_tables(region, quad)
     best = np.inf
     for k in range(trials):
         if k < ndiv:
-            grad = _divfree_candidate(rng, region.r_solve, x1, quad.t, bottom, delta)
+            grad = _divfree_candidate(rng, region.r_solve, x1, quad.t, ujets)
         else:
             grad = _sine_candidate(rng, tables, quad, op.N)
         q = rayleigh(grad)

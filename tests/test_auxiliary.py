@@ -6,12 +6,17 @@ import pytest
 from narrowgap import (
     AuxiliaryEvaluator,
     BoundaryData,
+    GapProfile,
     NarrowRegion,
+    OperatorError,
     PolynomialField,
+    RationalField,
+    apply_operator_jets,
     check_derivative_bounds,
     make_builtin,
     parse_expression,
 )
+from narrowgap.geometry import vertical_jets
 
 from conftest import flat_profile, mismatch_data, p1, quad_profile
 
@@ -96,18 +101,29 @@ def test_ftilde_flat_constant_data_vanishes():
     assert val[0, 0] == pytest.approx(0.0, abs=1e-14)
 
 
+def test_ftilde_rejects_mismatched_operator(reg):
+    data = BoundaryData((p1("x1"),), (p1("0"),))
+    pts = np.array([[0.1, 0.0]])
+    for op in (make_builtin("laplace", n=3), make_builtin("lame", n=2)):
+        with pytest.raises(OperatorError):
+            AuxiliaryEvaluator(reg, data, op=op).ftilde_values(pts)
+
+
 def test_derivative_bound_constants_frozen(reg):
-    data = mismatch_data(make_builtin("laplace", n=2))
-    rep = check_derivative_bounds(reg, data)
-    consts = rep.constants()
-    assert consts["c23"] == pytest.approx(1.0, rel=1e-9)
-    assert consts["c26"] == pytest.approx(1.0, rel=1e-9)
-    assert consts["c27_lower"] == pytest.approx(1.0, rel=1e-9)
-    assert consts["c27_upper"] == pytest.approx(1.0, rel=1e-9)
-    assert consts["c28"] == pytest.approx(2.636363636364, rel=1e-9)
-    assert consts["c29"] == pytest.approx(2.0, rel=1e-9)
-    assert rep.c24_residual == 0.0
-    assert rep.c210_residual == 0.0
+    # on the quadratic gap the 3-D constants are the 2-D ones
+    reg3 = NarrowRegion(n=3, epsilon=0.1, profile=quad_profile(2))
+    for region in (reg, reg3):
+        data = mismatch_data(make_builtin("laplace", n=region.n))
+        rep = check_derivative_bounds(region, data)
+        consts = rep.constants()
+        assert consts["c23"] == pytest.approx(1.0, rel=1e-9)
+        assert consts["c26"] == pytest.approx(1.0, rel=1e-9)
+        assert consts["c27_lower"] == pytest.approx(1.0, rel=1e-9)
+        assert consts["c27_upper"] == pytest.approx(1.0, rel=1e-9)
+        assert consts["c28"] == pytest.approx(2.636363636364, rel=1e-9)
+        assert consts["c29"] == pytest.approx(2.0, rel=1e-9)
+        assert rep.c24_residual == 0.0
+        assert rep.c210_residual == 0.0
 
 
 def test_derivative_bound_constants_stable_in_epsilon():
@@ -152,3 +168,68 @@ def test_boundary_data_validation():
     with pytest.raises(ValueError):
         deg9 = parse_expression("x1^9", nvars=1)
         BoundaryData((deg9,), (p1("0"),))
+
+
+def exact_auxiliary(region, data, op):
+    """ubar, utilde and ftilde = -L[utilde] built in exact rational
+    arithmetic: the jets (value, gradient, Hessian) of ubar and of each
+    utilde component, and the ftilde components."""
+    n = region.n
+    den = region.delta_poly.lift(n)
+    ubar = RationalField(PolynomialField.variable(n, n - 1)
+                         - region.bottom_poly.lift(n), den, 1)
+
+    def jets(f):
+        grad = [f.deriv(a) for a in range(n)]
+        return f, grad, [[g.deriv(b) for b in range(n)] for g in grad]
+
+    utilde = [jets(ubar * (gp.lift(n) - gm.lift(n)) + gm.lift(n))
+              for gp, gm in zip(data.g_plus, data.g_minus)]
+    zero = RationalField.from_poly(PolynomialField.zero(n), den)
+    ftilde = [-f for f in apply_operator_jets(op, utilde, zero)]
+    return jets(ubar), utilde, ftilde
+
+
+def values(fields, points):
+    return np.array([values(f, points) if isinstance(f, (list, tuple))
+                     else f.value_many(points) for f in fields])
+
+
+def assert_rel(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_jets_match_exact_rationals(n):
+    # curved profiles of each dimension, Lame with full polynomial traces
+    h1, h2, gp, gm = {
+        2: ("0.5*x1^2 + 0.3*x1^4", "-x1^2 + 0.2*x1^3",
+            ("1 + x1^3", "0.5*x1"), ("0.5*x1 - x1^2", "x1^2")),
+        3: ("0.5*x1^2 + 0.3*x1^4 + 0.5*x2^2", "-x1^2 + 0.2*x1^3 - x2^2 + 0.1*x1*x2^2",
+            ("1 + x1*x2", "x1^2 - 0.5*x2", "x2^3"), ("x1", "0", "x1^2*x2")),
+    }[n]
+    nd = n - 1
+    poly = [parse_expression(text, nvars=nd) for text in (h1, h2)]
+    region = NarrowRegion(n=n, epsilon=0.1, profile=GapProfile(
+        poly[0], poly[1], kappa0=1.0, kappa1=10.0))
+    data = BoundaryData(*([parse_expression(text, nvars=nd) for text in side]
+                          for side in (gp, gm)))
+    op = make_builtin("lame", n=n, lame_mu=1.0, lame_lambda=1.5)
+    rng = np.random.default_rng(n)
+    tang = rng.uniform(-0.6, 0.6, size=(40, nd))
+    t = rng.uniform(0.0, 1.0, size=40)
+    xn = region.bottom_poly.value_many(tang) + t * region.delta_poly.value_many(tang)
+    pts = np.concatenate([tang, xn[:, None]], axis=-1)
+
+    (ubar, ubar_grad, ubar_hess), utilde, ftilde = exact_auxiliary(region, data, op)
+    grad, hess = vertical_jets(region, tang, t)
+    assert_rel(grad, values(ubar_grad, pts))
+    assert_rel(hess, values(ubar_hess, pts))
+    aux = AuxiliaryEvaluator(region, data, op=op)
+    assert_rel(aux.ubar_values(pts), ubar.value_many(pts))
+    assert_rel(aux.ubar_grad(pts), values(ubar_grad, pts))
+    assert_rel(aux.ubar_hess(pts), values(ubar_hess, pts))
+    assert_rel(aux.utilde_values(pts), values([u for u, _, _ in utilde], pts))
+    assert_rel(aux.utilde_grad(pts), values([g for _, g, _ in utilde], pts))
+    assert_rel(aux.ftilde_values(pts), values(ftilde, pts))

@@ -547,15 +547,25 @@ def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, jo
     assert pools == []
 
 
+LAME_CFG = QUAD_CFG + 'g_plus.2 = "0"\ng_minus.2 = "0"\n' + \
+    "[operator]\nkind = lame\nmu = 1.0\nlam = 1.0\n"
+LAME3D_CFG = QUAD3D_CFG + 'g_plus.2 = "0"\ng_minus.2 = "0"\n' + \
+    'g_plus.3 = "0"\ng_minus.3 = "0"\n' + "[operator]\nkind = lame\n"
+
+
 @pytest.mark.parametrize("args, text", [
     (["solve"], QUAD_CFG),
     (["solve", "--epsilon", "0.1"], QUAD3D_CFG + "[solver]\nnx = 9\nnt = 9\n"),
     (["sweep", "--epsilons", "0.1,0.05,0.025"], QUAD_CFG),
-], ids=["solve2d", "solve3d", "sweep2d"])
+    (["validate"], LAME_CFG),
+    (["validate"], LAME3D_CFG),
+    (["mms", "--grids", "9,17,33"], LAME_CFG),
+], ids=["solve2d", "solve3d", "sweep2d", "validate2d-lame", "validate3d",
+        "mms2d-lame"])
 def test_run_path_evaluates_no_rational_field(tmp_path, capsys, monkeypatch,
                                               args, text):
-    # the nodal utilde comes from the traces alone: solve and sweep never
-    # evaluate the exact rationals of the auxiliary fields
+    # no command evaluates an exact rational: the nodal utilde comes from
+    # the traces, and every jet of the vertical coordinate is closed form
     calls = []
     value_many = RationalField.value_many
     monkeypatch.setattr(RationalField, "value_many",

@@ -27,9 +27,9 @@ import ellipticity_oracle as oracle
 from narrowgap import (GapProfile, NarrowRegion, PolynomialField,
                        estimate_bounds, estimate_ellipticity, make_builtin,
                        parse_expression)
+from narrowgap.geometry import vertical_jets
 from narrowgap.operators import (_SINE_KMAX, EllipticOperator, _divfree_grams,
-                                 _profile_jets, _quadrature_nodes, _sine_grams,
-                                 _sine_tables)
+                                 _quadrature_nodes, _sine_grams, _sine_tables)
 
 REL = 1e-13
 
@@ -138,9 +138,9 @@ def test_divfree_grams_match_nodal_sums(kind):
     K, D = _divfree_grams(op, region, _quadrature_nodes(region, (49, 25)))
     quad = oracle._quadrature_nodes(region, (49, 25))
     x1 = quad.axes[0][:, None]
-    bottom, delta = _profile_jets(region, x1)
+    ujets = vertical_jets(region, x1[..., None], quad.t)
     basis = np.array([oracle._divfree_candidate(_Draws(e), region.r_solve, x1,
-                                                quad.t, bottom, delta)
+                                                quad.t, ujets)
                       for e in np.eye(4)])  # [q, i, a, node]
     _assert_gram(D, np.einsum("qiam,riam->qr", basis * quad.weights, basis))
     want = sum(_nodal_gram(op, quad, basis[:, i], basis[:, j], i, j)

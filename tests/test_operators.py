@@ -18,8 +18,8 @@ from narrowgap import (
     make_builtin,
     parse_expression,
 )
-from narrowgap.operators import (_divfree_basis, _profile_jets,
-                                 _quadrature_nodes, _stream_jets)
+from narrowgap.geometry import vertical_jets
+from narrowgap.operators import _divfree_basis, _quadrature_nodes, _stream_jets
 
 from conftest import p1, quad_profile
 
@@ -164,7 +164,7 @@ def exact_divfree_field(coefs, region, points):
 def test_divfree_candidate_matches_exact_construction(reg_curved, seed):
     quad = _quadrature_nodes(reg_curved, (49, 25))
     x1 = quad.axes[0][:, None]
-    bottom, delta = _profile_jets(reg_curved, x1)
+    ujets = vertical_jets(reg_curved, x1[..., None], quad.t)
     coefs = np.random.default_rng(seed).integers(-3, 4, size=4)
     # the candidate's gradient as the combination of the basis gradients
     grad = np.tensordot(coefs, _divfree_basis(reg_curved, quad), axes=1)
@@ -175,8 +175,7 @@ def test_divfree_candidate_matches_exact_construction(reg_curved, seed):
     # zero divergence by construction
     assert np.all(grad[0, 0] + grad[1, 1] == 0)
 
-    p_1, p_n, _, _, _ = _stream_jets(coefs, reg_curved.r_solve, x1, quad.t,
-                                     bottom, delta)
+    p_1, p_n, _, _, _ = _stream_jets(coefs, reg_curved.r_solve, x1, quad.t, ujets)
     field = np.stack([p_n, -p_1])
     assert np.abs(field.reshape(2, -1) - field_ex).max() \
         <= 1e-10 * np.abs(field_ex).max()
