@@ -16,8 +16,6 @@ density delta(x') int |grad w|^2 dt over its window (see energy).
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,10 +47,8 @@ __all__ = [
 ]
 
 
-# sweep grid rule nx ~ NX_BASE * sqrt(EPS_BASE / eps), capped at NX_CAP
+# tangential node count of every sweep member (sweep_grid)
 NX_BASE = 45
-EPS_BASE = 0.1
-NX_CAP = 129
 # largest relative drift of a sweep metric between a member's grid and the
 # half-resolution check grid
 RICHARDSON_TOL = 0.02
@@ -93,8 +89,11 @@ def gradient(solution, grid=None):
 
     Interior stencils are second-order central in the computational
     coordinates (np.gradient with edge_order=2, one-sided second order at
-    the boundary rows), combined with the exact metric: d/dxn = (1/delta)
-    d/dt and d/dx_a = d/dx_a|comp - (dT_a/delta) d/dt.
+    the boundary rows), combined with the metric: d/dxn = (1/delta) d/dt
+    and d/dx_a = (1/X'_a) d/dxi_a - (dT_a/delta) d/dt.  Here X'_a is the
+    same difference of the node coordinates x_a(xi_a), so the gradient of
+    a field linear in x' is exact on a graded axis too (and X' = 1 on a
+    uniform one).
     """
     if grid is None:
         grid = solution.grid
@@ -104,13 +103,16 @@ def gradient(solution, grid=None):
     n = grid.n
     delta = grid.reshape(grid.delta_flat)
     dT = [grid.reshape(grid.dT_flat[a]) for a in range(nd)]
+    slope = (np.gradient(grid.axes[0], grid.hx[0], edge_order=2)
+             / np.gradient(grid.xi, grid.hx[0], edge_order=2))
+    dX = [slope.reshape([-1 if d == a else 1 for d in range(n)]) for a in range(nd)]
     out = np.zeros((N, n) + grid.dims)
     for j in range(N):
         comp = [np.gradient(vals[j], grid.hx[d], axis=d, edge_order=2)
                 for d in range(nd + 1)]
         dn = comp[nd] / delta
         for a in range(nd):
-            out[j, a] = comp[a] - dT[a] * dn
+            out[j, a] = comp[a] / dX[a] - dT[a] * dn
         out[j, nd] = dn
     return GradientField(values=out, grid=grid, solution=solution)
 
@@ -176,12 +178,13 @@ def _chord_integrals(rows, x2, xs, c, s, ra):
     """Exact integral of each piecewise-linear row ``rows[j]`` (the column
     density at x1 = xs[j] on the x2 nodes) over the chord that the window
     |x' - c| < s and the disk |x'| <= ra cut at that x1: the difference of the
-    row's cumulative trapezoid at the chord's ends."""
+    row's cumulative trapezoid at the chord's ends.  The x2 nodes need not
+    be uniform."""
     hw = np.sqrt(np.maximum(s**2 - (xs - c[0]) ** 2, 0.0))
     ha = np.sqrt(np.maximum(ra**2 - xs**2, 0.0))
     a = np.maximum(np.maximum(c[1] - hw, -ha), x2[0])
     b = np.maximum(np.minimum(np.minimum(c[1] + hw, ha), x2[-1]), a)
-    h = x2[1] - x2[0]
+    h = np.diff(x2)
     cum = np.zeros_like(rows)
     cum[:, 1:] = np.cumsum(0.5 * h * (rows[:, 1:] + rows[:, :-1]), axis=1)
     j = np.arange(len(xs))
@@ -190,7 +193,7 @@ def _chord_integrals(rows, x2, xs, c, s, ra):
         k = np.minimum(np.searchsorted(x2, x, side="right") - 1, len(x2) - 2)
         d = x - x2[k]
         r0, r1 = rows[j, k], rows[j, k + 1]
-        return cum[j, k] + d * (r0 + 0.5 * (r1 - r0) * d / h)
+        return cum[j, k] + d * (r0 + 0.5 * (r1 - r0) * d / h[k])
 
     return primitive(b) - primitive(a)
 
@@ -388,16 +391,15 @@ class SweepProblem:
 
 
 def sweep_grid(eps):
-    """Tangential resolution growing like 1/sqrt(eps), kept odd and capped.
+    """The tangential node count of a sweep member at ``eps``: NX_BASE at
+    every eps.
 
-    The sqrt scaling tracks the width of the transition band |x'| ~ sqrt(eps)
-    that the two-regime pointwise bounds hinge on.
+    The grid's tangential map (mesh_solver.tangential_map) follows eps
+    instead: it is uniform for eps >= 0.1 and below clusters the nodes at
+    x' = 0, where the window |x'| < delta(0) = eps and the transition band
+    |x'| ~ sqrt(eps) of the two-regime pointwise bounds lie.
     """
-    nx = int(round(NX_BASE * math.sqrt(EPS_BASE / eps)))
-    nx = min(nx, NX_CAP)
-    if nx % 2 == 0:
-        nx += 1
-    return max(nx, 9)
+    return NX_BASE
 
 
 def _metric_value(grad_u, metric, R0):
@@ -469,6 +471,9 @@ def sweep_and_fit(problem, eps_list, metric="center_grad", nx=None, jobs=1):
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:
+        # imported here: only a parallel sweep needs them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             results = list(pool.map(sweep_member, *zip(*args)))

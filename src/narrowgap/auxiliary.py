@@ -146,21 +146,28 @@ class AuxiliaryEvaluator:
     def _utilde_jets(self, points):
         """Values (N, ...), gradients (N, n, ...) and Hessians (N, n, n, ...)
         of utilde at ``points``."""
-        tang, t = vertical_coordinate(self.region, points)
+        return self._utilde_jets_at(*vertical_coordinate(self.region, points))
+
+    def _utilde_jets_at(self, tang, t):
+        """_utilde_jets at the tangential points ``tang`` (..., n-1) and the
+        levels ``t``, which broadcast against tang's leading axes (not only
+        its last one, as the jets put derivative axes in front): every
+        polynomial is evaluated on ``tang`` only."""
         tjets = vertical_jets(self.region, tang, t)
+        shape = tjets[0].shape[1:]
         nd = self.region.nd
         vals, grads, hesss = [], [], []
         for l, gm in enumerate(self.data.g_minus):
             (gm0, gm1, gm2), (m0, m1, m2) = (
                 _poly_jets(p, tang) for p in (gm, self.data.mismatch_poly(l)))
-            dU = np.empty((nd + 1,) + t.shape)
-            d2U = np.zeros((nd + 1, nd + 1) + t.shape)
+            dU = np.empty((nd + 1,) + shape)
+            d2U = np.zeros((nd + 1, nd + 1) + shape)
             dU[:nd] = gm1 + t * m1
             dU[nd] = m0
             d2U[:nd, :nd] = gm2 + t * m2
             d2U[:nd, nd] = d2U[nd, :nd] = m1
             grad, hess = chain_rule(dU, d2U, *tjets)
-            vals.append(gm0 + t * m0)
+            vals.append(np.broadcast_to(gm0 + t * m0, shape))
             grads.append(grad)
             hesss.append(hess)
         return np.array(vals), np.array(grads), np.array(hesss)
@@ -237,38 +244,34 @@ def check_derivative_bounds(region, data):
 
     The sample cloud is the 129^(n-1) tangential grid points inside the ball
     |x'| <= r_solve, each crossed with 9 uniform levels through the gap.
-    Pointwise quantities use the closed-form jets of AuxiliaryEvaluator;
-    the right-hand sides use the sampled data norms.
+    Pointwise quantities use the closed-form jets of AuxiliaryEvaluator at
+    (x', t), every x'-only polynomial evaluated once per tangential point
+    and broadcast over the levels; the right-hand sides use the sampled
+    data norms.
     """
     mx, mt = BOUND_SAMPLES
     nd, n = region.nd, region.n
     tang = _sample_ball(nd, region.r_solve, mx)
-    tlev = np.linspace(0.0, 1.0, mt)
-    delta = region.delta_poly.value_many(tang)
-    bottom = region.bottom_poly.value_many(tang)
-    pts = []
-    for t in tlev:
-        xn = bottom + t * delta
-        pts.append(np.concatenate([tang, xn[:, None]], axis=-1))
-    pts = np.concatenate(pts, axis=0)
-    tang_rep = np.tile(tang, (mt, 1))
-    r2 = (tang_rep**2).sum(axis=-1)
+    shape = (mt, len(tang))
+    t = np.linspace(0.0, 1.0, mt)[:, None]
+    r2 = np.broadcast_to((tang**2).sum(axis=-1), shape)
     r = np.sqrt(r2)
     peak = region.epsilon + r2
 
     ev = AuxiliaryEvaluator(region, data)
-    report = BoundShapeReport(epsilon=region.epsilon, n_samples=len(pts))
+    report = BoundShapeReport(epsilon=region.epsilon, n_samples=r.size)
 
-    ug, uh = vertical_jets(region, *vertical_coordinate(region, pts))
+    # tang[None] keeps the derivative axes of every jet clear of the levels
+    ug, uh = vertical_jets(region, tang[None], t)
     report.c23 = max(
         _ratio_max(np.abs(ug[a]) * peak, r) for a in range(nd)
     )
     report.c24_residual = float(np.abs(uh[n - 1, n - 1]).max())
 
     norms = data.norms()
-    _, grads, hesss = ev._utilde_jets(pts)
+    _, grads, hesss = ev._utilde_jets_at(tang[None], t)
     for l, (d1, d2) in enumerate(zip(grads, hesss)):
-        mm = np.abs(data.mismatch_poly(l).value_many(tang_rep))
+        mm = np.broadcast_to(np.abs(data.mismatch_poly(l).value_many(tang)), shape)
         n1 = float(norms["plus"]["c1"][l] + norms["minus"]["c1"][l])
         n2 = float(norms["plus"]["c2"][l] + norms["minus"]["c2"][l])
         tang_mag = np.sqrt(sum(d1[a] ** 2 for a in range(nd)))

@@ -2,19 +2,25 @@
 
 The vertical coordinate is t = (xn - bottom(x')) / delta(x'), so the domain
 becomes the unit box in (x', t) and the gap thickness moves into the metric.
-With T(x', t) = bottom + t*delta the physical derivatives of a field known in
+Each tangential axis is mapped as well: x_a = X(xi_a) with xi_a uniform, the
+same one-dimensional stretching X on every axis (tangential_map).  It is the
+identity for eps >= EPS_BASE and clusters nodes at x' = 0 below.  With
+T(x', t) = bottom + t*delta the physical derivatives of a field known in
 computational coordinates are
 
     d/dxn     = (1/delta) d/dt
-    d/dx_a    = d/dx_a|comp - (dT_a/delta) d/dt,     dT_a = d bottom/dx_a + t d delta/dx_a.
+    d/dx_a    = (1/X'_a) d/dxi_a - (dT_a/delta) d/dt,   dT_a = d bottom/dx_a + t d delta/dx_a.
 
 The divergence-form operator transforms conservatively: multiplying by the
-Jacobian delta, the equation becomes sum_a dG_a/dy_a + delta*(lower order) =
-delta*f with computational fluxes G_a = delta*F_a (tangential) and
-G_t = F_n - sum_a dT_a F_a, where F are the physical fluxes A du + B u.
-Assembly discretizes each G at cell faces with compact differences in the
-face direction and averaged central differences across it, then differences
-the fluxes back to nodes: second order, exact for fields linear in the
+Jacobian J = delta * prod_b X'_b, the equation becomes
+sum_a dG_a/dxi_a + dG_t/dt + J*(lower order) = J*f with computational
+fluxes G_a = delta * prod_{b != a} X'_b * F_a (tangential) and
+G_t = prod_b X'_b * (F_n - sum_a dT_a F_a), where F are the physical
+fluxes A du + B u.  Every metric factor is diagonal per axis, so the
+stencils and the unknown ordering do not depend on the map.  Assembly
+discretizes each G at cell faces with compact differences in the face
+direction and averaged central differences across it, then differences the
+fluxes back to nodes: second order, exact for fields linear in the
 computational coordinates.  Only interior nodes get equations; the Dirichlet
 values of the boundary nodes enter through the coupling block A_IB.
 
@@ -26,6 +32,7 @@ LU of the vertical column blocks: no restart and no coarse level.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +51,17 @@ __all__ = [
     "solve_system",
     "solve_dirichlet",
     "quadrature_weights",
+    "tangential_map",
 ]
 
 # iteration cap of the 3-D BiCGSTAB
 KRYLOV_MAX_ITERS = 500
+# the tangential map is the identity for eps >= EPS_BASE.  Below, its
+# spacing at x' = 0 is (eps/EPS_BASE)^GRADING times the uniform one and stays
+# close to that over a core |x'| < CORE*sqrt(eps) (tangential_map)
+EPS_BASE = 0.1
+GRADING = 1.0
+CORE = 1.2
 
 
 class SolverError(RuntimeError):
@@ -60,12 +74,50 @@ class SolverError(RuntimeError):
         return SolverError, (str(self), self.residual_history)
 
 
+def tangential_map(xi, r, eps):
+    """x' = X(xi) and its slope X'(xi) on [-r, r] for gap width ``eps``.
+
+    X(xi) = r F(xi)/F(r) with F(xi) = xi - s w tanh(xi/w): odd, increasing
+    and fixing 0 and +-r exactly.  X' = r (1 - s sech^2(xi/w))/F(r) is
+    c = (eps/EPS_BASE)^GRADING at the centre (s is chosen so) and rises to a
+    constant over |xi| ~ w = CORE sqrt(eps)/c.  So the spacing is about c
+    times the uniform one over the core |x'| < CORE sqrt(eps), where the
+    window |x'| < eps and the transition band |x'| ~ sqrt(eps) lie, and 1.4
+    (eps = 0.05) to 2.6 (eps = 0.00625) times the uniform one near +-r for
+    r = 1.  For eps >= EPS_BASE (c >= 1) X is exactly the identity: ``xi``
+    itself and X' = 1.  A one-dimensional stretching function in the sense
+    of Vinokur (J. Comput. Phys. 50, 1983).
+
+    >>> xi = np.linspace(-1.0, 1.0, 5)
+    >>> tangential_map(xi, 1.0, 0.1)[0] is xi
+    True
+    >>> x, dx = tangential_map(xi, 1.0, 0.025)
+    >>> print(np.round(x, 4), np.round(dx, 4))
+    [-1.   -0.26  0.    0.26  1.  ] [1.8924 0.9803 0.25   0.9803 1.8924]
+    """
+    c = (eps / EPS_BASE) ** GRADING
+    if c >= 1.0:
+        return xi, np.ones_like(xi)
+    w = CORE * math.sqrt(eps) / c
+    s = r * (1.0 - c) / (r - c * w * math.tanh(r / w))
+    th = np.tanh(xi / w)
+    # the same operations as F at xi = r, so that X(+-r) = +-r exactly
+    f_r = r - s * w * np.tanh(r / w)
+    return r * ((xi - s * w * th) / f_r), r * ((1.0 - s * (1.0 - th * th)) / f_r)
+
+
 class MappedGrid:
     """Tensor grid over (x', t) in [-r_solve, r_solve]^(n-1) x [0, 1].
 
     nx nodes per tangential direction, nt vertical levels, both odd so the
-    center column x' = 0 and the mid level t = 1/2 are nodes.  Caches the gap
-    geometry and metric arrays every consumer needs.
+    center column x' = 0 and the mid level t = 1/2 are nodes.  The nodes are
+    uniform in (xi, t); each tangential axis holds x' = X(xi) of
+    tangential_map, which depends on the region only (its epsilon and
+    r_solve), so every grid of one region shares the map.  ``xi`` are the
+    computational tangential nodes, ``axes`` the physical node coordinates,
+    ``hx`` the uniform computational spacings, ``dX`` X' at the nodes,
+    ``faces`` X at the cell faces xi_{i+1/2} and ``dX_faces`` X' there.
+    Caches the gap geometry and metric arrays every consumer needs.
     """
 
     def __init__(self, region, nx, nt):
@@ -78,15 +130,19 @@ class MappedGrid:
         self.nd = nd
         self.n = region.n
         self.dims = (self.nx,) * nd + (self.nt,)
-        self.axes = [np.linspace(-region.r_solve, region.r_solve, nx) for _ in range(nd)]
-        self.axes.append(np.linspace(0.0, 1.0, nt))
-        self.hx = [ax[1] - ax[0] for ax in self.axes]
+        r, eps = region.r_solve, region.epsilon
+        self.xi = np.linspace(-r, r, nx)
+        x, self.dX = tangential_map(self.xi, r, eps)
+        self.faces, self.dX_faces = tangential_map(
+            0.5 * (self.xi[:-1] + self.xi[1:]), r, eps)
+        self.axes = [x] * nd + [np.linspace(0.0, 1.0, nt)]
+        self.hx = [self.xi[1] - self.xi[0]] * nd + [self.axes[nd][1] - self.axes[nd][0]]
 
-        # delta, bottom and their slopes depend on x' only: evaluate them once
-        # per column and repeat over the levels
-        self._columns = _column_values(region, self.axes[:nd])
-        self.tang, self.tvals, self.delta_flat, self.xn_flat, self.dT_flat = \
-            _stack_levels(self._columns, self.axes[nd])
+        # delta, bottom, their slopes and X' depend on x' only: evaluate them
+        # once per column and repeat over the levels
+        self._columns = _column_values(region, self.axes[:nd], [self.dX] * nd)
+        self.tang, self.tvals, self.delta_flat, self.xn_flat, self.dT_flat, \
+            self.dX_flat = _stack_levels(self._columns, self.axes[nd])
         self.points = np.concatenate([self.tang, self.xn_flat[:, None]], axis=-1)
 
         idx = np.unravel_index(np.arange(self.nodes), self.dims)
@@ -116,31 +172,39 @@ class MappedGrid:
     def center_index(self):
         return (self.nx // 2,) * self.nd
 
+    @property
+    def jacobian_flat(self):
+        """delta * prod_a X'_a at every node: dx = jacobian dxi dt."""
+        return self.delta_flat * np.prod(self.dX_flat, axis=0)
 
-def _column_values(region, tang_axes):
+
+def _column_values(region, tang_axes, stretch_axes):
     """The C-ordered tensor columns over ``tang_axes`` with delta, bottom,
-    d bottom/dx_a and d delta/dx_a evaluated there."""
+    d bottom/dx_a, d delta/dx_a and the map's X'_a (``stretch_axes``, one
+    1-D array per axis) there."""
     grids = np.meshgrid(*tang_axes, indexing="ij")
     cols = np.stack([g.ravel() for g in grids], axis=-1)  # (columns, nd)
     delta, bottom = region.delta_poly, region.bottom_poly
     nd = len(tang_axes)
     return (cols, delta.value_many(cols), bottom.value_many(cols),
             [bottom.deriv(a).value_many(cols) for a in range(nd)],
-            [delta.deriv(a).value_many(cols) for a in range(nd)])
+            [delta.deriv(a).value_many(cols) for a in range(nd)],
+            [g.ravel() for g in np.meshgrid(*stretch_axes, indexing="ij")])
 
 
 def _stack_levels(columns, tax):
     """Column values repeated over the levels ``tax``, t fastest: flattened
-    tangential points, t, delta, xn = bottom + t*delta and dT (nd, M) with
-    dT_a = d bottom/dx_a + t d delta/dx_a."""
-    cols, delta_c, bottom_c, dbottom_c, ddelta_c = columns
+    tangential points, t, delta, xn = bottom + t*delta, dT (nd, M) with
+    dT_a = d bottom/dx_a + t d delta/dx_a, and X' (nd, M)."""
+    cols, delta_c, bottom_c, dbottom_c, ddelta_c, dX_c = columns
     m = len(tax)
     tvals = np.tile(tax, len(cols))
     delta = np.repeat(delta_c, m)
     xn = np.repeat(bottom_c, m) + tvals * delta
     dT = np.stack([np.repeat(db, m) + tvals * np.repeat(dd, m)
                    for db, dd in zip(dbottom_c, ddelta_c)], axis=0)
-    return np.repeat(cols, m, axis=0), tvals, delta, xn, dT
+    dX = np.stack([np.repeat(g, m) for g in dX_c], axis=0)
+    return np.repeat(cols, m, axis=0), tvals, delta, xn, dT, dX
 
 
 def build_grid(region, nx, nt):
@@ -148,8 +212,9 @@ def build_grid(region, nx, nt):
 
 
 def quadrature_weights(grid):
-    """Flattened trapezoid weights including the delta(x') Jacobian, so that
-    (w * field).sum() approximates the physical-domain integral."""
+    """Flattened trapezoid weights in (xi, t) times the Jacobian
+    delta(x') * prod_a X'_a, so that (w * field).sum() approximates the
+    physical-domain integral."""
     w = np.ones(grid.dims)
     ndim = len(grid.dims)
     for d in range(ndim):
@@ -159,7 +224,7 @@ def quadrature_weights(grid):
         shape = [1] * ndim
         shape[d] = grid.dims[d]
         w = w * wd.reshape(shape)
-    return w.ravel() * grid.delta_flat
+    return w.ravel() * grid.jacobian_flat
 
 
 @dataclass
@@ -195,22 +260,24 @@ def _face_geometry(grid, a):
     """Coordinates and metric arrays at the faces of family ``a``.
 
     a is a dim index (tangential 0..nd-1, or nd for the vertical family).
-    Returns flattened face physical points, delta, dT in C-order over the
-    face grid (the node grid with one node fewer along a).  Vertical faces
-    sit on the node columns, so they reuse the grid's column values.
+    Returns flattened face physical points, delta, dT and X' (nd, M) in
+    C-order over the face grid (the node grid with one node fewer along a).
+    Tangential faces sit at x_a = X(xi_{i+1/2}), with X'_a taken there.
+    Vertical faces sit on the node columns, so they reuse the grid's column
+    values.
     """
     nd = grid.nd
     tax = grid.axes[nd]
     if a < nd:
-        axes = list(grid.axes[:nd])
-        axes[a] = 0.5 * (axes[a][:-1] + axes[a][1:])
-        columns = _column_values(grid.region, axes)
+        axes, stretch = list(grid.axes[:nd]), [grid.dX] * nd
+        axes[a], stretch[a] = grid.faces, grid.dX_faces
+        columns = _column_values(grid.region, axes, stretch)
     else:
         columns = grid._columns
         tax = 0.5 * (tax[:-1] + tax[1:])
-    tang, _, delta, xn, dT = _stack_levels(columns, tax)
+    tang, _, delta, xn, dT, dX = _stack_levels(columns, tax)
     points = np.concatenate([tang, xn[:, None]], axis=-1)
-    return points, delta, dT
+    return points, delta, dT, dX
 
 
 def boundary_values(grid, data, lateral_closure="utilde"):
@@ -261,15 +328,15 @@ def _conormal_weight(coeffs, a, points, delta, dT):
     return w
 
 
-def _computational(W, delta, dT):
+def _computational(W, delta, dT, dX):
     """Weights W_b of the physical derivatives d/dx_b rewritten as weights of
-    the computational derivatives d/dy_c, with d/dx_a = d/dy_a - (dT_a/delta)
-    d/dt and d/dxn = (1/delta) d/dt."""
+    the computational derivatives d/dxi_a and d/dt, with d/dx_a =
+    (1/X'_a) d/dxi_a - (dT_a/delta) d/dt and d/dxn = (1/delta) d/dt."""
     nd = len(dT)
     vertical = W[nd]
     for b in range(nd):
         vertical = vertical - W[b] * dT[b]
-    return list(W[:nd]) + [vertical / delta]
+    return [W[a] / dX[a] for a in range(nd)] + [vertical / delta]
 
 
 def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="utilde"):
@@ -279,12 +346,14 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
     (explicit (N, nodes) or (N, *dims) boundary values, used on every
     boundary node) must be given.  ``source`` is an optional nodal field f
     with the equation convention L u = f; it enters b_I multiplied by the
-    Jacobian delta.  Interior and boundary unknowns are both numbered in
-    (tangential column, t, component) order, so every interior column is one
-    contiguous block of N*(nt-2) unknowns.  An interior row reaches only the
-    nodes p + o with o in {-1, 0, 1}^n, at most two entries of o nonzero;
-    the coefficients of those offsets are accumulated in one dense array
-    over the interior nodes and split into A_II and A_IB once.
+    Jacobian delta * prod_a X'_a.  Interior and boundary unknowns are both
+    numbered in (tangential column, t, component) order, so every interior
+    column is one contiguous block of N*(nt-2) unknowns.  An interior row
+    reaches only the nodes p + o with o in {-1, 0, 1}^n, at most two entries
+    of o nonzero; the coefficients of those offsets are accumulated in one
+    dense array over the interior nodes and split into A_II and A_IB once.
+    The map's factors (module docstring) scale the coefficients, not the
+    stencils.
     """
     if op.n != grid.n:
         raise GeometryError("operator dimension does not match the grid")
@@ -313,38 +382,44 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
         fdims = list(dims)
         fdims[a] -= 1
         sel = tuple(slice(None) if d == a else slice(1, -1) for d in range(n))
-        points, delta, dT = _face_geometry(grid, a)
+        points, delta, dT, dX = _face_geometry(grid, a)
         points = points.reshape(fdims + [n])[sel]
         delta = delta.reshape(fdims)[sel]
         dT = dT.reshape([nd] + fdims)[(slice(None),) + sel]
+        dX = dX.reshape([nd] + fdims)[(slice(None),) + sel]
+        # G_a carries prod_{b != a} X'_b, G_t all of prod_b X'_b
+        scale = np.prod([dX[b] for b in range(nd) if b != a], axis=0)
         upper = tuple(slice(1, None) if d == a else slice(None) for d in range(n))
         lower = tuple(slice(None, -1) if d == a else slice(None) for d in range(n))
         stencils = [_derivative_stencil(e, a, c, h) for c in range(n)]
         for i in range(N):
             for j in range(N):
-                W = [_conormal_weight(op.A[i, j, :, b], a, points, delta, dT)
+                W = [scale * _conormal_weight(op.A[i, j, :, b], a, points, delta, dT)
                      for b in range(n)]
-                terms = list(zip(stencils, _computational(W, delta, dT)))
+                terms = list(zip(stencils, _computational(W, delta, dT, dX)))
                 if has_lower:
-                    wb = _conormal_weight(op.B[i, j], a, points, delta, dT)
+                    wb = scale * _conormal_weight(op.B[i, j], a, points, delta, dT)
                     terms.append(([(0 * e[a], 0.5), (e[a], 0.5)], wb))
                 # (G_a at the upper face - G_a at the lower face) / h_a
                 for stencil, K in terms:
                     add(i, j, [(off, w / h[a]) for off, w in stencil], K[upper])
                     add(i, j, [(off - e[a], -w / h[a]) for off, w in stencil], K[lower])
 
+    jacobian = grid.jacobian_flat
     if has_lower:
         inner = (slice(1, -1),) * n
         points = grid.points.reshape(dims + (n,))[inner]
         delta = grid.delta_flat.reshape(dims)[inner]
+        jac = jacobian.reshape(dims)[inner]
         dT = grid.dT_flat.reshape((nd,) + dims)[(slice(None),) + inner]
+        dX = grid.dX_flat.reshape((nd,) + dims)[(slice(None),) + inner]
         central = [[(-e[c], -0.5 / h[c]), (e[c], 0.5 / h[c])] for c in range(n)]
         for i in range(N):
             for j in range(N):
-                W = [delta * op.Cc[i, j, b].value_many(points) for b in range(n)]
-                for stencil, K in zip(central, _computational(W, delta, dT)):
+                W = [jac * op.Cc[i, j, b].value_many(points) for b in range(n)]
+                for stencil, K in zip(central, _computational(W, delta, dT, dX)):
                     add(i, j, stencil, K)
-                add(i, j, [(0 * e[0], 1.0)], delta * op.D[i, j].value_many(points))
+                add(i, j, [(0 * e[0], 1.0)], jac * op.D[i, j].value_many(points))
 
     if nodal_bc is not None:
         bc = np.asarray(nodal_bc, dtype=float).reshape(N, grid.nodes)
@@ -354,7 +429,7 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
     rhs = np.zeros((N, int(interior.sum())))
     if source is not None:
         src = np.asarray(source, dtype=float).reshape(N, grid.nodes)
-        rhs = (grid.delta_flat * src)[:, interior]
+        rhs = (jacobian * src)[:, interior]
 
     matrix, coupling = _split_columns(coef, grid, offsets)
     return LinearSystem(matrix=matrix, coupling=coupling, rhs=rhs.T.ravel(),

@@ -8,7 +8,12 @@ rows again (``_reduced_ordering``) and factors the interior matrix with
 from that version, less the ``method`` argument that selected nothing here,
 as an oracle for the assembly, the pinned outputs and the 3-D Krylov path,
 in the same way as the exact-rational ellipticity construction in
-``test_operators``.
+``test_operators``.  Since the tangential map arrived it also carries the
+map's diagonal factors, as diagonal matrices around the same chains: each
+tangential difference is divided by X' where it is taken, the flux of
+family a is multiplied by prod_{b != a} X'_b (every X'_b for the vertical
+family), and the node terms and the source by the Jacobian
+delta * prod_b X'_b.  On a uniform grid every factor is 1.
 """
 
 from __future__ import annotations
@@ -109,7 +114,7 @@ def _chain(grid, which, factory_args=None):
 def _face_gradient_ops(grid, a):
     """Sparse node->face operators for all physical derivative directions."""
     nd = grid.nd
-    points, delta, dT = _face_geometry(grid, a)
+    points, delta, dT, dX = _face_geometry(grid, a)
     inv_delta = 1.0 / delta
     ops = {}
     if a < nd:  # tangential face family
@@ -119,17 +124,21 @@ def _face_gradient_ops(grid, a):
                 base = _chain(grid, {a: "fwd"})
             else:
                 base = _chain(grid, {a: "avg", b: "cen"})
-            ops[b] = base - sp.diags(dT[b] * inv_delta) @ dt_at_face
+            ops[b] = (sp.diags(1.0 / dX[b]) @ base
+                      - sp.diags(dT[b] * inv_delta) @ dt_at_face)
         ops[nd] = sp.diags(inv_delta) @ dt_at_face
         div = _chain(grid, {a: "div"})
+        scale = np.prod([dX[b] for b in range(nd) if b != a], axis=0)
     else:  # vertical face family
         dt_at_face = _chain(grid, {nd: "fwd"})
         for b in range(nd):
             base = _chain(grid, {b: "cen", nd: "avg"})
-            ops[b] = base - sp.diags(dT[b] * inv_delta) @ dt_at_face
+            ops[b] = (sp.diags(1.0 / dX[b]) @ base
+                      - sp.diags(dT[b] * inv_delta) @ dt_at_face)
         ops[nd] = sp.diags(inv_delta) @ dt_at_face
         div = _chain(grid, {nd: "div"})
-    return points, delta, dT, ops, div
+        scale = np.prod(dX, axis=0)
+    return points, delta, dT, scale, ops, div
 
 
 def _node_gradient_ops(grid):
@@ -139,7 +148,8 @@ def _node_gradient_ops(grid):
     ct = _chain(grid, {nd: "cen"})
     ops = {}
     for b in range(nd):
-        ops[b] = _chain(grid, {b: "cen"}) - sp.diags(grid.dT_flat[b] * inv_delta) @ ct
+        ops[b] = (sp.diags(1.0 / grid.dX_flat[b]) @ _chain(grid, {b: "cen"})
+                  - sp.diags(grid.dT_flat[b] * inv_delta) @ ct)
     ops[nd] = sp.diags(inv_delta) @ ct
     return ops
 
@@ -168,12 +178,13 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
     # only B needs the face averages and only C the node gradients
     face_avg = [_chain(grid, {a: "avg"}) for a in range(nd + 1)] if has_lower else None
     node_ops = _node_gradient_ops(grid) if has_lower else None
+    jacobian = grid.delta_flat * np.prod(grid.dX_flat, axis=0)
 
     for i in range(N):
         for j in range(N):
             acc = None
             for a in range(nd + 1):
-                points, delta, dT, ops, div = families[a]
+                points, delta, dT, scale, ops, div = families[a]
                 flux = None
                 for b in range(nd + 1):
                     if a < nd:
@@ -182,6 +193,7 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
                         w = op.A[i, j, nd, b].value_many(points)
                         for al in range(nd):
                             w = w - dT[al] * op.A[i, j, al, b].value_many(points)
+                    w = scale * w
                     if not np.any(w):
                         continue
                     term = sp.diags(w) @ ops[b]
@@ -193,6 +205,7 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
                         wb = op.B[i, j, nd].value_many(points)
                         for al in range(nd):
                             wb = wb - dT[al] * op.B[i, j, al].value_many(points)
+                    wb = scale * wb
                     if np.any(wb):
                         term = sp.diags(wb) @ face_avg[a]
                         flux = term if flux is None else flux + term
@@ -201,11 +214,11 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
                     acc = term if acc is None else acc + term
             if has_lower:
                 for b in range(nd + 1):
-                    wc = grid.delta_flat * op.Cc[i, j, b].value_many(grid.points)
+                    wc = jacobian * op.Cc[i, j, b].value_many(grid.points)
                     if np.any(wc):
                         term = sp.diags(wc) @ node_ops[b]
                         acc = term if acc is None else acc + term
-                wd = grid.delta_flat * op.D[i, j].value_many(grid.points)
+                wd = jacobian * op.D[i, j].value_many(grid.points)
                 if np.any(wd):
                     term = sp.diags(wd)
                     acc = term if acc is None else acc + term
@@ -231,7 +244,7 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
     if source is not None:
         src = np.asarray(source, dtype=float).reshape(N, M)
         for i in range(N):
-            rhs[i][grid.interior_mask] = (grid.delta_flat * src[i])[grid.interior_mask]
+            rhs[i][grid.interior_mask] = (jacobian * src[i])[grid.interior_mask]
     for i in range(N):
         rhs[i][grid.boundary_mask] = bc[i][grid.boundary_mask]
 

@@ -1,5 +1,7 @@
 """Gradient recovery, bound constants, window energies, rate fitting."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from narrowgap import (
     BoundaryData,
     NarrowRegion,
     PolynomialField,
+    SolutionField,
     SweepProblem,
     analysis,
     analyze_solution,
@@ -18,6 +21,7 @@ from narrowgap import (
     fit_rate,
     gradient,
     make_builtin,
+    mesh_solver,
     parse_expression,
     pointwise_w_check,
     solve_dirichlet,
@@ -109,17 +113,64 @@ def test_energy_windows_nest(n):
 
 
 def test_3d_energies_converge():
-    # each energy and k220 moves one way under nx refinement, by shrinking steps
+    # each energy and k220 moves one way under nx refinement, by shrinking
+    # steps, on the graded grid of eps 0.05 and the uniform one of eps 0.1
+    # (where 2 sqrt(eps) lies beyond r_analyze, so k220 is None)
     op = make_builtin("laplace", n=3)
-    reports = []
-    for nx in (17, 25, 33):
-        reg, grid, data, sol = solve_case(op, eps=0.05, nx=nx, nt=9)
-        reports.append(analyze_solution(sol, data, reg))
-    for name in ("energy_half", "F_delta0", "k220"):
-        values = [getattr(rep, name) for rep in reports]
-        steps = np.diff(values)
-        assert np.all(steps > 0) or np.all(steps < 0), (name, values)
-        assert abs(steps[1]) < abs(steps[0]), (name, values)
+    for eps, names in ((0.05, ("energy_half", "F_delta0", "k220")),
+                       (0.1, ("energy_half", "F_delta0"))):
+        reports = []
+        for nx in (17, 25, 33):
+            reg, grid, data, sol = solve_case(op, eps=eps, nx=nx, nt=9)
+            assert (grid.dX[nx // 2] < 1) == (eps < 0.1)
+            reports.append(analyze_solution(sol, data, reg))
+        for name in names:
+            values = [getattr(rep, name) for rep in reports]
+            steps = np.diff(values)
+            assert np.all(steps > 0) or np.all(steps < 0), (eps, name, values)
+            assert abs(steps[1]) < abs(steps[0]), (eps, name, values)
+
+
+def test_chord_integrals_on_graded_nodes():
+    # a piecewise-linear row on non-uniform x2 nodes, integrated exactly
+    # over chords that start and end inside cells
+    x2 = np.array([-1.0, -0.4, -0.1, 0.0, 0.05, 0.3, 1.0])
+    rows = np.array([[1.0, 2.0, -1.0, 0.5, 3.0, 0.0, 2.0],
+                     [0.0, 1.0, 1.0, 4.0, -2.0, 1.0, 1.0]])
+    xs = np.array([0.0, 0.1])
+    c, s, ra = np.array([0.0, 0.02]), 0.3, 0.9
+    got = analysis._chord_integrals(rows, x2, xs, c, s, ra)
+    fine = np.linspace(-1.0, 1.0, 200001)
+    for k, x1 in enumerate(xs):
+        inside = np.abs(fine - c[1]) <= np.sqrt(s**2 - x1**2)
+        inside &= np.abs(fine) <= np.sqrt(ra**2 - x1**2)
+        want = np.trapezoid(np.where(inside, np.interp(fine, x2, rows[k]), 0.0), fine)
+        assert got[k] == pytest.approx(want, abs=1e-4)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.025])
+def test_graded_values_converge_to_the_uniform_limit(lap, monkeypatch, eps):
+    # the report of the pinned laplace2d sweep (nt = 17) on the graded grid
+    # and on the uniform one (GRADING = 0) at the same nx: their gap closes
+    # from the pinned nx = 33 to nx = 1025.  k225 and k226 are maxima over
+    # the nodes of a band whose edges the two grids place differently, so
+    # theirs closes only about as fast as the spacing at the band edges and
+    # not monotonically; it is checked on the finest grid alone.
+    data = BoundaryData((p1("1.25"),), (p1("-0.5"),))
+    problem = SweepProblem(op=lap, profile=quad_profile(), data=data, nt=17)
+    grids = (33, 1025)
+    graded = [analysis.solve_epsilon(problem, eps, nx)[2] for nx in grids]
+    monkeypatch.setattr(mesh_solver, "GRADING", 0.0)
+    uniform = [analysis.solve_epsilon(problem, eps, nx)[2] for nx in grids]
+    for name in ("sup_grad", "C_emp", "c_low", "energy_half", "F_delta0",
+                 "k213", "k219", "k220", "k225", "k226"):
+        g, u = getattr(graded[-1], name), getattr(uniform[-1], name)
+        gap = abs(g - u) / u
+        if name in ("k225", "k226"):
+            assert gap <= 0.02, (name, g, u)
+            continue
+        coarse = abs(getattr(graded[0], name) - getattr(uniform[0], name)) / u
+        assert gap <= 5e-3 and gap <= coarse / 10, (name, gap, coarse)
 
 
 def test_pointwise_band_applicability(lap):
@@ -169,13 +220,53 @@ def test_fit_rate_input_validation():
         fit_rate([(0.1, 1.0), (0.05, 0.0), (0.025, 2.0)])
 
 
-def test_sweep_grid_schedule():
-    assert sweep_grid(0.1) == 45
-    assert sweep_grid(0.05) == 65
-    assert sweep_grid(0.025) == 91
-    assert sweep_grid(0.0125) == 127
-    assert sweep_grid(0.001) == 129      # cap
-    assert sweep_grid(10.0) == 9         # floor
+def test_sweep_grid_schedule(lap, monkeypatch):
+    # one node count at every eps; the tangential map follows eps instead
+    assert {sweep_grid(eps) for eps in (10.0, 0.1, 0.05, 0.00625, 0.001)} == {45}
+
+    def grid_at(eps, nx=45, nt=33):
+        return build_grid(NarrowRegion(n=2, epsilon=eps, profile=quad_profile()),
+                          nx, nt)
+
+    for eps in (0.1, 0.4):
+        grid = grid_at(eps)
+        assert np.array_equal(grid.axes[0], np.linspace(-1.0, 1.0, 45))
+        assert np.array_equal(grid.dX, np.ones(45))
+    xi = np.linspace(-1.0, 1.0, 1001)
+    for eps in (0.05, 0.00625):
+        grid = grid_at(eps)
+        x, dx = mesh_solver.tangential_map(xi, 1.0, eps)
+        xm, dxm = mesh_solver.tangential_map(-xi, 1.0, eps)
+        assert np.array_equal(xm, -x) and np.array_equal(dxm, dx)  # odd
+        assert np.all(np.diff(x) > 0) and np.all(dx > 0)            # monotone
+        assert x[0] == -1.0 and x[-1] == 1.0 and x[500] == 0.0
+        axis = grid.axes[0]
+        assert axis[22] == 0.0 and np.all(np.diff(axis) > 0)
+        # the centre spacing is (eps/0.1)^GRADING of the uniform one
+        ratio = (eps / 0.1) ** mesh_solver.GRADING
+        assert dx[500] == pytest.approx(ratio, rel=1e-12)
+        # the recovered gradient of the nodal field x1 is exactly (1, 0)
+        x1 = np.broadcast_to(axis[:, None], grid.dims)[None]
+        gx = gradient(SolutionField(values=x1, grid=grid, residual=0.0,
+                                    method="exact")).values[0]
+        np.testing.assert_allclose(gx[0], 1.0, rtol=1e-13)
+        np.testing.assert_allclose(gx[1], 0.0, atol=1e-13)
+
+    # sweep_member's Richardson grid (23 x 17) carries the same map
+    built = []
+
+    def recording(region, nx, nt):
+        built.append(mesh_solver.MappedGrid(region, nx, nt))
+        return built[-1]
+
+    monkeypatch.setattr(analysis, "MappedGrid", recording)
+    problem = SweepProblem(op=lap, profile=quad_profile(), data=mismatch_data(lap))
+    sweep_member(problem, 0.025)
+    fine, coarse = built
+    assert (fine.nx, coarse.nx) == (45, 23)
+    assert fine.dX[22] < 1
+    np.testing.assert_allclose(coarse.axes[0], fine.axes[0][::2], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(coarse.faces, fine.axes[0][1::2], rtol=0, atol=1e-15)
 
 
 def test_sweep_member_richardson_gate(lap, monkeypatch):
@@ -216,7 +307,7 @@ def test_superposition_zero_for_single_component(lap):
 @pytest.mark.parametrize("jobs", [0, -2])
 def test_sweep_and_fit_rejects_jobs_below_one(lap, monkeypatch, jobs):
     pools = []
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda *a, **kw: pools.append(kw))
     monkeypatch.setattr(analysis, "sweep_member",
                         lambda *a: pytest.fail("a member was solved"))

@@ -66,3 +66,17 @@ def test_cli_import_leaves_out_sparse_linalg():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_leaves_out_the_worker_pool():
+    # only a parallel sweep (--jobs > 1) starts worker processes, so
+    # importing the CLI must not pay for the process-pool modules
+    src = str(Path(narrowgap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    probe = ("import sys, narrowgap.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures.process'} "
+             "& set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -1,5 +1,6 @@
 """Command line interface: config schema, outputs, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import re
 from pathlib import Path
@@ -391,7 +392,7 @@ def test_solve_epsilon_flag(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads((out / "report_eps0p05.json").read_text())
     assert payload["epsilon"] == 0.05
-    assert payload["grid"]["nx"] == 65
+    assert payload["grid"]["nx"] == 45
 
 
 def test_solve_flat_gap_needs_override(tmp_path, capsys):
@@ -535,7 +536,7 @@ def test_sweep_repeated_epsilon_is_a_config_error_before_any_solve(
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_jobs_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, jobs):
     pools = []
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda *a, **kw: pools.append(kw))
     cfg = write_cfg(tmp_path, QUAD_CFG)
     code = main(["sweep", "--config", cfg, "--epsilons", "0.1,0.05,0.025",

@@ -90,6 +90,13 @@ def _per_node_geometry(region, axes):
     return tang, tvals, delta, xn, dT
 
 
+def _per_node_stretch(stretch):
+    """X'_a (nd, M) at every node of the tensor grid whose per-axis X' are
+    ``stretch`` (the last axis, t, is not mapped)."""
+    grids = np.meshgrid(*stretch, indexing="ij")
+    return np.stack([g.ravel() for g in grids[:-1]], axis=0)
+
+
 @pytest.mark.parametrize("eps", [0.1, 0.00625])
 @pytest.mark.parametrize("n, nx, nt", [(2, 33, 17), (3, 13, 9)])
 def test_column_geometry_equals_per_node_evaluation(n, nx, nt, eps):
@@ -104,13 +111,21 @@ def test_column_geometry_equals_per_node_evaluation(n, nx, nt, eps):
     assert np.array_equal(grid.xn_flat, xn)
     assert np.array_equal(grid.dT_flat, dT)
     assert np.array_equal(grid.points, np.column_stack([tang, xn]))
+    nd = n - 1
+    stretch = [grid.dX] * nd + [np.ones(nt)]
+    assert np.array_equal(grid.dX_flat, _per_node_stretch(stretch))
     for a in range(n):
-        axes = list(grid.axes)
-        axes[a] = 0.5 * (axes[a][:-1] + axes[a][1:])
+        axes, face_stretch = list(grid.axes), list(stretch)
+        if a < nd:
+            axes[a], face_stretch[a] = grid.faces, grid.dX_faces
+        else:
+            axes[a] = 0.5 * (axes[a][:-1] + axes[a][1:])
+            face_stretch[a] = np.ones(nt - 1)
         tang, _, delta, xn, dT = _per_node_geometry(region, axes)
-        points_f, delta_f, dT_f = _face_geometry(grid, a)
+        points_f, delta_f, dT_f, dX_f = _face_geometry(grid, a)
         assert np.array_equal(points_f, np.column_stack([tang, xn]))
         assert np.array_equal(delta_f, delta) and np.array_equal(dT_f, dT)
+        assert np.array_equal(dX_f, _per_node_stretch(face_stretch))
 
 
 @pytest.mark.parametrize("m", [3, 4, 9, 33])

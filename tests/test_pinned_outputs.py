@@ -9,7 +9,12 @@ moved by more than 1e-12 were re-recorded with them; ``test_solver_oracle``
 bounds their distance to the earlier solver by 1e-9.  The laplace3d energy_half, F_delta0, k213 and k219
 were re-recorded when the 3-D window energies moved from a masked node sum
 to the quadrature of the 2-D path; ``test_3d_energies_converge`` in
-test_analysis.py shows the new values converge under refinement."""
+test_analysis.py shows the new values converge under refinement.  The sweep
+members at eps 0.05 and 0.025 and the rate fit were re-recorded when the
+tangential axes became graded below eps 0.1 (eps 0.1 is still uniform and
+unchanged); ``test_graded_values_converge_to_the_uniform_limit`` in
+test_analysis.py shows each moved value converging to the uniform grids'
+limit."""
 
 import hashlib
 import json
@@ -151,11 +156,11 @@ PINNED_SWEEP = {
     "ratefit.json": {
         "conclusive": True, "metric": "center_grad", "scenario": "", "seed": 0,
         "points.0.epsilon": 0.1, "points.0.value": 17.785378050128415,
-        "points.1.epsilon": 0.05, "points.1.value": 35.286214805066436,
-        "points.2.epsilon": 0.025, "points.2.value": 70.28660656250904,
-        "rate_fit.intercept": 0.5952100299838181,
-        "rate_fit.r2": 0.999997213550573,
-        "rate_fit.slope": -0.9912790811488574},
+        "points.1.epsilon": 0.05, "points.1.value": 35.28695575444367,
+        "points.2.epsilon": 0.025, "points.2.value": 70.28812261743568,
+        "rate_fit.intercept": 0.5951776084701392,
+        "rate_fit.r2": 0.999997242214526,
+        "rate_fit.slope": -0.9912946401681575},
     "report_eps0p1.json": {
         "C_emp": 0.8961717768364217, "F_delta0": 0.0002611607775481725,
         "c_low": 0.9919522390981648, "energy_half": 0.0051836653521995565,
@@ -167,25 +172,25 @@ PINNED_SWEEP = {
         "lemma_constants.k226": None,
         "sup_grad": 17.785378050128415, **REPORT_NONE},
     "report_eps0p05.json": {
-        "C_emp": 0.9457217381929677, "F_delta0": 7.025870324894564e-05,
-        "c_low": 0.9959370618619604, "energy_half": 0.00751125760642256,
+        "C_emp": 0.9457313031052955, "F_delta0": 7.543159251989365e-05,
+        "c_low": 0.9959277435752798, "energy_half": 0.007504386849213781,
         "epsilon": 0.05, "grid.nt": 17, "grid.nx": 33,
-        "lemma_constants.k213": 0.004143640320785072,
-        "lemma_constants.k219": 0.00044564334559047856,
-        "lemma_constants.k220": 0.0053538616461108355,
-        "lemma_constants.k225": 0.018208516504086353,
-        "lemma_constants.k226": 0.02575725533816634,
-        "sup_grad": 35.286214805066436, **REPORT_NONE},
+        "lemma_constants.k213": 0.0041398544098195855,
+        "lemma_constants.k219": 0.00047845443659756253,
+        "lemma_constants.k220": 0.0053532997976742875,
+        "lemma_constants.k225": 0.01825599238183653,
+        "lemma_constants.k226": 0.023069599315215187,
+        "sup_grad": 35.28695575444367, **REPORT_NONE},
     "report_eps0p025.json": {
-        "C_emp": 0.9722427031619647, "F_delta0": 1.8379466839255866e-05,
-        "c_low": 0.9979589421989906, "energy_half": 0.009524631512142894,
+        "C_emp": 0.9722484076541893, "F_delta0": 2.0391613870587956e-05,
+        "c_low": 0.9979488975662772, "energy_half": 0.009519026339111634,
         "epsilon": 0.025, "grid.nt": 17, "grid.nx": 33,
-        "lemma_constants.k213": 0.005254322518969482,
-        "lemma_constants.k219": 0.000236557821457566,
-        "lemma_constants.k220": 0.009109304369134343,
-        "lemma_constants.k225": 0.012892551581316173,
-        "lemma_constants.k226": 0.03845682447188126,
-        "sup_grad": 70.28660656250904, **REPORT_NONE},
+        "lemma_constants.k213": 0.00525124660144588,
+        "lemma_constants.k219": 0.0002624557073699434,
+        "lemma_constants.k220": 0.009123425441115073,
+        "lemma_constants.k225": 0.012961444217343425,
+        "lemma_constants.k226": 0.0250996283471825,
+        "sup_grad": 70.28812261743568, **REPORT_NONE},
 }
 
 PINNED_VALIDATE = {

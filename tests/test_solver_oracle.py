@@ -40,7 +40,7 @@ def _region(n, eps=0.1):
         h1=parse_expression(h1, nvars=n - 1), h2=parse_expression(h2, nvars=n - 1)))
 
 
-def _lame_case(n, nx, nt):
+def _lame_case(n, nx, nt, eps=0.1):
     def p(text):
         return parse_expression(text, nvars=n - 1)
 
@@ -48,25 +48,31 @@ def _lame_case(n, nx, nt):
     op = make_builtin("lame", n=n, lame_mu=1.0, lame_lambda=1.5)
     top = (p("1"), p("x1")) + (zero,) * (n - 2)
     bottom = (zero, p("x1^2")) + (p(f"x{n - 1}"),) * (n - 2)
-    return op, build_grid(_region(n), nx, nt), {"data": BoundaryData(top, bottom)}
+    return op, build_grid(_region(n, eps), nx, nt), {"data": BoundaryData(top, bottom)}
 
 
-def _custom_mms_case(tmp_path):
+def _custom_mms_case(tmp_path, eps=0.1):
     path = tmp_path / "custom.cfg"
     path.write_text(CONFIGS["custom"])
     cfg = load_config(path)
     op = cfg.operator()
-    problem = manufactured_problem(op, cfg.region(0.1), _mms_spec(op))
+    problem = manufactured_problem(op, cfg.region(eps), _mms_spec(op))
     grid = build_grid(problem.region, 17, 17)
     exact, src = problem.nodal_fields(grid)
     return op, grid, {"nodal_bc": exact, "source": src}
 
 
-@pytest.mark.parametrize("case", ["lame2d", "lame3d", "custom_mms"])
+@pytest.mark.parametrize("case", ["lame2d", "lame3d", "custom_mms",
+                                  "lame3d_graded", "custom_mms_graded"])
 def test_interior_assembly_matches_the_oracle_rows(case, tmp_path):
+    # the graded cases (eps 0.025) carry the tangential map's factors
     op, grid, kw = {"lame2d": lambda: _lame_case(2, 17, 9),
                     "lame3d": lambda: _lame_case(3, 11, 9),
-                    "custom_mms": lambda: _custom_mms_case(tmp_path)}[case]()
+                    "custom_mms": lambda: _custom_mms_case(tmp_path),
+                    "lame3d_graded": lambda: _lame_case(3, 11, 9, eps=0.025),
+                    "custom_mms_graded": lambda: _custom_mms_case(tmp_path, 0.025),
+                    }[case]()
+    assert (grid.dX[grid.nx // 2] < 1) == case.endswith("graded")
     system = assemble(op, grid, **kw)
     full = oracle.assemble(op, grid, **kw)
     # the oracle numbers its unknowns component-major over C-ordered nodes
