@@ -79,6 +79,14 @@ def _float(text, name):
     return _number(text, float, name)
 
 
+def _fraction(text, name):
+    """A number strictly between 0 and 1 (nan and inf are not)."""
+    value = _float(text, name)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must be a number in (0, 1), got {text!r}")
+    return value
+
+
 def _list(text, parse, name):
     """The comma-separated values in ``text``, each converted by ``parse``."""
     return [parse(tok, name) for tok in text.split(",") if tok.strip()]
@@ -146,7 +154,7 @@ CONFIG_SCHEMA = {
     "solver": {
         "nx": ("nx", _nodes),
         "nt": ("nt", _nodes),
-        "tol": ("tol", _float),
+        "tol": ("tol", _fraction),
     },
     "analysis": {
         "R0": ("R0", _float),
@@ -360,9 +368,7 @@ def report_to_dict(report, rate_fit=None):
         "c_low": report.c_low,
         "energy_half": report.energy_half,
         "F_delta0": report.F_delta0,
-        "lemma_constants": {"k213": report.k213, "k219": report.k219,
-                            "k220": report.k220, "k225": report.k225,
-                            "k226": report.k226},
+        "lemma_constants": report.lemma_constants(),
         "rate_fit": rf,
         "grid": {"nx": report.grid[0], "nt": report.grid[1]},
         "R0": report.R0,

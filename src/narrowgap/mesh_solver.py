@@ -554,34 +554,32 @@ def solve_system(system, tol=1e-10):
     across columns, so those blocks carry most of the operator.
 
     Returns the solution per component, boundary values included, with the
-    relative residual ||b - A x|| / ||[b_I, b_B]|| against the full
-    right-hand side.  The acceptance rule depends on the dimension: in 3-D
-    the residual must be at most ``tol`` (BiCGSTAB stops once it is there),
-    in 2-D at most max(100*tol, 1e-6).  Otherwise raises SolverError, with
-    the BiCGSTAB recurrence residual of every iteration on the same relative
-    scale.
+    relative residual ||b - A x|| / ||b|| on the system's own right-hand side
+    b = b_I - A_IB b_B (||b|| read as 1 when b = 0).  The solve is accepted
+    if that is at most ``tol``, in either dimension; BiCGSTAB stops once it
+    is there.  Otherwise raises SolverError, with the BiCGSTAB recurrence
+    residual of every iteration divided by the same ||b||.
     """
     A = system.matrix
     grid = system.grid
-    bnorm = float(np.hypot(np.linalg.norm(system.rhs), np.linalg.norm(system.bc)))
-    scale = bnorm if bnorm > 0 else 1.0
     b = system.rhs - system.coupling @ system.bc
+    scale = float(np.linalg.norm(b)) or 1.0
     history = []
 
     if grid.n == 2:
-        method, solver, limit = "direct", "banded LU", max(100 * tol, 1e-6)
+        method, solver = "direct", "banded LU"
         x = _band_lu(A)(b)
     else:
-        method, solver, limit = "krylov", "BiCGSTAB", tol
+        method, solver = "krylov", "BiCGSTAB"
         columns = _band_lu(_column_blocks(A, system.N * (grid.nt - 2)))
         x, _ = _bicgstab(A, b, columns, tol * scale, history)
         history = [h / scale for h in history]
 
     residual = float(np.linalg.norm(b - A @ x)) / scale
-    if not residual <= limit:
+    if not residual <= tol:
         raise SolverError(
             f"{solver} solution residual {residual:.3e} exceeds tolerance "
-            f"{limit:.3e}",
+            f"{tol:.3e}",
             residual_history=history,
         )
     values = np.empty((grid.nodes, system.N))

@@ -288,7 +288,7 @@ class ConvergenceStudy:
     monotone: bool = True
 
 
-def convergence_study(problem, grid_list, tol=1e-12):
+def convergence_study(problem, grid_list, tol=1e-10):
     """Solve the manufactured problem on each grid and report errors.
 
     grid_list: (nx, nt) pairs, expected in 2:1-ish refinement.  Errors are

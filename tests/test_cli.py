@@ -243,10 +243,19 @@ BAD_NUMBERS = [
     ("--grids", "abc", QUAD_CFG, ["mms", "--grids", "9,abc,33"]),
     ("--epsilons", "x", QUAD_CFG, ["sweep", "--epsilons", "0.1,x"]),
 ]
+# numbers outside (0, 1), which no relative residual can mean
+BAD_TOLS = ["0", "-1", "1", "inf", "nan"]
+BAD_NUMBERS += [("[solver] tol", bad, _with("solver", f"tol = {bad}"), [])
+                for bad in BAD_TOLS]
+
+
+def _bad_number_id(case):
+    name, bad = case[0].split()[-1], case[1]
+    return f"{name}={bad}" if name == "tol" and bad in BAD_TOLS else name
 
 
 @pytest.mark.parametrize("name,bad,text,command", BAD_NUMBERS,
-                         ids=[case[0].split()[-1] for case in BAD_NUMBERS])
+                         ids=[_bad_number_id(case) for case in BAD_NUMBERS])
 def test_bad_number_is_a_config_error(tmp_path, capsys, name, bad, text, command):
     verb, *flags = command or ["validate"]
     code = main([verb, "--config", write_cfg(tmp_path, text)] + flags)
@@ -259,6 +268,8 @@ def test_bad_number_is_a_config_error(tmp_path, capsys, name, bad, text, command
     err = json.loads(lines[0])
     what = "an integer" if name.split()[-1] in ("n", "N", "nx", "nt", "seed", "--grids") \
         else "a number"
+    if name == "[solver] tol" and bad in BAD_TOLS:
+        what = "a number in (0, 1)"
     assert err == {"error": "config", "message": f"{name} must be {what}, got {bad!r}"}
 
 
@@ -453,13 +464,16 @@ def test_sweep_3d_blowup_rate(tmp_path, capsys):
 
 
 def test_sweep_honours_solver_settings(tmp_path, capsys):
-    # the 3-D path is BiCGSTAB, which cannot reach 1e-30
-    cfg = write_cfg(tmp_path, QUAD3D_CFG + "[solver]\nnx = 9\nnt = 9\ntol = 1e-30\n")
-    code = main(["sweep", "--config", cfg])
-    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert code == EXIT_SOLVER
-    assert err["error"] == "solver"
-    assert "BiCGSTAB" in err["message"]
+    # neither the 3-D BiCGSTAB nor the 2-D banded LU reaches 1e-30 of ||b||
+    quad = QUAD_CFG.replace("epsilon = 0.1", "epsilons = 0.1,0.05,0.025")
+    for text, solver in [(QUAD3D_CFG, "BiCGSTAB"), (quad, "banded LU")]:
+        cfg = write_cfg(tmp_path, text + "[solver]\nnx = 9\nnt = 9\ntol = 1e-30\n")
+        code = main(["sweep", "--config", cfg])
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == EXIT_SOLVER
+        assert err["error"] == "solver"
+        assert solver in err["message"]
+        assert (err["residual_history"] == []) == (solver == "banded LU")
 
 
 def test_sweep_without_a_coarser_check_grid_exits_gate(tmp_path, capsys):

@@ -268,6 +268,26 @@ def test_direct_and_krylov_paths_agree_3d():
     assert np.abs(d.values - k.values).max() < 1e-8
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_residual_is_relative_to_the_system_rhs(n, grid):
+    # one rule in both dimensions: ||b - A x|| / ||b|| <= tol with
+    # b = b_I - A_IB b_B, the right-hand side the solve actually sees
+    op = make_builtin("lame", n=n)
+    if n == 2:
+        zero, g = PolynomialField.zero(1), grid
+        data = BoundaryData((p1("x1^2"), p1("1")), (zero, p1("x1")))
+    else:
+        zero, g = PolynomialField.zero(2), quad_grid_3d(13, 9)
+        data = BoundaryData((p2("1"), zero, p2("x1")), (zero, p2("x2"), zero))
+    system = assemble(op, g, data=data)
+    sol = solve_system(system, tol=1e-10)
+    x = sol.values.reshape(op.N, -1).T[g.interior_mask].ravel()
+    b = system.rhs - system.coupling @ system.bc
+    expect = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
+    assert sol.residual == pytest.approx(expect, rel=1e-12)
+    assert sol.residual <= 1e-10
+
+
 def test_krylov_failure_carries_its_history():
     data = BoundaryData((p2("1"),), (PolynomialField.zero(2),))
     with pytest.raises(SolverError) as info:
