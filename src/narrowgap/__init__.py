@@ -8,11 +8,10 @@ leading-order interpolant profile.
 """
 
 from .analysis import (AnalysisError, BoundReport, GradientField, RateFit,
-                       SweepProblem, analyze_solution, centerline_lower_constant,
-                       correction_field, energy, fit_rate, gradient,
-                       pointwise_w_check, solve_epsilon,
-                       sup_bound_constant, superposition_check, sweep_and_fit,
-                       sweep_grid, sweep_member)
+                       SweepProblem, analyze_solution, correction_field,
+                       energy, fit_rate, gradient, solve_epsilon,
+                       superposition_check, sweep_and_fit, sweep_grid,
+                       sweep_member)
 from .auxiliary import (AuxiliaryEvaluator, BoundaryData, BoundShapeReport,
                         check_derivative_bounds)
 from .geometry import (GapProfile, GeometryError, NarrowRegion,
@@ -40,15 +39,15 @@ __all__ = [
     "RateFit", "RationalField", "SolutionField", "SolverError",
     "SweepProblem", "ValidationReport", "analyze_solution",
     "apply_operator_jets", "apply_operator_poly",
-    "assemble", "build_grid", "centerline_lower_constant",
+    "assemble", "build_grid",
     "check_derivative_bounds", "convergence_study", "correction_field",
     "boundary_values", "energy", "estimate_bounds", "estimate_ellipticity",
     "fd_apply_operator", "fit_rate", "flat_gap_exact",
     "gap_width_many", "gradient",
     "make_builtin", "manufactured_problem",
-    "parse_expression", "pointwise_w_check", "quadrature_weights",
+    "parse_expression", "quadrature_weights",
     "solve_dirichlet", "solve_epsilon",
-    "solve_system", "sup_bound_constant", "superposition_check",
+    "solve_system", "superposition_check",
     "sweep_and_fit", "sweep_grid", "sweep_member",
     "validate_profile",
 ]

@@ -9,8 +9,14 @@ windows, and the two-regime pointwise bounds for |grad w| on either side of
 the |x'| = sqrt(eps) transition.  Each constant is reported as the smallest
 value making the corresponding inequality hold on the discrete solution;
 stability of these constants as eps shrinks is the empirical content.
-Every energy, for n = 2 and n = 3 alike, is one quadrature of the column
-density delta(x') int |grad w|^2 dt over its window (see energy).
+
+analyze_solution computes one column profile per solve: |grad u| and
+|grad w| on every tangential column, |x'|^2 and the trace mismatch there,
+the mismatch at the origin, and the norm budgets (data C2 norms plus the
+L2 norm of u or w).  sup_grad, C_emp, c_low, k225 and k226 are each a max
+or min over that profile (formulas in README "Outputs").  Every energy,
+for n = 2 and n = 3 alike, is one quadrature of the column density
+delta(x') int |grad w|^2 dt over its window (see energy).
 """
 
 from __future__ import annotations
@@ -33,10 +39,7 @@ __all__ = [
     "AnalysisError",
     "gradient",
     "correction_field",
-    "sup_bound_constant",
-    "centerline_lower_constant",
     "energy",
-    "pointwise_w_check",
     "analyze_solution",
     "sweep_grid",
     "solve_epsilon",
@@ -62,17 +65,10 @@ class AnalysisError(RuntimeError):
 class GradientField:
     values: np.ndarray       # (N, n, *dims) physical derivatives
     grid: MappedGrid
-    solution: SolutionField  # the field the gradient was taken of
 
     def norm(self):
         """Pointwise Euclidean norm over components and directions, shape dims."""
         return np.sqrt((self.values**2).sum(axis=(0, 1)))
-
-    def l2_of_field(self):
-        """Jacobian-weighted L2 norm of the underlying field over the grid box."""
-        w = quadrature_weights(self.grid)
-        v = self.solution.values.reshape(self.solution.values.shape[0], -1)
-        return float(np.sqrt(((v**2) * w).sum()))
 
     @cached_property
     def _column_density(self):
@@ -84,7 +80,7 @@ class GradientField:
         return (q * grid.reshape(grid.delta_flat)[..., 0]).reshape(grid.nx, -1)
 
 
-def gradient(solution, grid=None):
+def gradient(solution):
     """Physical-space gradient of a nodal field by mapped central differences.
 
     Interior stencils are second-order central in the computational
@@ -95,8 +91,7 @@ def gradient(solution, grid=None):
     a field linear in x' is exact on a graded axis too (and X' = 1 on a
     uniform one).
     """
-    if grid is None:
-        grid = solution.grid
+    grid = solution.grid
     vals = solution.values
     N = vals.shape[0]
     nd = grid.nd
@@ -114,7 +109,7 @@ def gradient(solution, grid=None):
         for a in range(nd):
             out[j, a] = comp[a] / dX[a] - dT[a] * dn
         out[j, nd] = dn
-    return GradientField(values=out, grid=grid, solution=solution)
+    return GradientField(values=out, grid=grid)
 
 
 def correction_field(solution, data):
@@ -126,48 +121,16 @@ def correction_field(solution, data):
                          residual=solution.residual, method="derived")
 
 
-def _by_column(gradfield):
-    """|grad| as (columns, nt), the tangential columns and their |x'|^2."""
-    grid = gradfield.grid
-    cols = grid.tang[::grid.nt]
-    return (gradfield.norm().reshape(len(cols), grid.nt), cols,
-            (cols**2).sum(axis=-1))
-
-
 def _mismatch_norms(data, tang):
     """Euclidean and max-component mismatch magnitude at tangential points."""
     m = np.stack([data.mismatch_poly(l).value_many(tang) for l in range(data.N)])
     return np.sqrt((m**2).sum(axis=0)), np.abs(m).max(axis=0)
 
 
-def _norm_budget(data, gradfield):
-    return (data.c2_norm("plus") + data.c2_norm("minus")
-            + gradfield.l2_of_field())
-
-
-def sup_bound_constant(gradfield, data, region, R0=0.25):
-    """Smallest C with |grad u| <= C*mismatch/(eps+|x'|^2) + C*norm budget
-    on |x'| <= R0; the budget is the data C2 norms plus the solution's L2
-    norm over the solve box.
-    """
-    gn, cols, r2 = _by_column(gradfield)
-    mask = r2 <= R0**2 + 1e-15
-    mm, _ = _mismatch_norms(data, cols)
-    den = mm / (region.epsilon + r2) + _norm_budget(data, gradfield)
-    return float((gn[mask] / den[mask, None]).max())
-
-
-def centerline_lower_constant(gradfield, data, region):
-    """min over the center column of |grad u|*eps/mismatch, or None when all
-    components match at the origin (the lower bound then says nothing)."""
-    zero = np.zeros((1, data.nd))
-    _, mx = _mismatch_norms(data, zero)
-    if mx[0] == 0.0:
-        return None
-    grid = gradfield.grid
-    gn = gradfield.norm()
-    col = gn[grid.center_index()]
-    return float(col.min() * region.epsilon / mx[0])
+def _l2(field):
+    """Jacobian-weighted L2 norm of a nodal field over the grid box."""
+    v = field.values.reshape(field.values.shape[0], -1)
+    return float(np.sqrt(((v**2) * quadrature_weights(field.grid)).sum()))
 
 
 # trapezoid samples along x1 in every window-energy quadrature
@@ -238,25 +201,6 @@ def energy(gradfield, window=None):
     return float(np.trapezoid(vals, xs))
 
 
-def pointwise_w_check(gradfield_w, data, region, R0=0.25):
-    """Empirical constants of the two-regime pointwise bound on |grad w|.
-
-    m_inner: max of |grad w|*sqrt(eps)/(mismatch + budget) over |x'| <= sqrt(eps);
-    m_outer: max of |grad w|*|x'|/(mismatch + budget) over sqrt(eps) < |x'| <= R0.
-    Either is None when its band contains no grid column.
-    """
-    gn, cols, r2 = _by_column(gradfield_w)
-    r = np.sqrt(r2)
-    se = math.sqrt(region.epsilon)
-    mm, _ = _mismatch_norms(data, cols)
-    den = (mm + _norm_budget(data, gradfield_w))[:, None]
-    inner = r <= se + 1e-15
-    outer = (r > se) & (r <= R0 + 1e-15)
-    m_inner = float((gn[inner] * se / den[inner]).max()) if inner.any() else None
-    m_outer = float((gn[outer] * r[outer, None] / den[outer]).max()) if outer.any() else None
-    return m_inner, m_outer
-
-
 @dataclass
 class BoundReport:
     epsilon: float
@@ -279,44 +223,62 @@ class BoundReport:
                 "k225": self.k225, "k226": self.k226}
 
 
-def _sup_grad(grad_u, R0):
-    """max |grad u| over the nodes with |x'| <= R0."""
-    gn, _, r2 = _by_column(grad_u)
-    return float(gn[r2 <= R0**2 + 1e-15].max())
-
-
 def analyze_solution(solution, data, region, R0=0.25, scenario="", grad_u=None):
     """Full per-epsilon report: gradient bounds for u, energy and pointwise
     bounds for the correction w.  ``grad_u`` is gradient(solution) when the
-    caller already has it."""
+    caller already has it.
+
+    sup_grad, C_emp, c_low, k225 and k226 are maxima or minima over the
+    tangential columns of the grid (README "Outputs" gives each formula);
+    they share one column profile: |grad u| and |grad w| per column, |x'|^2
+    and the Euclidean mismatch there, and the norm budgets.
+    """
     grid = solution.grid
     eps = region.epsilon
+    nd = grid.nd
     if grad_u is None:
         grad_u = gradient(solution)
     w = correction_field(solution, data)
     grad_w = gradient(w)
 
-    sup_grad = _sup_grad(grad_u, R0)
-    C_emp = sup_bound_constant(grad_u, data, region, R0)
-    c_low = centerline_lower_constant(grad_u, data, region)
+    cols = grid.tang[::grid.nt]
+    r2 = (cols**2).sum(axis=-1)
+    r = np.sqrt(r2)
+    gu = grad_u.norm().reshape(len(cols), grid.nt)
+    gw = grad_w.norm().reshape(len(cols), grid.nt)
+    mm, _ = _mismatch_norms(data, cols)
+    mx0 = _mismatch_norms(data, np.zeros((1, nd)))[1][0]
+    c2p, c2m = data.c2_norm("plus"), data.c2_norm("minus")
+    wl2 = _l2(w)
+    budget2 = c2p**2 + c2m**2 + wl2**2
+
+    inside = r2 <= R0**2 + 1e-15
+    sup_grad = float(gu[inside].max())
+    den = mm / (eps + r2) + ((c2p + c2m) + _l2(solution))
+    C_emp = float((gu[inside] / den[inside, None]).max())
+    c_low = None
+    if mx0 != 0.0:
+        center = gu.reshape(grid.dims)[grid.center_index()]
+        c_low = float(center.min() * eps / mx0)
+
+    # the two-regime pointwise bound on |grad w|: |x'| <= sqrt(eps) and
+    # sqrt(eps) < |x'| <= R0; None when the band holds no column
+    se = math.sqrt(eps)
+    den_w = (mm + ((c2p + c2m) + wl2))[:, None]
+    inner = r <= se + 1e-15
+    outer = (r > se) & (r <= R0 + 1e-15)
+    k225 = float((gw[inner] * se / den_w[inner]).max()) if inner.any() else None
+    k226 = float((gw[outer] * r[outer, None] / den_w[outer]).max()) \
+        if outer.any() else None
 
     energy_half = energy(grad_w)
     delta0 = eps  # profiles vanish at the origin, so delta(0') = eps
     F_delta0 = energy(grad_w, window=(None, delta0))
-
-    c2p, c2m = data.c2_norm("plus"), data.c2_norm("minus")
-    wl2 = grad_w.l2_of_field()
-    budget2 = c2p**2 + c2m**2 + wl2**2
     k213 = energy_half / (wl2**2 + c2p**2 + c2m**2)
-
-    zero = np.zeros((1, data.nd))
-    _, mx0 = _mismatch_norms(data, zero)
-    nd = grid.nd
-    k219 = F_delta0 / (eps ** (nd) * (mx0[0] ** 2 + eps * budget2)) \
-        if (mx0[0] ** 2 + eps * budget2) > 0 else 0.0
+    k219 = F_delta0 / (eps ** (nd) * (mx0 ** 2 + eps * budget2)) \
+        if (mx0 ** 2 + eps * budget2) > 0 else 0.0
     # outer window at |x0'| = 2 sqrt(eps) along the first axis, when the
     # band sqrt(eps) < |x0'| <= r_analyze reaches that far
-    se = math.sqrt(eps)
     k220 = None
     if 2 * se <= region.r_analyze:
         x0 = np.zeros(nd)
@@ -327,8 +289,6 @@ def analyze_solution(solution, data, region, R0=0.25, scenario="", grad_u=None):
         r0n = float(np.sqrt((x0**2).sum()))
         den = r0n ** (2 * nd) * (mmx0[0] ** 2 + r0n**2 * budget2)
         k220 = Fx0 / den if den > 0 else 0.0
-
-    k225, k226 = pointwise_w_check(grad_w, data, region, R0)
 
     return BoundReport(
         epsilon=eps, sup_grad=sup_grad, C_emp=C_emp, c_low=c_low,
@@ -403,10 +363,15 @@ def sweep_grid(eps):
 
 
 def _metric_value(grad_u, metric, R0):
+    """The max of |grad u| over the center column (center_grad) or over
+    |x'| <= R0 (sup_grad, as analyze_solution reports it)."""
+    grid = grad_u.grid
+    gn = grad_u.norm()
     if metric == "center_grad":
-        return float(grad_u.norm()[grad_u.grid.center_index()].max())
+        return float(gn[grid.center_index()].max())
     if metric == "sup_grad":
-        return _sup_grad(grad_u, R0)
+        r2 = (grid.tang**2).sum(axis=-1)
+        return float(gn.ravel()[r2 <= R0**2 + 1e-15].max())
     raise AnalysisError(f"unknown metric {metric!r}")
 
 

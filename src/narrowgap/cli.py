@@ -23,7 +23,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
@@ -286,8 +286,7 @@ class RunConfig:
             n=n, N=N, A=A, B=B, Cc=Cc, D=D,
             lambda_claim=self.op_params["lambda"],
             Lambda_claim=self.op_params["Lambda"],
-            kappa2_claim=self.op_params["kappa2"],
-            label="custom")
+            kappa2_claim=self.op_params["kappa2"])
 
     def data(self):
         nd = self.n - 1
@@ -355,12 +354,9 @@ def load_config(path):
 # emission
 
 
-def report_to_dict(report, rate_fit=None):
-    """BoundReport as the pinned JSON structure."""
-    rf = None
-    if rate_fit is not None:
-        rf = {"slope": rate_fit.slope, "intercept": rate_fit.intercept,
-              "r2": rate_fit.r2}
+def report_to_dict(report):
+    """BoundReport as the pinned JSON structure; its ``rate_fit`` is null
+    (the fit of a sweep goes to ratefit.json)."""
     return {
         "epsilon": report.epsilon,
         "sup_grad": report.sup_grad,
@@ -369,7 +365,7 @@ def report_to_dict(report, rate_fit=None):
         "energy_half": report.energy_half,
         "F_delta0": report.F_delta0,
         "lemma_constants": report.lemma_constants(),
-        "rate_fit": rf,
+        "rate_fit": None,
         "grid": {"nx": report.grid[0], "nt": report.grid[1]},
         "R0": report.R0,
         "scenario": report.scenario,
@@ -419,19 +415,7 @@ def _validate_payload(cfg):
     payload = {
         "epsilon": region.epsilon,
         "seed": cfg.seed,
-        "geometry": {
-            "passed": geo.passed,
-            "degenerate_override": geo.degenerate_override,
-            "min_eigenvalue": geo.min_eigenvalue,
-            "c2_norm_h1": geo.c2_norm_h1,
-            "c2_norm_h2": geo.c2_norm_h2,
-            "c21_lower": geo.c21_lower,
-            "c21_upper": geo.c21_upper,
-            "checks": [{"name": c.name, "passed": c.passed,
-                        "measured": c.measured, "threshold": c.threshold,
-                        "detail": c.detail}
-                       for c in geo.checks],
-        },
+        "geometry": asdict(geo),
         "operator": {
             "kind": cfg.op_kind,
             "lambda_claim": op.lambda_claim,
@@ -662,7 +646,6 @@ def _build_parser():
     p.add_argument("--grids", default=None)
 
     p = add("report", help="summarize a results directory")
-    p.add_argument("--config", default=None)
     p.add_argument("--in", dest="indir", required=True)
     return parser
 
@@ -674,7 +657,7 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
+        cfg = RunConfig() if args.command == "report" else load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.allow_degenerate_geometry:

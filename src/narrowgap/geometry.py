@@ -146,7 +146,6 @@ class ValidationReport:
     c21_lower: float = float("nan")
     c21_upper: float = float("nan")
     degenerate_override: bool = False
-    samples_per_dim: int = 0
 
     def failures(self):
         return [c for c in self.checks if not c.passed]
@@ -293,7 +292,6 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
     report = ValidationReport(
         passed=False,
         degenerate_override=allow_degenerate,
-        samples_per_dim=samples_per_dim,
     )
 
     origin_resid, report.min_eigenvalue, report.c2_norm_h1, report.c2_norm_h2 = \

@@ -558,8 +558,11 @@ def solve_system(system, tol=1e-10):
     b = b_I - A_IB b_B (||b|| read as 1 when b = 0).  The solve is accepted
     if that is at most ``tol``, in either dimension; BiCGSTAB stops once it
     is there.  Otherwise raises SolverError, with the BiCGSTAB recurrence
-    residual of every iteration divided by the same ||b||.
+    residual of every iteration divided by the same ||b||.  A ``tol``
+    outside (0, 1), nan and inf included, raises ValueError.
     """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     A = system.matrix
     grid = system.grid
     b = system.rhs - system.coupling @ system.bc

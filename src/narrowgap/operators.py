@@ -64,7 +64,7 @@ class EllipticOperator:
     """
 
     def __init__(self, n, N, A, B=None, Cc=None, D=None,
-                 lambda_claim=None, Lambda_claim=None, kappa2_claim=None, label=""):
+                 lambda_claim=None, Lambda_claim=None, kappa2_claim=None):
         if n not in (2, 3):
             raise OperatorError("n must be 2 or 3")
         if N < 1:
@@ -92,7 +92,6 @@ class EllipticOperator:
         self.lambda_claim = lambda_claim
         self.Lambda_claim = Lambda_claim
         self.kappa2_claim = kappa2_claim
-        self.label = label
         self._key = (
             n, N,
             tuple(self.A.ravel()), tuple(self.B.ravel()),
@@ -150,7 +149,6 @@ def make_builtin(kind, n=2, lame_mu=1.0, lame_lambda=1.0):
                 A[0, 0, a, b] = _const(n, 1 if a == b else 0)
         return EllipticOperator(
             n, 1, A, lambda_claim=1.0, Lambda_claim=1.0, kappa2_claim=1.0,
-            label="laplace",
         )
     if kind == "lame":
         mu = Fraction(lame_mu)
@@ -177,7 +175,6 @@ def make_builtin(kind, n=2, lame_mu=1.0, lame_lambda=1.0):
             lambda_claim=float(mu),
             Lambda_claim=float(lam + 2 * mu),
             kappa2_claim=float(lam + 2 * mu),
-            label=f"lame(mu={float(mu):g},lambda={float(lam):g})",
         )
     raise OperatorError(f"unknown builtin operator {kind!r}")
 

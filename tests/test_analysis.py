@@ -15,7 +15,6 @@ from narrowgap import (
     analysis,
     analyze_solution,
     build_grid,
-    centerline_lower_constant,
     correction_field,
     energy,
     fit_rate,
@@ -23,7 +22,7 @@ from narrowgap import (
     make_builtin,
     mesh_solver,
     parse_expression,
-    pointwise_w_check,
+    quadrature_weights,
     solve_dirichlet,
     superposition_check,
     sweep_grid,
@@ -89,14 +88,14 @@ def test_correction_is_zero_on_the_boundary(kind, n, traces):
 
 def test_centerline_constant_flat_gap_is_one(lap):
     reg, grid, data, sol = solve_case(lap, profile=flat_profile())
-    c_low = centerline_lower_constant(gradient(sol), data, reg)
+    c_low = analyze_solution(sol, data, reg).c_low
     assert c_low == pytest.approx(1.0, rel=1e-9)
 
 
 def test_centerline_constant_matched_is_none(lap):
     data = BoundaryData((p1("x1"),), (p1("x1"),))
     reg, grid, _, sol = solve_case(lap, data=data)
-    assert centerline_lower_constant(gradient(sol), data, reg) is None
+    assert analyze_solution(sol, data, reg).c_low is None
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -175,15 +174,60 @@ def test_graded_values_converge_to_the_uniform_limit(lap, monkeypatch, eps):
 
 def test_pointwise_band_applicability(lap):
     reg, grid, data, sol = solve_case(lap, eps=0.1)
-    gw = gradient(correction_field(sol, data))
-    m_inner, m_outer = pointwise_w_check(gw, data, reg)
-    assert m_inner is not None
-    assert m_outer is None          # sqrt(0.1) > R0 = 0.25: band is empty
+    rep = analyze_solution(sol, data, reg)
+    assert rep.k225 is not None
+    assert rep.k226 is None         # sqrt(0.1) > R0 = 0.25: band is empty
 
     reg, grid, data, sol = solve_case(lap, eps=0.05, nx=45)
-    gw = gradient(correction_field(sol, data))
-    m_inner, m_outer = pointwise_w_check(gw, data, reg)
-    assert m_inner is not None and m_outer is not None
+    rep = analyze_solution(sol, data, reg)
+    assert rep.k225 is not None and rep.k226 is not None
+
+
+@pytest.mark.parametrize("kind, n, eps, nx, nt, traces", [
+    ("lame", 2, 0.05, 45, 17, (("1 + x1", "0.5*x1^2"), ("-0.5", "x1"))),
+    ("laplace", 3, 0.1, 17, 9, (("1 + x1*x2",), ("x1^2 - 0.5",))),
+], ids=["lame2d", "laplace3d"])
+def test_column_constants_match_the_readme_formulas(kind, n, eps, nx, nt, traces):
+    # sup_grad, C_emp, c_low, k225 and k226 recomputed node by node from the
+    # README formulas; in 3-D at eps 0.1 the outer band is empty (k226 None)
+    op = make_builtin(kind, n=n)
+    gp, gm = ([parse_expression(t, nvars=n - 1) for t in side] for side in traces)
+    data = BoundaryData(tuple(gp), tuple(gm))
+    reg, grid, _, sol = solve_case(op, eps=eps, data=data, nx=nx, nt=nt)
+    rep = analyze_solution(sol, data, reg)
+    w = correction_field(sol, data)
+
+    x = grid.tang                                   # one row per node
+    r = np.sqrt((x**2).sum(axis=-1))
+    gu, gw = gradient(sol).norm().ravel(), gradient(w).norm().ravel()
+    diff = np.array([g.value_many(x) - h.value_many(x)
+                     for g, h in zip(data.g_plus, data.g_minus)])
+    mm = np.sqrt((diff**2).sum(axis=0))
+    weights = quadrature_weights(grid)
+
+    def l2(field):
+        return np.sqrt((field.values.reshape(op.N, -1) ** 2 * weights).sum())
+
+    c2 = data.c2_norm("plus") + data.c2_norm("minus")
+    R0, se = 0.25, np.sqrt(eps)
+    inside = r <= R0 + 1e-12
+    origin = r == 0.0
+    want = {
+        "sup_grad": gu[inside].max(),
+        "C_emp": (gu / (mm / (eps + r**2) + c2 + l2(sol)))[inside].max(),
+        "c_low": gu[origin].min() * eps / np.abs(diff[:, origin]).max(),
+        "k225": (gw * se / (mm + c2 + l2(w)))[r <= se].max(),
+    }
+    outer = (r > se) & inside
+    want["k226"] = (gw * r / (mm + c2 + l2(w)))[outer].max() if outer.any() else None
+    assert origin.sum() == nt
+    assert (want["k226"] is None) == (n == 3)
+    for name, value in want.items():
+        got = getattr(rep, name)
+        if value is None:
+            assert got is None, name
+        else:
+            assert got == pytest.approx(value, rel=1e-14, abs=0), name
 
 
 def test_analyze_solution_report_fields(lap):

@@ -442,6 +442,8 @@ def test_sweep_and_report(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "rate[center_grad]" in captured.out
     assert "geometry passed=True" in captured.out
+    # report reads only its directory, so it takes no config
+    assert main(["report", "--config", cfg, "--in", str(out)]) == EXIT_USAGE
 
 
 def test_sweep_parallel_matches_serial(tmp_path, capsys):

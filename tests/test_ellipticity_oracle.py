@@ -53,7 +53,7 @@ def _custom(n):
     A[0, 0, 0, 1] = p("0.4")
     A[0, 1, 0, 1] = p(f"0.5 + 0.3*x{n}")
     A[1, 0, 0, n - 1] = p("-0.25*x1")
-    return EllipticOperator(n, 2, A, label="custom")
+    return EllipticOperator(n, 2, A)
 
 
 def _operator(kind, n):

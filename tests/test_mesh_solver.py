@@ -288,6 +288,16 @@ def test_residual_is_relative_to_the_system_rhs(n, grid):
     assert sol.residual <= 1e-10
 
 
+@pytest.mark.parametrize("tol", [np.inf, 1.0, 2.0, -1.0, 0.0, np.nan])
+def test_solve_rejects_a_tolerance_outside_the_unit_interval(tol):
+    # a tol of 1 or more would accept a loose answer, and one of 0 or less
+    # (or nan) would run BiCGSTAB into a breakdown
+    data = BoundaryData((p2("1"),), (PolynomialField.zero(2),))
+    system = assemble(make_builtin("laplace", n=3), quad_grid_3d(9, 9), data=data)
+    with pytest.raises(ValueError, match="tol must be in"):
+        solve_system(system, tol=tol)
+
+
 def test_krylov_failure_carries_its_history():
     data = BoundaryData((p2("1"),), (PolynomialField.zero(2),))
     with pytest.raises(SolverError) as info:
