@@ -77,7 +77,7 @@ class BoundaryData:
         pts = _sample_ball(self.nd, 1.0, 513 if self.nd == 1 else 65)
 
         def side(comps):
-            parts = [g.c2_samples(pts) for g in comps]
+            parts = [g.c2_samples(lambda p: p.value_many(pts)) for g in comps]
             c0, c1, c2 = (np.array([part[k].max() for part in parts])
                           for k in range(3))
             full = np.array([sum(part).max() for part in parts])

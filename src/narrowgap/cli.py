@@ -562,7 +562,7 @@ def cmd_mms(cfg, args):
     return EXIT_OK
 
 
-def cmd_report(cfg, args):
+def cmd_report(args):
     indir = Path(args.indir)
     if not indir.is_dir():
         raise ConfigError(f"not a directory: {indir}")
@@ -617,14 +617,15 @@ def _build_parser():
     parser = _Parser(prog="narrowgap",
                      description="narrow-gap elliptic solver and bound checker")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the [flags] overrides of every command that reads a config
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--seed", type=int, default=None,
+                       help="override [flags] seed")
+    flags.add_argument("--allow-degenerate-geometry", action="store_true",
+                       help="accept kappa0 failure (flat gap)")
 
     def add(name, **kw):
-        p = sub.add_parser(name, **kw)
-        p.add_argument("--seed", type=int, default=None,
-                       help="override [flags] seed")
-        p.add_argument("--allow-degenerate-geometry", action="store_true",
-                       help="accept kappa0 failure (flat gap)")
-        return p
+        return sub.add_parser(name, parents=[flags], **kw)
 
     p = add("validate", help="check geometry hypotheses and operator bounds")
     p.add_argument("--config", required=True)
@@ -645,7 +646,7 @@ def _build_parser():
     p.add_argument("--config", required=True)
     p.add_argument("--grids", default=None)
 
-    p = add("report", help="summarize a results directory")
+    p = sub.add_parser("report", help="summarize a results directory")
     p.add_argument("--in", dest="indir", required=True)
     return parser
 
@@ -657,14 +658,15 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_USAGE
     try:
-        cfg = RunConfig() if args.command == "report" else load_config(args.config)
+        if args.command == "report":
+            return cmd_report(args)
+        cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.allow_degenerate_geometry:
             cfg.allow_degenerate_geometry = True
         handler = {"validate": cmd_validate, "solve": cmd_solve,
-                   "sweep": cmd_sweep, "mms": cmd_mms,
-                   "report": cmd_report}[args.command]
+                   "sweep": cmd_sweep, "mms": cmd_mms}[args.command]
         return handler(cfg, args)
     except (ConfigError, ExpressionError, FileNotFoundError) as exc:
         _error_json("config", exc)

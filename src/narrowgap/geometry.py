@@ -8,6 +8,12 @@ origin (Hessian of h1 - h2 bounded below by kappa0) while staying C2-bounded
 by kappa1.  validate_profile measures all of that and reports it; the only
 constructor-level hard checks are the exact origin conditions, which are
 coefficient-level reads on the polynomials.
+
+The convexity check reads the exact Hessian at the origin.  Everything else
+the gate samples (the C2 norms and the gap widths on the unit ball, the
+comparability ratios on the r_solve ball, and the smallest width on the
+solve box at construction) is evaluated on a tensor grid of the box by
+_SampleGrid, as outer products of per-axis powers, and masked to the ball.
 """
 
 from __future__ import annotations
@@ -156,8 +162,8 @@ def _min_box_width(region):
     """Smallest gap width on a 65^(n-1) grid of the solve box.  Cached, so
     that the equal regions the geometry gate and the solves build for one
     eps sample the box once."""
-    pts = _tangential_box(region.nd, region.r_solve, 65)
-    return float(gap_width_many(region, pts).min())
+    return float(_sample_grid(region.nd, region.r_solve, 65)
+                 .values(region.delta_poly).min())
 
 
 @lru_cache(maxsize=64)
@@ -252,6 +258,46 @@ def _sample_ball(nd, r, m):
     return pts[_ball_mask(pts, r)]
 
 
+class _SampleGrid:
+    """The m^nd sample grid of [-r, r]^nd, kept as the tensor product of
+    one axis.
+
+    ``values(p)`` evaluates a polynomial on the whole grid as a sum of outer
+    products of the per-axis powers axis**k, computed once, so a monomial
+    costs one outer product instead of one power per point and variable.
+    Its shape is (m,) * nd; ravelled it is in the order of
+    ``_tangential_box(nd, r, m)``.  ``radius_sq`` is |x'|^2 and ``inside``
+    the mask of the r-ball (as ``_ball_mask``) on the same grid.
+    """
+
+    def __init__(self, nd, r, m):
+        axis = np.linspace(-r, r, m)
+        self.powers = [axis**k for k in range(MAX_PROFILE_DEGREE + 1)]
+        self.radius_sq = (self.powers[2] if nd == 1
+                          else np.add.outer(self.powers[2], self.powers[2]))
+        self.inside = self.radius_sq <= r**2 + 1e-12
+
+    def _term(self, expo, c):
+        mono = self.powers[expo[0]]
+        for k in expo[1:]:
+            mono = np.multiply.outer(mono, self.powers[k])
+        return float(c) * mono
+
+    def values(self, poly):
+        # value_many's order of addition: the first term plus the sum of
+        # the others (numpy's reduction, for up to 9 terms)
+        terms = sorted(poly.terms.items())
+        rest = np.zeros(self.radius_sq.shape)
+        for expo, c in terms[1:]:
+            rest += self._term(expo, c)
+        return self._term(*terms[0]) + rest if terms else rest
+
+
+@lru_cache(maxsize=16)
+def _sample_grid(nd, r, m):
+    return _SampleGrid(nd, r, m)
+
+
 @lru_cache(maxsize=32)
 def _profile_checks(profile, samples_per_dim):
     """The eps-independent measurements of validate_profile, once per
@@ -267,8 +313,8 @@ def _profile_checks(profile, samples_per_dim):
     )
     sep_hess = profile.separation().hessian_value((0.0,) * profile.nd)
     min_eig = float(np.linalg.eigvalsh(sep_hess).min())
-    ball = _sample_ball(profile.nd, 1.0, samples_per_dim)
-    c2_h1, c2_h2 = (float(sum(h.c2_samples(ball)).max())
+    ball = _sample_grid(profile.nd, 1.0, samples_per_dim)
+    c2_h1, c2_h2 = (float(sum(h.c2_samples(ball.values))[ball.inside].max())
                     for h in (profile.h1, profile.h2))
     return origin_resid, min_eig, c2_h1, c2_h2
 
@@ -321,18 +367,18 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
         )
     )
 
-    ball = _sample_ball(prof.nd, 1.0, samples_per_dim)
-    widths = gap_width_many(region, ball)
-    min_width = float(widths.min())
+    ball = _sample_grid(prof.nd, 1.0, samples_per_dim)
+    widths = ball.values(region.delta_poly)
+    min_width = float(widths[ball.inside].min())
     if min_width <= 0:
         raise GeometryError(f"gap closes on the unit ball (min width {min_width:g})")
     report.checks.append(CheckResult("positive_gap", True, min_width, 0.0))
 
     box, box_widths = ball, widths
     if region.r_solve != 1.0:
-        box = _sample_ball(prof.nd, region.r_solve, samples_per_dim)
-        box_widths = gap_width_many(region, box)
-    ratios = box_widths / (region.epsilon + (box**2).sum(axis=-1))
+        box = _sample_grid(prof.nd, region.r_solve, samples_per_dim)
+        box_widths = box.values(region.delta_poly)
+    ratios = (box_widths / (region.epsilon + box.radius_sq))[box.inside]
     report.c21_lower = float(ratios.min())
     report.c21_upper = float(ratios.max())
     report.checks.append(

@@ -579,17 +579,20 @@ def estimate_bounds(op, region):
     """
     points = _quadrature_nodes(region, BOUNDS_GRID).points
 
+    def values(p):
+        return p.value_many(points)
+
     def distinct_nonzero(tensor):
         # a sup over entries needs each distinct polynomial only once
         return [p for p in set(tensor.ravel()) if not p.is_zero()]
 
     def tensor_c2(tensor):
-        return max((float(sum(p.c2_samples(points)).max())
+        return max((float(sum(p.c2_samples(values)).max())
                     for p in distinct_nonzero(tensor)), default=0.0)
 
     Lambda_est = 0.0
     for p in distinct_nonzero(op.A):
-        Lambda_est = max(Lambda_est, float(np.abs(p.value_many(points)).max()))
+        Lambda_est = max(Lambda_est, float(np.abs(values(p)).max()))
 
     kappa2_est = sum(tensor_c2(t) for t in (op.A, op.B, op.Cc, op.D))
     return Lambda_est, kappa2_est

@@ -252,18 +252,20 @@ class PolynomialField:
             [[float(h[i][j].value(tuple(point))) for j in range(m)] for i in range(m)]
         )
 
-    def c2_samples(self, points):
-        """|f|, |grad f| and the Frobenius norm |hess f|_F at ``points``,
-        the three parts of every sampled C2 norm."""
-        value = np.abs(self.value_many(points))
+    def c2_samples(self, values):
+        """|f|, |grad f| and the Frobenius norm |hess f|_F at a set of
+        samples, the three parts of every sampled C2 norm.  ``values`` maps
+        a PolynomialField to its values there, e.g.
+        ``lambda p: p.value_many(points)``."""
+        value = np.abs(values(self))
         grad = self.grad()
         grad_sq = np.zeros_like(value)
         for d in grad:
-            grad_sq = grad_sq + d.value_many(points) ** 2
+            grad_sq = grad_sq + values(d) ** 2
         hess_sq = np.zeros_like(value)
         for d in grad:
             for j in range(self.nvars):
-                hess_sq = hess_sq + d.deriv(j).value_many(points) ** 2
+                hess_sq = hess_sq + values(d.deriv(j)) ** 2
         return value, np.sqrt(grad_sq), np.sqrt(hess_sq)
 
     def lift(self, nvars_new):

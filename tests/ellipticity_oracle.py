@@ -142,7 +142,7 @@ def estimate_bounds(op, region, samples=(33, 17)):
         return [p for p in set(tensor.ravel()) if not p.is_zero()]
 
     def tensor_c2(tensor):
-        return max((float(sum(p.c2_samples(points)).max())
+        return max((float(sum(p.c2_samples(lambda q: q.value_many(points))).max())
                     for p in distinct_nonzero(tensor)), default=0.0)
 
     Lambda_est = 0.0

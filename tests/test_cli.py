@@ -16,6 +16,7 @@ from narrowgap.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     ConfigError,
+    _build_parser,
     load_config,
     main,
 )
@@ -653,6 +654,23 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "5"], ["--allow-degenerate-geometry"]])
+def test_report_rejects_the_config_flags(tmp_path, capsys, flag):
+    # report reads only its directory, so no [flags] override applies to it
+    (tmp_path / "report_eps0p1.json").write_text("{}")
+    assert main(["report", "--in", str(tmp_path), *flag]) == EXIT_USAGE
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "usage"
+    assert flag[0] in err["message"]
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "sweep", "mms"])
+def test_config_commands_take_the_config_flags(command):
+    args = _build_parser().parse_args(
+        [command, "--config", "x.cfg", "--seed", "5", "--allow-degenerate-geometry"])
+    assert (args.seed, args.allow_degenerate_geometry) == (5, True)
 
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()

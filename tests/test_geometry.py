@@ -1,9 +1,12 @@
 """Gap geometry: profiles, regions, hypothesis validation."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from narrowgap import (
     GapProfile,
@@ -11,6 +14,7 @@ from narrowgap import (
     NarrowRegion,
     PolynomialField,
     gap_width_many,
+    geometry,
     parse_expression,
     validate_profile,
 )
@@ -112,3 +116,109 @@ def test_two_tangential_dimensions():
     assert rep.min_eigenvalue == pytest.approx(2.0, abs=1e-12)
     assert gap_width_many(reg, np.array([[0.1, 0.2]]))[0] == pytest.approx(
         0.15, abs=1e-15)
+
+
+# -- the tensor-grid evaluator of the geometry gate ---------------------------
+
+
+@st.composite
+def polynomials(draw):
+    """PolynomialFields in 1 or 2 variables up to degree 4: any subset of
+    the monomials, so mixed terms, constants and the zero polynomial."""
+    nvars = draw(st.sampled_from([1, 2]))
+    expos = [e for e in itertools.product(range(5), repeat=nvars) if sum(e) <= 4]
+    coef = st.fractions(min_value=-8, max_value=8, max_denominator=64)
+    terms = draw(st.dictionaries(st.sampled_from(expos), coef, max_size=8))
+    return PolynomialField(nvars, terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly=polynomials(), r=st.sampled_from([1.0, 0.8, 0.35]),
+       m=st.integers(min_value=2, max_value=41))
+@example(poly=PolynomialField.zero(2), r=1.0, m=16)
+@example(poly=PolynomialField.constant(2, Fraction(-3, 7)), r=1.0, m=16)
+@example(poly=PolynomialField.constant(1, 5), r=0.8, m=17)
+def test_sample_grid_values_agree_with_value_many(poly, r, m):
+    grid = geometry._SampleGrid(poly.nvars, r, m)
+    on_grid = grid.values(poly)
+    assert on_grid.shape == (m,) * poly.nvars
+    expected = poly.value_many(geometry._tangential_box(poly.nvars, r, m))
+    scale = np.abs(expected).max()
+    assert np.abs(on_grid.ravel() - expected).max() <= 1e-14 * scale
+
+
+def test_sample_grid_masks_the_ball():
+    grid = geometry._SampleGrid(2, 0.8, 33)
+    box = geometry._tangential_box(2, 0.8, 33)
+    np.testing.assert_array_equal(grid.radius_sq.ravel(), (box**2).sum(axis=-1))
+    np.testing.assert_array_equal(grid.inside.ravel(), geometry._ball_mask(box, 0.8))
+
+
+def _point_cloud_validation(region, samples_per_dim=160, tol=1e-9):
+    """The numbers of validate_profile computed on the points of the sample
+    grid inside each ball, with value_many, and the checks that fail."""
+    prof = region.profile
+    ball = geometry._sample_ball(prof.nd, 1.0, samples_per_dim)
+    box = geometry._sample_ball(prof.nd, region.r_solve, samples_per_dim)
+    c2_h1, c2_h2 = (float(sum(h.c2_samples(lambda p: p.value_many(ball))).max())
+                    for h in (prof.h1, prof.h2))
+    ratios = gap_width_many(region, box) / (region.epsilon + (box**2).sum(axis=-1))
+    numbers = {
+        "min_eigenvalue": float(np.linalg.eigvalsh(
+            prof.separation().hessian_value((0.0,) * prof.nd)).min()),
+        "c2_norm_h1": c2_h1,
+        "c2_norm_h2": c2_h2,
+        "positive_gap": float(gap_width_many(region, ball).min()),
+        "c21_lower": float(ratios.min()),
+        "c21_upper": float(ratios.max()),
+    }
+    failures = []
+    if numbers["min_eigenvalue"] < prof.kappa0 - tol:
+        failures.append("convexity_kappa0")
+    if c2_h1 + c2_h2 > prof.kappa1 + tol:
+        failures.append("c2_bound_kappa1")
+    if not numbers["c21_lower"] > 0:
+        failures.append("gap_comparability")
+    return numbers, failures
+
+
+GAP3D = ("0.5*x1^2 + 0.5*x2^2", "-0.5*x1^2 - 0.5*x2^2")
+CURVED3D = ("0.6*x1^2 + 0.3*x1*x2 + 0.4*x2^2 + 0.2*x1^3 - 0.1*x2^4",
+            "-0.5*x1^2 + 0.1*x1*x2^2 - 0.7*x2^2")
+
+
+@pytest.mark.parametrize("gap, kappa1, r_solve", [
+    (GAP3D, 100.0, 1.0),
+    (CURVED3D, 100.0, 0.8),
+    (CURVED3D, 9.0, 0.8),  # a C2 claim the sampled norms exceed
+])
+def test_validate_profile_matches_the_point_cloud(gap, kappa1, r_solve):
+    h1, h2 = (parse_expression(text, nvars=2) for text in gap)
+    reg = NarrowRegion(n=3, epsilon=0.05, r_solve=r_solve, r_analyze=0.4,
+                       profile=GapProfile(h1=h1, h2=h2, kappa1=kappa1))
+    rep = validate_profile(reg)
+    numbers, failures = _point_cloud_validation(reg)
+    measured = {name: getattr(rep, name) for name in numbers if name != "positive_gap"}
+    (gap_check,) = [c for c in rep.checks if c.name == "positive_gap"]
+    measured["positive_gap"] = gap_check.measured
+    assert measured == pytest.approx(numbers, rel=1e-13, abs=0)
+    assert [c.name for c in rep.failures()] == failures
+    assert rep.passed == (not failures)
+
+
+def test_validate_profile_evaluates_no_point_cloud(monkeypatch):
+    sizes = []
+    value_many = PolynomialField.value_many
+
+    def spy(self, points):
+        sizes.append(int(np.prod(np.shape(points)[:-1])))
+        return value_many(self, points)
+
+    monkeypatch.setattr(PolynomialField, "value_many", spy)
+    geometry._profile_checks.cache_clear()
+    geometry._min_box_width.cache_clear()
+    h1, h2 = (parse_expression(text, nvars=2) for text in CURVED3D)
+    reg = NarrowRegion(n=3, epsilon=0.05, r_solve=0.8, r_analyze=0.4,
+                       profile=GapProfile(h1=h1, h2=h2))
+    validate_profile(reg, samples_per_dim=160)
+    assert max(sizes, default=0) <= 160
