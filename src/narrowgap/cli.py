@@ -49,6 +49,9 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_GATE = 4
 
+# rows of a field CSV joined into one string per write (_write_csv)
+CSV_BLOCK_ROWS = 4096
+
 
 class ConfigError(ValueError):
     pass
@@ -385,10 +388,29 @@ def _write_field_csv(path, solution, gradfield):
     table = np.column_stack([grid.tang, grid.xn_flat, grid.tvals,
                              solution.values.reshape(N, -1).T,
                              gradfield.norm().ravel()])
-    row = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row % tuple(values) for values in table.tolist())
+        _write_csv(fh, header, table)
+
+
+def _write_csv(fh, header, table):
+    """Write the header and the float64 ``table`` (rows, len(header)) as CSV,
+    every value as '%.17g'.  Each distinct bit pattern is formatted once (so
+    -0.0 and 0.0, and NaN payloads, stay apart) and every cell is gathered
+    from those texts with its ending: the same bytes as formatting cell by
+    cell."""
+    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
+    text = list(map("%.17g".__mod__, bits.view(np.float64).tolist()))
+    cells = np.array([s + "," for s in text] + [s + "\n" for s in text],
+                     dtype=object)
+    # the shape of the inverse differs between numpy releases
+    inverse = inverse.reshape(table.shape)
+    inverse[:, -1] += len(text)
+    fh.write(",".join(header) + "\n")
+    # one string per block of rows: fewer writes than one per cell, and
+    # less memory than one for the whole file
+    for start in range(0, len(inverse), CSV_BLOCK_ROWS):
+        block = cells[inverse[start:start + CSV_BLOCK_ROWS]]
+        fh.write("".join(block.ravel().tolist()))
 
 
 def _eps_tag(eps):
@@ -451,7 +473,7 @@ def cmd_validate(cfg, args):
 
 
 def _check_geometry(cfg, eps_list):
-    """Geometry gate of solve and sweep, run before any solve: raises
+    """Geometry gate of solve, sweep and mms, run before any solve: raises
     GeometryError at the first epsilon whose region fails its checks."""
     for eps in eps_list:
         geo = validate_profile(cfg.region(eps),
@@ -546,6 +568,7 @@ def cmd_mms(cfg, args):
     op = cfg.operator()
     if region.nd != 1:
         raise ConfigError("the built-in mms field is defined for n=2")
+    _check_geometry(cfg, [region.epsilon])
     problem = manufactured_problem(op, region, _mms_spec(op))
     study = convergence_study(problem, [(m, m) for m in sizes], tol=cfg.tol)
     print("grid      err_inf        err_l2         order_inf order_l2")

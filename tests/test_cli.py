@@ -1,13 +1,17 @@
 """Command line interface: config schema, outputs, exit codes, determinism."""
 
 import concurrent.futures
+import io
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from narrowgap import RationalField, analysis, mesh_solver, verification
+from narrowgap import RationalField, analysis, cli, mesh_solver, verification
 from narrowgap.analysis import fit_rate
 from narrowgap.cli import (
     EXIT_GATE,
@@ -17,6 +21,7 @@ from narrowgap.cli import (
     EXIT_VALIDATION,
     ConfigError,
     _build_parser,
+    _write_csv,
     load_config,
     main,
 )
@@ -396,6 +401,38 @@ def test_solve_outputs_are_deterministic(tmp_path, capsys):
     assert len(lines) == 1 + 45 * 33
 
 
+# values whose text is easy to get wrong: both zeros, NaNs with other sign and
+# payload bits, infinities, subnormals and the ends of the exponent range
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan,
+                  np.array(0x7FF8000000000123).view(np.float64).item(),
+                  np.inf, -np.inf, 5e-324, -2.5e-310, 1e300, -1e-300, 1e-300]
+
+
+@st.composite
+def csv_tables(draw):
+    """A float64 table drawn from a small pool, so values repeat."""
+    pool = draw(st.lists(st.floats(width=64) | st.sampled_from(SPECIAL_FLOATS),
+                         min_size=1, max_size=8))
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from(pool), min_size=rows * cols,
+                          max_size=rows * cols))
+    return np.array(cells, dtype=np.float64).reshape(rows, cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=csv_tables(), block=st.integers(1, 5))
+def test_csv_writer_matches_formatting_cell_by_cell(table, block):
+    header = [f"c{j}" for j in range(table.shape[1])]
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "CSV_BLOCK_ROWS", block)
+        _write_csv(out, header, table)
+    expect = ",".join(header) + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in table.tolist())
+    assert out.getvalue() == expect
+
+
 def test_solve_epsilon_flag(tmp_path, capsys):
     cfg = write_cfg(tmp_path, QUAD_CFG)
     out = tmp_path / "out"
@@ -605,6 +642,20 @@ def test_mms_gate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_GATE
     assert json.loads(captured.err.strip())["error"] == "convergence"
+
+
+def test_mms_flat_gap_needs_override(tmp_path, capsys):
+    # mms runs the same geometry gate as solve and sweep, before any solve
+    cfg = write_cfg(tmp_path, FLAT_CFG)
+    assert main(["mms", "--config", cfg, "--grids", "9,17,33"]) == EXIT_VALIDATION
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "validation"
+    assert "convexity_kappa0" in err["message"]
+    for extra, text in ((["--allow-degenerate-geometry"], FLAT_CFG),
+                        ([], FLAT_CFG + "[flags]\nallow_degenerate_geometry = true\n")):
+        cfg = write_cfg(tmp_path, text)
+        assert main(["mms", "--config", cfg, "--grids", "9,17,33"] + extra) == EXIT_OK
+        assert "order_inf" in capsys.readouterr().out
 
 
 def test_mms_honours_solver_settings(tmp_path, capsys, monkeypatch):

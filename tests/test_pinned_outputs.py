@@ -9,9 +9,11 @@ moved by more than 1e-12 were re-recorded with them; ``test_solver_oracle``
 bounds their distance to the earlier solver by 1e-9.  Every laplace3d
 report value was re-recorded when the solver's acceptance scale became the
 norm of the system's own right-hand side, which moved them by at most
-7.9e-11.  The laplace3d energy_half, F_delta0, k213 and k219 were
-re-recorded when the 3-D window energies moved from a masked node sum
-to the quadrature of the 2-D path; ``test_3d_energies_converge`` in
+7.9e-11, and again when BiCGSTAB started from the column interpolant
+utilde instead of 0, which moved them by at most 5.2e-10.  The laplace3d
+energy_half, F_delta0, k213 and k219 were re-recorded when the 3-D window
+energies moved from a masked node sum to the quadrature of the 2-D path;
+``test_3d_energies_converge`` in
 test_analysis.py shows the new values converge under refinement.  The sweep
 members at eps 0.05 and 0.025 and the rate fit were re-recorded when the
 tangential axes became graded below eps 0.1 (eps 0.1 is still uniform and
@@ -135,25 +137,26 @@ PINNED_SOLVE = {
         "lemma_constants.k226": None,
         "sup_grad": 18.55541092522721, **REPORT_NONE},
     "laplace3d": {
-        "C_emp": 0.6857610821833958, "F_delta0": 5.11666799384676e-05,
-        "c_low": 0.9846124607403983, "energy_half": 0.0008829827296261462,
+        "C_emp": 0.6857610821881494, "F_delta0": 5.1166679965127814e-05,
+        "c_low": 0.9846124607376133, "energy_half": 0.0008829827296872388,
         "epsilon": 0.1, "grid.nt": 9, "grid.nx": 9,
-        "lemma_constants.k213": 9.366126494398468e-05,
-        "lemma_constants.k219": 0.002633737160005763,
+        "lemma_constants.k213": 9.366126495046522e-05,
+        "lemma_constants.k219": 0.0026337371613780656,
         "lemma_constants.k220": None,
-        "lemma_constants.k225": 0.02000092504361866,
+        "lemma_constants.k225": 0.0200009250482166,
         "lemma_constants.k226": None,
-        "sup_grad": 10.310823506404091, **REPORT_NONE},
+        "sup_grad": 10.31082350647548, **REPORT_NONE},
 }
 
 # sha256 of field_eps0p1.csv, recorded while the CSV writer still formatted
 # one value per call and re-recorded with the banded LU and, for laplace3d,
-# with the 3-D BiCGSTAB and its acceptance on ||b_I - A_IB b_B||
+# with the 3-D BiCGSTAB, its acceptance on ||b_I - A_IB b_B|| and its start
+# from the column interpolant
 # (test_solver_oracle holds every value of both files within 1e-9 of the
 # sparse-LU oracle)
 PINNED_FIELD_CSV = {
     "lame2d": "38d3faae3d5e63a4cf2d1eb715b210faa6f0f4e1bf378b0236f7f8ce5bf6e666",
-    "laplace3d": "7acbd18691f54949bfbe898ef911015be01058c36164dfb866750b23dd430135",
+    "laplace3d": "f594b033d11c7465a5b4c84c0505bd112d2ef6b1cbfa78bef7080a4e8893c750",
 }
 
 PINNED_SWEEP = {
