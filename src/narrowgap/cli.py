@@ -3,8 +3,9 @@
 Config files are plain sectioned key=value text (see CONFIG_SCHEMA below and
 the README).  Expressions use the polynomial grammar of parse_expression and
 may be quoted.  Unknown sections or keys are rejected so typos fail loudly.
-All outputs are deterministic: identical config + seed gives byte-identical
-files.
+All outputs are deterministic: identical config gives byte-identical files.
+The ``[flags] seed`` key and ``--seed`` drive no computation; validate.json
+and ratefit.json echo the seed, so a different seed changes only that field.
 
 Commands:
     validate  geometry hypothesis checks + operator ellipticity estimates
@@ -432,7 +433,7 @@ def _validate_payload(cfg):
     region = cfg.region(cfg.epsilons[0])
     geo = validate_profile(region, allow_degenerate=cfg.allow_degenerate_geometry)
     op = cfg.operator()
-    lam_est = estimate_ellipticity(op, region, seed=cfg.seed)
+    lam_est = estimate_ellipticity(op, region)
     Lam_est, kap_est = estimate_bounds(op, region)
     payload = {
         "epsilon": region.epsilon,

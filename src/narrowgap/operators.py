@@ -4,16 +4,14 @@ An operator is  d/dx_a ( A_ij^{ab} d/dx_b u^j + B_ij^a u^j ) + Cc_ij^b d/dx_b u^
 + D_ij u^j  with polynomial coefficient entries, i the equation index and j the
 component index.  Builtins: the scalar Laplacian and the isotropic elasticity
 (Lame) tensor.  The module also measures the constants the estimates depend
-on: an integral ellipticity lower bound from a randomized Rayleigh search, a
-sampled sup bound for |A|, and a sampled C2 coefficient bound.  Every test
-field of the Rayleigh search is a coefficient vector over a fixed
-dictionary: the 4^n separable sine modes per component, and for (n=2, N=2)
-four divergence-free fields of a stream function differentiated by the
-chain rule.  Each quotient is then a small quadratic form in Gram matrices
-built once per estimate.  The sine Grams use the separable trapezoid
-quadrature: sums of Kronecker products of a Gram over the tangential
-columns and one over the vertical levels, with the gap geometry and any
-varying coefficient expanded per column in powers of t.
+on: an integral ellipticity estimate, a sampled sup bound for |A|, and a
+sampled C2 coefficient bound.  The ellipticity estimate is the minimum of
+the Rayleigh quotient over the span of a fixed dictionary, the separable
+sine modes per component: with the dictionary's Gram matrices K and D it is
+the smallest eigenvalue of the pencil (sym K, D).  The Grams use the
+separable trapezoid quadrature: sums of Kronecker products of a Gram over
+the tangential columns and one over the vertical levels, with the gap
+geometry and any varying coefficient expanded per column in powers of t.
 """
 
 from __future__ import annotations
@@ -23,8 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import LinAlgError, eigh
 
-from .geometry import vertical_jets
 from .polynomial import PolynomialField
 
 __all__ = [
@@ -265,14 +263,12 @@ class _Quadrature:
     ``axes`` are the tangential 1-D axes and ``t`` the vertical one.  The
     nodal arrays run over their tensor product, t fastest; the column arrays
     run over the tangential columns, the first axis slowest.  The weight of
-    the node (column c, level l) is col_weights[c] * level_weights[l], up to
-    rounding.
+    the node (column c, level l) is col_weights[c] * level_weights[l].
     """
 
     axes: tuple
     t: np.ndarray
     points: np.ndarray         # (M, n) physical nodes
-    weights: np.ndarray        # (M,) trapezoid weights times the Jacobian delta
     cols: np.ndarray           # (C, nd) tangential columns
     delta: np.ndarray          # (C,) gap width delta(x')
     dbottom: np.ndarray        # (nd, C) d bottom / d x_a
@@ -284,9 +280,9 @@ class _Quadrature:
 def _quadrature_nodes(region, grid_spec):
     """Tensor trapezoid quadrature over the mapped region.
 
-    Returns the 1-D axes, the flattened physical points and their weights
-    including the vertical Jacobian delta(x'), and per tangential column the
-    gap width, the profile derivatives and the column weight.  The profiles
+    Returns the 1-D axes, the flattened physical points, and per tangential
+    column the gap width, the profile derivatives and the column weight,
+    which includes the vertical Jacobian delta(x').  The profiles
     depend on x' only, so they are evaluated once per column.
     Self-contained on purpose: the ellipticity search must not share the
     solver's code path.
@@ -310,26 +306,28 @@ def _quadrature_nodes(region, grid_spec):
     w_t = _trapezoid_weights(mt)
     hx = axes[0][1] - axes[0][0]
     ht = t_ax[1] - t_ax[0]
-    weights = np.multiply.outer(tang, w_t) * hx**nd * ht * delta[:, None]  # dx = delta dt dx'
     return _Quadrature(
-        tuple(axes), t_ax, points, weights.ravel(), cols, delta,
+        tuple(axes), t_ax, points, cols, delta,
         np.stack([region.bottom_poly.deriv(a).value_many(cols) for a in range(nd)]),
         np.stack([region.delta_poly.deriv(a).value_many(cols) for a in range(nd)]),
-        tang * hx**nd * delta, w_t * ht)
+        tang * hx**nd * delta, w_t * ht)  # dx = delta dt dx'
 
 
 # (tangential points per axis, vertical levels) of the quadratures
 ELLIPTICITY_GRID = (49, 25)
 BOUNDS_GRID = (33, 17)
-_SINE_KMAX = 4  # sine mode numbers are drawn from 1.._SINE_KMAX on each axis
+# the sine mode numbers 1.._SINE_KMAX[n] on each axis, per dimension n; the
+# quadrature under-resolves higher modes, and its integration-by-parts
+# error then pulls the Lame estimate below mu
+_SINE_KMAX = {2: 6, 3: 3}
 
 
 def _sine_tables(region, quad):
     """Per 1-D axis (tangential axes, then t): sin(k pi s) and its derivative
     in the physical tangential variable (in t for the last axis), each of
-    shape (_SINE_KMAX, axis length); s is the axis mapped onto [0, 1]."""
+    shape (_SINE_KMAX[n], axis length); s is the axis mapped onto [0, 1]."""
     r = region.r_solve
-    kpi = np.arange(1, _SINE_KMAX + 1)[:, None] * np.pi
+    kpi = np.arange(1, _SINE_KMAX[region.n] + 1)[:, None] * np.pi
     scaled = [((x + r) / (2 * r), 1.0 / (2 * r)) for x in quad.axes]
     return [(np.sin(kpi * s), kpi * scale * np.cos(kpi * s))
             for s, scale in scaled + [(quad.t, 1.0)]]
@@ -370,7 +368,7 @@ def _t_expansion(p, region, cols):
 def _sine_grams(op, region, quad):
     """Gram matrices (K, D) of the sine-mode dictionary, (N*m, N*m) each.
 
-    The dictionary holds, in every component i, the m = _SINE_KMAX**n tensor
+    The dictionary holds, in every component i, the m = _SINE_KMAX[n]**n tensor
     modes phi_k = prod_e sin(k_e pi s_e), k ravelled with the first axis
     slowest and t fastest.  K[(i, k), (j, l)] is the quadrature of
     A_ij^{ab} d_a phi_k d_b phi_l and D is |grad phi|^2 in every diagonal
@@ -385,7 +383,7 @@ def _sine_grams(op, region, quad):
     sin_t, dsin_t = (f.T for f in tables[nd])
 
     def tangential(d):
-        # (C, _SINE_KMAX**nd) products of tangential sines, differentiated
+        # (C, _SINE_KMAX[n]**nd) products of tangential sines, differentiated
         # on axis d (on none if d == nd)
         out = np.ones((1, 1))
         for e in range(nd):
@@ -406,7 +404,7 @@ def _sine_grams(op, region, quad):
     starts = list(range(0, len(terms), 3))  # first term of each direction
     col = np.stack([f[:, None] * T for f, T, _ in terms])
     lev = np.stack([L for _, _, L in terms])
-    R, m = len(terms), _SINE_KMAX ** n
+    R, m = len(terms), _SINE_KMAX[n] ** n
 
     def pairs(factor, weight):
         # (R, R, k, k) Grams over the first axis of every pair of terms, as
@@ -438,136 +436,28 @@ def _sine_grams(op, region, quad):
     return K.reshape(N * m, N * m), np.kron(np.eye(N), D)
 
 
-def _sine_trials(rng, count, N, n, nmodes=3):
-    """Dictionary indices and weights, (count, N*nmodes) each, of ``count``
-    sine trial fields: each component sums ``nmodes`` modes with random mode
-    numbers and normal weights, drawn trial by trial, component by
-    component."""
-    ks = np.empty((count, N, nmodes, n), dtype=np.int64)
-    c = np.empty((count, N, nmodes))
-    for idx in np.ndindex(c.shape):
-        ks[idx] = rng.integers(1, _SINE_KMAX + 1, size=n)
-        c[idx] = rng.normal()
-    modes = (np.arange(N)[:, None] * _SINE_KMAX ** n
-             + np.ravel_multi_index(np.moveaxis(ks - 1, -1, 0), (_SINE_KMAX,) * n))
-    return modes.reshape(count, -1), c.reshape(count, -1)
+def estimate_ellipticity(op, region):
+    """Estimate of the integral ellipticity constant over a sine dictionary.
 
-
-def _stream_jets(coefs, r, x1, u, ujets):
-    """Partials of the stream function Phi = S(u) B(x1) (G(x1) + c3 u) (n=2).
-
-    u = (xn - bottom(x1)) / delta(x1), S = u^2 (1-u)^2, B = (r^2 - x1^2)^2 and
-    G = c0 + c1 x1 + c2 x1^2 with coefs = (c0, c1, c2, c3); ``ujets`` is the
-    (grad, hess) pair of u from geometry.vertical_jets.  All arguments
-    broadcast.  Returns (Phi_1, Phi_n, Phi_11, Phi_1n, Phi_nn) by the chain
-    rule through the jets of u (u_nn = 0).
+    The minimum of the Rayleigh quotient  int A dv dv / int |grad v|^2  with
+    trapezoid quadrature on the mapped region, over every zero-trace field v
+    in the span of the ``_SINE_KMAX[n]**n`` separable sine modes per
+    component.  A field with coefficients c has the quotient c.Kc / c.Dc in
+    the Grams of ``_sine_grams``, so by Rayleigh-Ritz the minimum over the
+    span is the smallest eigenvalue of the pencil ((K + K^T)/2, D); only the
+    symmetric part of K enters a quadratic form, and a custom A need not be
+    symmetric.  A minimum over a subspace, so it estimates the constant from
+    above, up to quadrature error.  Deterministic.
     """
-    c0, c1, c2, c3 = (float(v) for v in coefs)
-    (u1, un), ((u11, u1n), _) = ujets
-    S = u**2 * (1 - u) ** 2
-    S1 = 2 * u * (1 - u) * (1 - 2 * u)
-    S2 = 2 - 12 * u + 12 * u**2
-    q = r * r - x1 * x1
-    B, B1, B2 = q * q, -4 * x1 * q, 12 * x1 * x1 - 4 * r * r
-    G1, G2 = c1 + 2 * c2 * x1, 2 * c2
-    H = c0 + c1 * x1 + c2 * x1 * x1 + c3 * u
-    # partials of F(u, x1) = S B H, so that Phi(x1, xn) = F(u(x1, xn), x1)
-    Fu = B * (S1 * H + c3 * S)
-    Fuu = B * (S2 * H + 2 * c3 * S1)
-    Fx = S * (B1 * H + B * G1)
-    Fux = S1 * (B1 * H + B * G1) + c3 * S * B1
-    Fxx = S * (B2 * H + 2 * B1 * G1 + B * G2)
-    return (Fu * u1 + Fx,
-            Fu * un,
-            Fuu * u1 * u1 + 2 * Fux * u1 + Fxx + Fu * u11,
-            Fuu * u1 * un + Fux * un + Fu * u1n,
-            Fuu * un * un)
-
-
-def _divfree_basis(region, quad):
-    """Gradients (4, 2, 2, M), indexed [q, i, a], of d_a v^i for the
-    divergence-free fields v = (Phi_n, -Phi_1) at the nodes (n=2), where Phi
-    is the stream function of ``_stream_jets`` with coefficients e_q.
-
-    Every such field has zero trace on all four boundary pieces and zero
-    divergence identically, so the Rayleigh quotient of the Lame tensor on
-    it equals mu up to quadrature error.  The fields are linear in the
-    coefficients, so these four span the family.
-    """
-    x1 = quad.axes[0][:, None]
-    ujets = vertical_jets(region, x1[..., None], quad.t)
-    basis = []
-    for coefs in np.eye(4):
-        # u = t at the nodes
-        _, _, p11, p1n, pnn = _stream_jets(coefs, region.r_solve, x1, quad.t, ujets)
-        basis.append(np.stack([p1n, pnn, -p11, -p1n]).reshape(2, 2, -1))
-    return np.array(basis)
-
-
-def _divfree_grams(op, region, quad):
-    """Gram matrices (K, D), 4x4, of the divergence-free basis fields as
-    nodal quadrature sums (n = N = 2)."""
-    B = _divfree_basis(region, quad).reshape(16, -1)
-
-    def gram(field):
-        return ((B * field) @ B.T).reshape(4, 2, 2, 4, 2, 2)
-
-    unit = gram(quad.weights)
-    K = np.zeros((4, 4))
-    for G, entries in _entry_grams(
-            op, unit, lambda p: gram(quad.weights * p.value_many(quad.points))):
-        for i, j, a, b in entries:
-            K += G[:, i, a, :, j, b]
-    D = sum(unit[:, i, a, :, i, a] for i in range(2) for a in range(2))
-    return K, D
-
-
-def _rayleigh(K, D, modes, coefs):
-    """Rayleigh quotients x.Kx / x.Dx of the trials x = sum_q coefs[:, q]
-    e_{modes[:, q]}, from the submatrices of K and D on each trial's modes;
-    trials with x.Dx < 1e-14 are dropped."""
-    rows, cols = modes[:, :, None], modes[:, None, :]
-    num = np.einsum("ti,tij,tj->t", coefs, K[rows, cols], coefs)
-    den = np.einsum("ti,tij,tj->t", coefs, D[rows, cols], coefs)
-    keep = den >= 1e-14
-    return num[keep] / den[keep]
-
-
-def estimate_ellipticity(op, region, trials=64, seed=0):
-    """Randomized lower estimate of the integral ellipticity constant.
-
-    Minimum over seeded random zero-trace test fields of the Rayleigh
-    quotient  int A dv dv / int |grad v|^2  with trapezoid quadrature on the
-    mapped region.  Fields are sums of sine tensor modes; for n=2, N=2 half
-    the trials are exactly divergence-free fields from a stream function,
-    which make the estimate tight (approaches mu) for the Lame tensor.
-
-    Every trial is a coefficient vector x over a fixed dictionary, so its
-    quotient is x.Kx / x.Dx with Gram matrices K and D built once per
-    estimate: over the 4^n sine modes per component by separable quadrature
-    (``_sine_grams``, nothing formed at the nodes), and over the four
-    stream-function coefficients by nodal sums (``_divfree_grams``).  One
-    routine (``_rayleigh``) evaluates every quotient on the submatrices of
-    the trial's few modes.  The random draws are those of the nodal
-    construction, so every trial tests the same field as before.
-    Deterministic for fixed seed.
-    """
-    if trials < 4:
-        raise OperatorError("trials must be >= 4")
     if op.n != region.n:
         raise OperatorError("operator and region dimensions differ")
-    rng = np.random.default_rng(seed)
-    quad = _quadrature_nodes(region, ELLIPTICITY_GRID)
-    ndiv = trials // 2 if (region.n == 2 and op.N == 2) else 0
-    # the draws in trial order: divergence-free trials first, then sine ones
-    divfree = np.array([rng.integers(-3, 4, size=4) for _ in range(ndiv)], dtype=float)
-    sine = _sine_trials(rng, trials - ndiv, op.N, op.n)
-    quotients = _rayleigh(*_sine_grams(op, region, quad), *sine)
-    if ndiv:
-        modes = np.broadcast_to(np.arange(4), divfree.shape)
-        quotients = np.concatenate(
-            [_rayleigh(*_divfree_grams(op, region, quad), modes, divfree), quotients])
-    return float(quotients.min(initial=np.inf))
+    K, D = _sine_grams(op, region, _quadrature_nodes(region, ELLIPTICITY_GRID))
+    try:
+        low = eigh((K + K.T) / 2, D, subset_by_index=[0, 0], eigvals_only=True)
+    except LinAlgError as exc:
+        # the Cholesky factor of D fails when D is not positive definite
+        raise OperatorError(f"sine-mode Gram pencil: {exc}") from None
+    return float(low[0])
 
 
 def estimate_bounds(op, region):

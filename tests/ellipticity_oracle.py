@@ -1,28 +1,28 @@
-"""Reference implementation of the ellipticity and bounds search as it was
-before the quadrature geometry was evaluated once per column and each
-Rayleigh quotient was computed from one weighted gradient, and before the
-quotients were computed from Gram matrices.
+"""Reference implementation of the ellipticity and bounds search with every
+dictionary field built at the quadrature nodes.
 
 ``_quadrature_nodes`` evaluates the gap profiles and their derivatives at
-every flattened node; ``estimate_ellipticity`` builds the gradient of every
-trial field at the nodes (``_sine_candidate``, ``_divfree_candidate``) and
-each Rayleigh quotient from one multiply-then-dot per nonzero entry of A.
-The code is kept verbatim from that version, docstrings and comments aside,
-as an oracle for the quadrature arrays, the Gram matrices and the measured
-constants, in the same way as ``solver_oracle`` keeps the earlier solver
-layer.  The sine tables, the jets of the vertical coordinate and the
-stream-function jets are shared with the library.
+every flattened node, with one weight per node.  ``sine_grams`` builds the
+physical gradient of every sine mode of the dictionary at the nodes
+(``_sine_dictionary``) and each Gram block from one multiply-then-dot per
+nonzero entry of A; ``estimate_ellipticity`` takes the smallest eigenvalue
+of the pencil (sym K, D) through a Cholesky factor of D and
+``numpy.linalg.eigvalsh``, not through ``scipy.linalg.eigh``.  The
+quadrature and the bounds search are kept verbatim from the version before
+the quadrature geometry was evaluated once per column, as an oracle for the
+quadrature arrays, the Gram matrices and the measured constants, in the
+same way as ``solver_oracle`` keeps the earlier solver layer.  The sine
+tables and the mode caps are shared with the library.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from narrowgap.geometry import vertical_jets
-from narrowgap.operators import (_SINE_KMAX, OperatorError, _sine_tables,
-                                 _stream_jets, _trapezoid_weights)
+from narrowgap.operators import OperatorError, _sine_tables, _trapezoid_weights
 
 
 @dataclass(frozen=True)
@@ -67,72 +67,52 @@ def _quadrature_nodes(region, grid_spec):
     return _Quadrature(tuple(axes), t_ax, points, weights, delta, dT)
 
 
-def _sine_candidate(rng, tables, quad, N, nmodes=3):
+def _sine_dictionary(tables, quad):
+    """Physical gradients (m, n, M) at the nodes of the m sine modes, one
+    mode per dictionary index, the first axis slowest and t fastest."""
     nd = len(tables) - 1
-    ks = np.empty((N, nmodes, nd + 1), dtype=np.int64)
-    c = np.empty((N, nmodes))
-    for i in range(N):
-        for m in range(nmodes):
-            ks[i, m] = rng.integers(1, _SINE_KMAX + 1, size=nd + 1)
-            c[i, m] = rng.normal()
-    grad = np.empty((N, nd + 1, len(quad.weights)))
+    kmax = len(tables[0][0])
+    ks = np.array(list(itertools.product(range(kmax), repeat=nd + 1)))
+    m = len(ks)
+    grad = np.empty((m, nd + 1, len(quad.weights)))
     for d in range(nd + 1):
-        factor = [tables[e][int(e == d)][ks[..., e] - 1] for e in range(nd + 1)]
-        tang = c[..., None] * factor[0]
+        factor = [tables[e][int(e == d)][ks[:, e]] for e in range(nd + 1)]
+        tang = factor[0]
         for f in factor[1:nd]:
-            tang = (tang[..., :, None] * f[..., None, :]).reshape(N, nmodes, -1)
-        grad[:, d] = np.matmul(tang.transpose(0, 2, 1), factor[nd]).reshape(N, -1)
+            tang = (tang[:, :, None] * f[:, None, :]).reshape(m, -1)
+        grad[:, d] = (tang[:, :, None] * factor[nd][:, None, :]).reshape(m, -1)
     grad[:, nd] /= quad.delta
     grad[:, :nd] -= quad.dT * grad[:, nd:]
     return grad
 
 
-def _divfree_candidate(rng, r, x1, u, ujets):
-    coefs = rng.integers(-3, 4, size=4)
-    _, _, p11, p1n, pnn = _stream_jets(coefs, r, x1, u, ujets)
-    return np.stack([p1n, pnn, -p11, -p1n]).reshape(2, 2, -1)
-
-
-def estimate_ellipticity(op, region, grid_spec=(49, 25), trials=64, seed=0):
-    if trials < 4:
-        raise OperatorError("trials must be >= 4")
-    if op.n != region.n:
-        raise OperatorError("operator and region dimensions differ")
-    rng = np.random.default_rng(seed)
+def sine_grams(op, region, grid_spec=(49, 25)):
+    """Gram matrices (K, D), (N*m, N*m) each, of the sine dictionary as
+    nodal quadrature sums, component-major like ``operators._sine_grams``."""
     quad = _quadrature_nodes(region, grid_spec)
+    modes = _sine_dictionary(_sine_tables(region, quad), quad)
+    N, m = op.N, len(modes)
     fields = {}
-    weighted_a = []
-    for idx in np.ndindex(op.A.shape):
-        p = op.A[idx]
+    K = np.zeros((N, m, N, m))
+    for i, j, a, b in np.ndindex(op.A.shape):
+        p = op.A[i, j, a, b]
         if not p.is_zero():
             if p not in fields:
                 fields[p] = quad.weights * p.value_many(quad.points)
-            weighted_a.append((idx, fields[p]))
+            K[i, :, j, :] += (modes[:, a] * fields[p]) @ modes[:, b].T
+    unit = np.einsum("kam,lam->kl", modes * quad.weights, modes)
+    return K.reshape(N * m, N * m), np.kron(np.eye(N), unit)
 
-    def rayleigh(grad):
-        num = 0.0
-        for (i, j, a, b), wa in weighted_a:
-            num += float(np.dot(wa * grad[i, a], grad[j, b]))
-        den = float(np.dot(quad.weights, (grad**2).sum(axis=(0, 1))))
-        if den < 1e-14:
-            return None
-        return num / den
 
-    ndiv = trials // 2 if (region.n == 2 and op.N == 2) else 0
-    if ndiv:
-        x1 = quad.axes[0][:, None]
-        ujets = vertical_jets(region, x1[..., None], quad.t)
-    tables = _sine_tables(region, quad)
-    best = np.inf
-    for k in range(trials):
-        if k < ndiv:
-            grad = _divfree_candidate(rng, region.r_solve, x1, quad.t, ujets)
-        else:
-            grad = _sine_candidate(rng, tables, quad, op.N)
-        q = rayleigh(grad)
-        if q is not None and q < best:
-            best = q
-    return float(best)
+def estimate_ellipticity(op, region, grid_spec=(49, 25)):
+    if op.n != region.n:
+        raise OperatorError("operator and region dimensions differ")
+    K, D = sine_grams(op, region, grid_spec)
+    # L^-1 sym(K) L^-T has the eigenvalues of the pencil (sym(K), L L^T)
+    L = np.linalg.cholesky(D)
+    half = np.linalg.solve(L, (K + K.T) / 2)
+    S = np.linalg.solve(L, half.T)
+    return float(np.linalg.eigvalsh((S + S.T) / 2)[0])
 
 
 def estimate_bounds(op, region, samples=(33, 17)):

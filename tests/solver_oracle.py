@@ -7,8 +7,8 @@ rows again (``_reduced_ordering``) and factors the interior matrix with
 ``scipy.sparse.linalg.splu`` in every dimension.  The code is kept verbatim
 from that version, less the ``method`` argument that selected nothing here,
 as an oracle for the assembly, the pinned outputs and the 3-D Krylov path,
-in the same way as the exact-rational ellipticity construction in
-``test_operators``.  Since the tangential map arrived it also carries the
+in the same way as ``ellipticity_oracle`` keeps the nodal ellipticity
+search.  Since the tangential map arrived it also carries the
 map's diagonal factors, as diagonal matrices around the same chains: each
 tangential difference is divided by X' where it is taken, the flux of
 family a is multiplied by prod_{b != a} X'_b (every X'_b for the vertical

@@ -360,6 +360,17 @@ def test_validate_3d_lame(tmp_path, capsys):
     assert op["elasticity_symmetries"] is True
 
 
+def test_validate_seed_is_only_echoed(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, QUAD_CFG + 'g_plus.2 = "0"\ng_minus.2 = "0"\n'
+                    + "[operator]\nkind = lame\nmu = 1.0\nlam = 1.0\n")
+    payloads = []
+    for seed in (1, 2):
+        assert main(["validate", "--config", cfg, "--seed", str(seed)]) == EXIT_OK
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert [p["seed"] for p in payloads] == [1, 2]
+    assert payloads[0]["operator"] == payloads[1]["operator"]
+
+
 def test_validate_flat_gap_fails_with_exit_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path, FLAT_CFG)
     code = main(["validate", "--config", cfg])

@@ -203,10 +203,10 @@ PINNED_SWEEP = {
 PINNED_VALIDATE = {
     "curved_lame": {"c2_norm_h1": 7.6, "c2_norm_h2": 7.0,
                     "kappa2_estimate": 3.5,
-                    "lambda_estimate": 1.000412229695161},
+                    "lambda_estimate": 1.0000020805150893},
     "custom": {"c2_norm_h1": 2.5, "c2_norm_h2": 2.5,
                "kappa2_estimate": 15.460969566848856,
-               "lambda_estimate": 1.7726475641386932},
+               "lambda_estimate": 1.5085891858440583},
 }
 
 PINNED_MMS = {
