@@ -15,7 +15,7 @@ from .analysis import (AnalysisError, BoundReport, GradientField, RateFit,
 from .auxiliary import (AuxiliaryEvaluator, BoundaryData, BoundShapeReport,
                         check_derivative_bounds)
 from .geometry import (GapProfile, GeometryError, NarrowRegion,
-                       ValidationReport, gap_width_many, validate_profile)
+                       ValidationReport, validate_profile)
 from .mesh_solver import (LinearSystem, MappedGrid, SolutionField,
                           SolverError, assemble, boundary_values, build_grid,
                           quadrature_weights, solve_dirichlet, solve_system)
@@ -43,7 +43,7 @@ __all__ = [
     "check_derivative_bounds", "convergence_study", "correction_field",
     "boundary_values", "energy", "estimate_bounds", "estimate_ellipticity",
     "fd_apply_operator", "fit_rate", "flat_gap_exact",
-    "gap_width_many", "gradient",
+    "gradient",
     "make_builtin", "manufactured_problem",
     "parse_expression", "quadrature_weights",
     "solve_dirichlet", "solve_epsilon",

@@ -375,8 +375,8 @@ def _metric_value(grad_u, metric, R0):
     raise AnalysisError(f"unknown metric {metric!r}")
 
 
-def _solve_one(problem, eps, nx, nt):
-    grid = MappedGrid(problem.region(eps), nx, nt)
+def _solve_one(problem, region, nx, nt):
+    grid = MappedGrid(region, nx, nt)
     return solve_dirichlet(problem.op, grid, problem.data,
                            lateral_closure=problem.lateral_closure,
                            tol=problem.tol)
@@ -390,7 +390,7 @@ def solve_epsilon(problem, eps, nx=None):
     """
     if nx is None:
         nx = sweep_grid(eps)
-    sol = _solve_one(problem, eps, nx, problem.nt)
+    sol = _solve_one(problem, problem.region(eps), nx, problem.nt)
     grad_u = gradient(sol)
     report = analyze_solution(sol, problem.data, sol.grid.region, problem.R0,
                               problem.scenario, grad_u=grad_u)
@@ -417,7 +417,7 @@ def sweep_member(problem, eps, metric="center_grad", nx=None):
             f"Richardson check impossible at eps={eps:g}: the check grid "
             f"({nx_c},{nt_c}) equals the solve grid ({nx},{nt}); it needs "
             f"nx or nt above 9")
-    sol_c = _solve_one(problem, eps, nx_c, nt_c)
+    sol_c = _solve_one(problem, sol.grid.region, nx_c, nt_c)
     value_c = _metric_value(gradient(sol_c), metric, problem.R0)
     drift = abs(value - value_c) / abs(value) if value != 0 else abs(value_c)
     if drift > RICHARDSON_TOL:

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass, field as dc_field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -80,12 +82,16 @@ def _int(text, name):
 
 
 def _float(text, name):
-    return _number(text, float, name)
+    """A finite number: nan and inf are ConfigErrors as well."""
+    value = _number(text, float, name)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be a number, got {text!r}")
+    return value
 
 
 def _fraction(text, name):
     """A number strictly between 0 and 1 (nan and inf are not)."""
-    value = _float(text, name)
+    value = _number(text, float, name)
     if not 0.0 < value < 1.0:
         raise ConfigError(f"{name} must be a number in (0, 1), got {text!r}")
     return value
@@ -242,13 +248,15 @@ class RunConfig:
     lateral_closure: str = "utilde"
     seed: int = 0
 
+    @cached_property
     def profile(self):
+        """The GapProfile of h1 and h2, parsed once per command."""
         nd = self.n - 1
         return GapProfile(h1=parse_expression(self.h1_text, nvars=nd),
                           h2=parse_expression(self.h2_text, nvars=nd))
 
     def region(self, epsilon):
-        return NarrowRegion(n=self.n, epsilon=epsilon, profile=self.profile(),
+        return NarrowRegion(n=self.n, epsilon=epsilon, profile=self.profile,
                             r_solve=self.r_solve, r_analyze=self.r_analyze)
 
     @property
@@ -310,7 +318,7 @@ class RunConfig:
 
     def sweep_problem(self):
         """The SweepProblem that solve and sweep run at each epsilon."""
-        return SweepProblem(op=self.operator(), profile=self.profile(),
+        return SweepProblem(op=self.operator(), profile=self.profile,
                             data=self.data(), n=self.n, r_solve=self.r_solve,
                             r_analyze=self.r_analyze,
                             lateral_closure=self.lateral_closure,
@@ -485,7 +493,7 @@ def _check_geometry(cfg, eps_list):
 
 def cmd_solve(cfg, args):
     if args.epsilon is not None:
-        cfg.epsilons = [args.epsilon]
+        cfg.epsilons = [_float(args.epsilon, "--epsilon")]
     if len(cfg.epsilons) != 1:
         raise ConfigError("solve needs exactly one epsilon "
                           "(config [region] epsilon or --epsilon)")
@@ -657,7 +665,7 @@ def _build_parser():
 
     p = add("solve", help="solve one epsilon, emit field CSV + report JSON")
     p.add_argument("--config", required=True)
-    p.add_argument("--epsilon", type=float, default=None)
+    p.add_argument("--epsilon", default=None)
     p.add_argument("--out", default=None)
 
     p = add("sweep", help="solve an epsilon list and fit the blow-up rate")

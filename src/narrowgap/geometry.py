@@ -18,9 +18,10 @@ _SampleGrid, as outer products of per-axis powers, and masked to the ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -32,12 +33,16 @@ __all__ = [
     "NarrowRegion",
     "ValidationReport",
     "validate_profile",
-    "gap_width_many",
     "vertical_coordinate",
     "vertical_jets",
 ]
 
 MAX_PROFILE_DEGREE = 8
+# validate_profile samples the unit ball and the r_solve ball on this many
+# points per tangential axis, and allows the claimed kappa0 and kappa1 this
+# much slack
+SAMPLES_PER_DIM = 160
+CHECK_TOL = 1e-9
 
 
 class GeometryError(ValueError):
@@ -85,6 +90,26 @@ class GapProfile:
         """h1 - h2 as an exact polynomial."""
         return self.h1 - self.h2
 
+    @cached_property
+    def measurements(self):
+        """The eps-independent measurements of validate_profile: the origin
+        normalization residual, the smallest eigenvalue of hess(h1 - h2)(0')
+        and the sampled C2 norms of h1 and h2 on the unit ball (sup of
+        |h| + |grad h| + |hess h|_F)."""
+        # exact origin conditions hold by construction; re-measure for the record
+        origin_resid = float(
+            abs(self.h1.constant_term())
+            + abs(self.h2.constant_term())
+            + sum(abs(c) for c in self.h1.linear_coefficients())
+            + sum(abs(c) for c in self.h2.linear_coefficients())
+        )
+        sep_hess = self.separation().hessian_value((0.0,) * self.nd)
+        min_eig = float(np.linalg.eigvalsh(sep_hess).min())
+        ball = _SampleGrid(self.nd, 1.0, SAMPLES_PER_DIM)
+        c2_h1, c2_h2 = (float(sum(h.c2_samples(ball.values))[ball.inside].max())
+                        for h in (self.h1, self.h2))
+        return origin_resid, min_eig, c2_h1, c2_h2
+
 
 @dataclass(frozen=True)
 class NarrowRegion:
@@ -107,12 +132,13 @@ class NarrowRegion:
             raise GeometryError(
                 f"profile over {self.profile.nd} variables does not match n={self.n}"
             )
-        if not self.epsilon > 0:
-            raise GeometryError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise GeometryError("epsilon must be positive and finite")
         if not 0 < self.r_analyze < self.r_solve <= 1.0:
             raise GeometryError("need 0 < r_analyze < r_solve <= 1")
         # the gap must be open on the whole solve box
-        dmin = _min_box_width(self)
+        dmin = float(_SampleGrid(self.nd, self.r_solve, 65)
+                     .values(self.delta_poly).min())
         if dmin <= 0:
             raise GeometryError(f"gap closes on the solve box (min width {dmin:g})")
 
@@ -120,17 +146,17 @@ class NarrowRegion:
     def nd(self):
         return self.n - 1
 
-    @property
+    @cached_property
     def delta_poly(self):
-        return _delta_poly(self)
+        return self.profile.separation() + Fraction(self.epsilon)
 
-    @property
+    @cached_property
     def bottom_poly(self):
-        return _bottom_poly(self)
+        return self.profile.h2 - Fraction(self.epsilon) / 2
 
-    @property
+    @cached_property
     def top_poly(self):
-        return _top_poly(self)
+        return self.profile.h1 + Fraction(self.epsilon) / 2
 
 
 @dataclass
@@ -157,33 +183,6 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-@lru_cache(maxsize=64)
-def _min_box_width(region):
-    """Smallest gap width on a 65^(n-1) grid of the solve box.  Cached, so
-    that the equal regions the geometry gate and the solves build for one
-    eps sample the box once."""
-    return float(_sample_grid(region.nd, region.r_solve, 65)
-                 .values(region.delta_poly).min())
-
-
-@lru_cache(maxsize=64)
-def _delta_poly(region):
-    eps = Fraction(region.epsilon)
-    return region.profile.separation() + eps
-
-
-@lru_cache(maxsize=64)
-def _bottom_poly(region):
-    eps = Fraction(region.epsilon)
-    return region.profile.h2 - eps / 2
-
-
-@lru_cache(maxsize=64)
-def _top_poly(region):
-    eps = Fraction(region.epsilon)
-    return region.profile.h1 + eps / 2
-
-
 def _tangential_box(nd, r, m):
     """Regular sample grid on the box [-r, r]^nd, shape (m^nd, nd)."""
     axis = np.linspace(-r, r, m)
@@ -195,10 +194,6 @@ def _tangential_box(nd, r, m):
 
 def _ball_mask(points, r):
     return (points**2).sum(axis=-1) <= r**2 + 1e-12
-
-
-def gap_width_many(region, points):
-    return region.delta_poly.value_many(points)
 
 
 def vertical_coordinate(region, points):
@@ -293,33 +288,7 @@ class _SampleGrid:
         return self._term(*terms[0]) + rest if terms else rest
 
 
-@lru_cache(maxsize=16)
-def _sample_grid(nd, r, m):
-    return _SampleGrid(nd, r, m)
-
-
-@lru_cache(maxsize=32)
-def _profile_checks(profile, samples_per_dim):
-    """The eps-independent measurements of validate_profile, once per
-    profile: the origin normalization residual, the smallest eigenvalue of
-    hess(h1 - h2)(0') and the sampled C2 norms of h1 and h2 on the unit
-    ball (sup of |h| + |grad h| + |hess h|_F)."""
-    # exact origin conditions hold by construction; re-measure for the record
-    origin_resid = float(
-        abs(profile.h1.constant_term())
-        + abs(profile.h2.constant_term())
-        + sum(abs(c) for c in profile.h1.linear_coefficients())
-        + sum(abs(c) for c in profile.h2.linear_coefficients())
-    )
-    sep_hess = profile.separation().hessian_value((0.0,) * profile.nd)
-    min_eig = float(np.linalg.eigvalsh(sep_hess).min())
-    ball = _sample_grid(profile.nd, 1.0, samples_per_dim)
-    c2_h1, c2_h2 = (float(sum(h.c2_samples(ball.values))[ball.inside].max())
-                    for h in (profile.h1, profile.h2))
-    return origin_resid, min_eig, c2_h1, c2_h2
-
-
-def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=False):
+def validate_profile(region, allow_degenerate=False):
     """Measure the geometric hypotheses and report pass/fail per check.
 
     Checks: exact origin normalization, Hessian lower bound kappa0 at the
@@ -332,8 +301,6 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
     ``allow_degenerate`` is set (flat-gap reference runs); the failure stays
     recorded in the report.
     """
-    if samples_per_dim < 16:
-        raise GeometryError("samples_per_dim must be >= 16")
     prof = region.profile
     report = ValidationReport(
         passed=False,
@@ -341,11 +308,11 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
     )
 
     origin_resid, report.min_eigenvalue, report.c2_norm_h1, report.c2_norm_h2 = \
-        _profile_checks(prof, samples_per_dim)
+        prof.measurements
     report.checks.append(
         CheckResult("origin_normalization", origin_resid == 0.0, origin_resid, 0.0)
     )
-    convex_ok = report.min_eigenvalue >= prof.kappa0 - tol
+    convex_ok = report.min_eigenvalue >= prof.kappa0 - CHECK_TOL
     report.checks.append(
         CheckResult(
             "convexity_kappa0",
@@ -360,14 +327,14 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
     report.checks.append(
         CheckResult(
             "c2_bound_kappa1",
-            c2_total <= prof.kappa1 + tol,
+            c2_total <= prof.kappa1 + CHECK_TOL,
             c2_total,
             prof.kappa1,
             "sampled C2 norms of h1 and h2 on the unit ball",
         )
     )
 
-    ball = _sample_grid(prof.nd, 1.0, samples_per_dim)
+    ball = _SampleGrid(prof.nd, 1.0, SAMPLES_PER_DIM)
     widths = ball.values(region.delta_poly)
     min_width = float(widths[ball.inside].min())
     if min_width <= 0:
@@ -376,7 +343,7 @@ def validate_profile(region, samples_per_dim=160, tol=1e-9, allow_degenerate=Fal
 
     box, box_widths = ball, widths
     if region.r_solve != 1.0:
-        box = _sample_grid(prof.nd, region.r_solve, samples_per_dim)
+        box = _SampleGrid(prof.nd, region.r_solve, SAMPLES_PER_DIM)
         box_widths = box.values(region.delta_poly)
     ratios = (box_widths / (region.epsilon + box.radius_sq))[box.inside]
     report.c21_lower = float(ratios.min())

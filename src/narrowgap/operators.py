@@ -16,9 +16,10 @@ geometry and any varying coefficient expanded per column in powers of t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import LinAlgError, eigh
@@ -90,17 +91,35 @@ class EllipticOperator:
         self.lambda_claim = lambda_claim
         self.Lambda_claim = Lambda_claim
         self.kappa2_claim = kappa2_claim
-        self._key = (
-            n, N,
-            tuple(self.A.ravel()), tuple(self.B.ravel()),
-            tuple(self.Cc.ravel()), tuple(self.D.ravel()),
-        )
 
-    def __eq__(self, other):
-        return isinstance(other, EllipticOperator) and self._key == other._key
+    @cached_property
+    def jet_terms(self):
+        """The nonzero products of L[u] expanded over the jets of u.
 
-    def __hash__(self):
-        return hash(self._key)
+        Per equation i, a list of (coefficient, j, path) meaning
+        coefficient * jets[j][path]: path (1, b) is d_b u^j, (2, a, b) is
+        d_a d_b u^j and (0,) is u^j.  The order is the summation order of
+        apply_operator_jets, and the coefficient derivatives d_a A^{ab} and
+        d_a B^a are taken here, once per operator.
+        """
+        n = self.n
+        lower = self.has_lower_order_terms()
+        rows = []
+        for i in range(self.N):
+            terms = []
+            for j in range(self.N):
+                for a in range(n):
+                    for b in range(n):
+                        A = self.A[i, j, a, b]
+                        terms += [(A.deriv(a), j, (1, b)), (A, j, (2, a, b))]
+                if lower:
+                    for a in range(n):
+                        B = self.B[i, j, a]
+                        terms += [(B, j, (1, a)), (B.deriv(a), j, (0,)),
+                                  (self.Cc[i, j, a], j, (1, a))]
+                    terms.append((self.D[i, j], j, (0,)))
+            rows.append([t for t in terms if not t[0].is_zero()])
+        return rows
 
     def is_symmetric(self):
         """A_ij^{ab} == A_ji^{ba} entrywise (exact polynomial equality)."""
@@ -149,6 +168,8 @@ def make_builtin(kind, n=2, lame_mu=1.0, lame_lambda=1.0):
             n, 1, A, lambda_claim=1.0, Lambda_claim=1.0, kappa2_claim=1.0,
         )
     if kind == "lame":
+        if not (math.isfinite(lame_mu) and math.isfinite(lame_lambda)):
+            raise OperatorError("lame_mu and lame_lambda must be finite")
         mu = Fraction(lame_mu)
         lam = Fraction(lame_lambda)
         if not mu > 0:
@@ -177,36 +198,6 @@ def make_builtin(kind, n=2, lame_mu=1.0, lame_lambda=1.0):
     raise OperatorError(f"unknown builtin operator {kind!r}")
 
 
-@lru_cache(maxsize=32)
-def _jet_terms(op):
-    """The nonzero products of L[u] expanded over the jets of u.
-
-    Per equation i, a list of (coefficient, j, path) meaning
-    coefficient * jets[j][path]: path (1, b) is d_b u^j, (2, a, b) is
-    d_a d_b u^j and (0,) is u^j.  The order is the summation order of
-    apply_operator_jets, and the coefficient derivatives d_a A^{ab} and
-    d_a B^a are taken here, once per operator.
-    """
-    n = op.n
-    lower = op.has_lower_order_terms()
-    rows = []
-    for i in range(op.N):
-        terms = []
-        for j in range(op.N):
-            for a in range(n):
-                for b in range(n):
-                    A = op.A[i, j, a, b]
-                    terms += [(A.deriv(a), j, (1, b)), (A, j, (2, a, b))]
-            if lower:
-                for a in range(n):
-                    B = op.B[i, j, a]
-                    terms += [(B, j, (1, a)), (B.deriv(a), j, (0,)),
-                              (op.Cc[i, j, a], j, (1, a))]
-                terms.append((op.D[i, j], j, (0,)))
-        rows.append([t for t in terms if not t[0].is_zero()])
-    return rows
-
-
 def apply_operator_jets(op, jets, zero, coef=lambda p: p):
     """L[u]^i for i < N from the jets of u.
 
@@ -219,7 +210,7 @@ def apply_operator_jets(op, jets, zero, coef=lambda p: p):
     d_a(A^{ab} d_b u + B^a u) + C^b d_b u + D u by the product rule.
     """
     out = []
-    for terms in _jet_terms(op):
+    for terms in op.jet_terms:
         acc = zero
         for p, j, path in terms:
             entry = jets[j]

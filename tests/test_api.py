@@ -55,6 +55,18 @@ def test_bench_names_exist(module):
         assert callable(owner), dotted
 
 
+def test_no_module_global_is_a_cache():
+    # each object owns what it derives, so no process-wide cache keeps one
+    # run's values for the next
+    for module in MODULES:
+        importlib.import_module(f"narrowgap.{module}")
+    cached = [f"{name}.{attr}" for name, mod in list(sys.modules.items())
+              if name == "narrowgap" or name.startswith("narrowgap.")
+              for attr, value in vars(mod).items()
+              if callable(getattr(value, "cache_clear", None))]
+    assert cached == []
+
+
 def test_cli_import_leaves_out_sparse_linalg():
     # the solvers need only scipy.sparse and scipy.linalg; importing
     # scipy.sparse.linalg as well would slow every fresh interpreter

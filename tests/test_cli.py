@@ -253,11 +253,19 @@ BAD_NUMBERS = [
 BAD_TOLS = ["0", "-1", "1", "inf", "nan"]
 BAD_NUMBERS += [("[solver] tol", bad, _with("solver", f"tol = {bad}"), [])
                 for bad in BAD_TOLS]
+# nan and inf are not numbers to any key or flag
+BAD_NUMBERS += [
+    ("[region] epsilon", "inf", QUAD_CFG.replace("epsilon = 0.1", "epsilon = inf"), []),
+    ("[operator] mu", "inf", _with("operator", "mu = inf", "lame"), []),
+    ("[operator] mu", "nan", _with("operator", "mu = nan", "lame"), []),
+    ("[analysis] R0", "nan", _with("analysis", "R0 = nan"), []),
+    ("--epsilon", "inf", QUAD_CFG, ["solve", "--epsilon", "inf"]),
+]
 
 
 def _bad_number_id(case):
     name, bad = case[0].split()[-1], case[1]
-    return f"{name}={bad}" if name == "tol" and bad in BAD_TOLS else name
+    return f"{name}={bad}" if bad in BAD_TOLS else name
 
 
 @pytest.mark.parametrize("name,bad,text,command", BAD_NUMBERS,

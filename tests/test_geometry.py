@@ -13,7 +13,6 @@ from narrowgap import (
     GeometryError,
     NarrowRegion,
     PolynomialField,
-    gap_width_many,
     geometry,
     parse_expression,
     validate_profile,
@@ -37,7 +36,7 @@ def test_origin_normalization_is_enforced():
 def test_gap_width_quadratic():
     reg = region(eps=0.1)
     pts = np.array([[0.0], [0.3], [-0.5]])
-    np.testing.assert_allclose(gap_width_many(reg, pts),
+    np.testing.assert_allclose(reg.delta_poly.value_many(pts),
                                [0.1, 0.19, 0.35], atol=1e-15)
 
 
@@ -66,10 +65,10 @@ def test_comparability_constants_sample_the_solve_ball(r_solve):
     prof = GapProfile(h1=p1("0.5*x1^2 + 0.3*x1^4"), h2=p1("-x1^2 + 0.2*x1^3"))
     reg = NarrowRegion(n=2, epsilon=0.1, profile=prof, r_solve=r_solve,
                        r_analyze=0.4)
-    rep = validate_profile(reg, samples_per_dim=64)
-    x = np.linspace(-r_solve, r_solve, 64)
+    rep = validate_profile(reg)
+    x = np.linspace(-r_solve, r_solve, geometry.SAMPLES_PER_DIM)
     x = x[x**2 <= r_solve**2 + 1e-12]
-    ratios = gap_width_many(reg, x[:, None]) / (0.1 + x**2)
+    ratios = reg.delta_poly.value_many(x[:, None]) / (0.1 + x**2)
     assert (rep.c21_lower, rep.c21_upper) == (ratios.min(), ratios.max())
 
 
@@ -102,8 +101,9 @@ def test_validate_kappa1_bound_checked():
 
 
 def test_region_requires_positive_epsilon():
-    with pytest.raises(GeometryError):
-        NarrowRegion(n=2, epsilon=0.0, profile=quad_profile())
+    for eps in (0.0, float("inf"), float("nan")):
+        with pytest.raises(GeometryError):
+            NarrowRegion(n=2, epsilon=eps, profile=quad_profile())
 
 
 def test_two_tangential_dimensions():
@@ -111,10 +111,10 @@ def test_two_tangential_dimensions():
     h2 = parse_expression("-0.5*x1^2 - 0.5*x2^2", nvars=2)
     prof = GapProfile(h1=h1, h2=h2, kappa0=1.0, kappa1=6.0)
     reg = NarrowRegion(n=3, epsilon=0.1, profile=prof)
-    rep = validate_profile(reg, samples_per_dim=33)
+    rep = validate_profile(reg)
     assert rep.passed
     assert rep.min_eigenvalue == pytest.approx(2.0, abs=1e-12)
-    assert gap_width_many(reg, np.array([[0.1, 0.2]]))[0] == pytest.approx(
+    assert reg.delta_poly.value_many(np.array([[0.1, 0.2]]))[0] == pytest.approx(
         0.15, abs=1e-15)
 
 
@@ -162,13 +162,14 @@ def _point_cloud_validation(region, samples_per_dim=160, tol=1e-9):
     box = geometry._sample_ball(prof.nd, region.r_solve, samples_per_dim)
     c2_h1, c2_h2 = (float(sum(h.c2_samples(lambda p: p.value_many(ball))).max())
                     for h in (prof.h1, prof.h2))
-    ratios = gap_width_many(region, box) / (region.epsilon + (box**2).sum(axis=-1))
+    ratios = (region.delta_poly.value_many(box)
+              / (region.epsilon + (box**2).sum(axis=-1)))
     numbers = {
         "min_eigenvalue": float(np.linalg.eigvalsh(
             prof.separation().hessian_value((0.0,) * prof.nd)).min()),
         "c2_norm_h1": c2_h1,
         "c2_norm_h2": c2_h2,
-        "positive_gap": float(gap_width_many(region, ball).min()),
+        "positive_gap": float(region.delta_poly.value_many(ball).min()),
         "c21_lower": float(ratios.min()),
         "c21_upper": float(ratios.max()),
     }
@@ -215,10 +216,8 @@ def test_validate_profile_evaluates_no_point_cloud(monkeypatch):
         return value_many(self, points)
 
     monkeypatch.setattr(PolynomialField, "value_many", spy)
-    geometry._profile_checks.cache_clear()
-    geometry._min_box_width.cache_clear()
     h1, h2 = (parse_expression(text, nvars=2) for text in CURVED3D)
     reg = NarrowRegion(n=3, epsilon=0.05, r_solve=0.8, r_analyze=0.4,
                        profile=GapProfile(h1=h1, h2=h2))
-    validate_profile(reg, samples_per_dim=160)
+    validate_profile(reg)
     assert max(sizes, default=0) <= 160

@@ -220,6 +220,9 @@ def test_operator_validation_errors(reg):
         EllipticOperator(2, 1, A=[[[zero, zero]]])   # wrong tensor shape
     with pytest.raises(OperatorError):
         make_builtin("biharmonic")
+    for mu, lam in [(float("inf"), 1.0), (1.0, float("nan"))]:
+        with pytest.raises(OperatorError, match="finite"):
+            make_builtin("lame", lame_mu=mu, lame_lambda=lam)
 
 
 def test_ellipticity_estimate_rejects_indefinite_gram(reg, monkeypatch):
