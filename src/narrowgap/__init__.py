@@ -17,7 +17,7 @@ from .auxiliary import (AuxiliaryEvaluator, BoundaryData, BoundShapeReport,
 from .geometry import (GapProfile, GeometryError, NarrowRegion,
                        ValidationReport, validate_profile)
 from .mesh_solver import (LinearSystem, MappedGrid, SolutionField,
-                          SolverError, assemble, boundary_values, build_grid,
+                          SolverError, assemble, boundary_values,
                           quadrature_weights, solve_dirichlet, solve_system)
 from .operators import (EllipticOperator, OperatorError, apply_operator_jets,
                         apply_operator_poly, estimate_bounds,
@@ -39,7 +39,7 @@ __all__ = [
     "RateFit", "RationalField", "SolutionField", "SolverError",
     "SweepProblem", "ValidationReport", "analyze_solution",
     "apply_operator_jets", "apply_operator_poly",
-    "assemble", "build_grid",
+    "assemble",
     "check_derivative_bounds", "convergence_study", "correction_field",
     "boundary_values", "energy", "estimate_bounds", "estimate_ellipticity",
     "fd_apply_operator", "fit_rate", "flat_gap_exact",

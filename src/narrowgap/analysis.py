@@ -27,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .geometry import NarrowRegion
 from .mesh_solver import (MappedGrid, SolutionField, boundary_values,
                           quadrature_weights, solve_dirichlet)
 
@@ -332,22 +331,14 @@ def fit_rate(points, metric=""):
 
 @dataclass
 class SweepProblem:
-    """Everything a solve at one epsilon needs except epsilon itself."""
+    """Everything a solve at one epsilon needs besides its NarrowRegion."""
     op: object
-    profile: object
     data: object
-    n: int = 2
-    r_solve: float = 1.0
-    r_analyze: float = 0.5
     lateral_closure: str = "utilde"
     R0: float = 0.25
     nt: int = 33
     scenario: str = ""
     tol: float = 1e-10
-
-    def region(self, eps):
-        return NarrowRegion(n=self.n, epsilon=eps, profile=self.profile,
-                            r_solve=self.r_solve, r_analyze=self.r_analyze)
 
 
 def sweep_grid(eps):
@@ -382,23 +373,23 @@ def _solve_one(problem, region, nx, nt):
                            tol=problem.tol)
 
 
-def solve_epsilon(problem, eps, nx=None):
-    """Solve at one epsilon on an nx x problem.nt grid and analyze it.
+def solve_epsilon(problem, region, nx=None):
+    """Solve on ``region`` with an nx x problem.nt grid and analyze it.
 
-    nx defaults to sweep_grid(eps).  The gradient is taken once and shared
-    with analyze_solution.  Returns (solution, gradient, BoundReport).
+    nx defaults to sweep_grid(region.epsilon).  The gradient is taken once and
+    shared with analyze_solution.  Returns (solution, gradient, BoundReport).
     """
     if nx is None:
-        nx = sweep_grid(eps)
-    sol = _solve_one(problem, problem.region(eps), nx, problem.nt)
+        nx = sweep_grid(region.epsilon)
+    sol = _solve_one(problem, region, nx, problem.nt)
     grad_u = gradient(sol)
-    report = analyze_solution(sol, problem.data, sol.grid.region, problem.R0,
+    report = analyze_solution(sol, problem.data, region, problem.R0,
                               problem.scenario, grad_u=grad_u)
     return sol, grad_u, report
 
 
-def sweep_member(problem, eps, metric="center_grad", nx=None):
-    """solve_epsilon with an a-posteriori Richardson check.
+def sweep_member(problem, region, metric="center_grad", nx=None):
+    """solve_epsilon with an a-posteriori Richardson check on the same region.
 
     The metric is recomputed on a half-resolution grid; a drift beyond
     RICHARDSON_TOL means the member is not trustworthy at this resolution
@@ -406,7 +397,7 @@ def sweep_member(problem, eps, metric="center_grad", nx=None):
     coarser check grid: that raises as well, rather than comparing the grid
     with itself.  Returns (metric value, BoundReport).
     """
-    sol, grad_u, report = solve_epsilon(problem, eps, nx)
+    sol, grad_u, report = solve_epsilon(problem, region, nx)
     value = _metric_value(grad_u, metric, problem.R0)
 
     nx, nt = sol.grid.nx, sol.grid.nt
@@ -414,25 +405,25 @@ def sweep_member(problem, eps, metric="center_grad", nx=None):
     nt_c = max(9, (nt // 2) | 1)
     if (nx_c, nt_c) == (nx, nt):
         raise AnalysisError(
-            f"Richardson check impossible at eps={eps:g}: the check grid "
+            f"Richardson check impossible at eps={region.epsilon:g}: the check grid "
             f"({nx_c},{nt_c}) equals the solve grid ({nx},{nt}); it needs "
             f"nx or nt above 9")
-    sol_c = _solve_one(problem, sol.grid.region, nx_c, nt_c)
+    sol_c = _solve_one(problem, region, nx_c, nt_c)
     value_c = _metric_value(gradient(sol_c), metric, problem.R0)
     drift = abs(value - value_c) / abs(value) if value != 0 else abs(value_c)
     if drift > RICHARDSON_TOL:
         raise AnalysisError(
-            f"Richardson check failed at eps={eps:g}: {metric} moved "
+            f"Richardson check failed at eps={region.epsilon:g}: {metric} moved "
             f"{drift:.1%} between ({nx_c},{nt_c}) and ({nx},{nt})")
     return value, report
 
 
-def sweep_and_fit(problem, eps_list, metric="center_grad", nx=None, jobs=1):
-    """Run sweep_member for each epsilon, largest first, and fit the log-log
-    rate.  With jobs > 1 the members run in that many worker processes,
-    each sent the pickled problem; the results equal a serial run."""
-    eps_list = sorted(eps_list, reverse=True)
-    args = [(problem, eps, metric, nx) for eps in eps_list]
+def sweep_and_fit(problem, regions, metric="center_grad", nx=None, jobs=1):
+    """Run sweep_member on each region, largest epsilon first, and fit the
+    log-log rate.  With jobs > 1 the members run in that many worker processes,
+    each sent the pickled problem and region; the results equal a serial run."""
+    regions = sorted(regions, key=lambda region: region.epsilon, reverse=True)
+    args = [(problem, region, metric, nx) for region in regions]
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:
@@ -444,7 +435,7 @@ def sweep_and_fit(problem, eps_list, metric="center_grad", nx=None, jobs=1):
             results = list(pool.map(sweep_member, *zip(*args)))
     else:
         results = [sweep_member(*a) for a in args]
-    fit = fit_rate([(eps, value) for eps, (value, _) in zip(eps_list, results)],
+    fit = fit_rate([(r.epsilon, value) for r, (value, _) in zip(regions, results)],
                    metric=metric)
     fit.reports = [report for _, report in results]
     return fit

@@ -89,6 +89,14 @@ def _float(text, name):
     return value
 
 
+def _positive(text, name):
+    """A finite number above 0."""
+    value = _float(text, name)
+    if value <= 0:
+        raise ConfigError(f"{name} must be a positive number, got {text!r}")
+    return value
+
+
 def _fraction(text, name):
     """A number strictly between 0 and 1 (nan and inf are not)."""
     value = _number(text, float, name)
@@ -167,7 +175,7 @@ CONFIG_SCHEMA = {
         "tol": ("tol", _fraction),
     },
     "analysis": {
-        "R0": ("R0", _float),
+        "R0": ("R0", _positive),
         "scenario": ("scenario", _text),
         "metric": ("metric", _choice("metric", "center_grad", "sup_grad")),
     },
@@ -317,10 +325,8 @@ class RunConfig:
             raise ConfigError(f"[data] {exc}") from exc
 
     def sweep_problem(self):
-        """The SweepProblem that solve and sweep run at each epsilon."""
-        return SweepProblem(op=self.operator(), profile=self.profile,
-                            data=self.data(), n=self.n, r_solve=self.r_solve,
-                            r_analyze=self.r_analyze,
+        """The SweepProblem that solve and sweep run on each gated region."""
+        return SweepProblem(op=self.operator(), data=self.data(),
                             lateral_closure=self.lateral_closure,
                             R0=self.R0, nt=self.nt, scenario=self.scenario,
                             tol=self.tol)
@@ -481,14 +487,18 @@ def cmd_validate(cfg, args):
     return EXIT_OK
 
 
-def _check_geometry(cfg, eps_list):
-    """Geometry gate of solve, sweep and mms, run before any solve: raises
-    GeometryError at the first epsilon whose region fails its checks."""
+def _gated_regions(cfg, eps_list):
+    """Geometry gate of solve, sweep and mms, run before any solve: the
+    NarrowRegion of each epsilon, built once and solved as it was checked.
+    Raises GeometryError at the first region that fails its checks."""
+    regions = []
     for eps in eps_list:
-        geo = validate_profile(cfg.region(eps),
+        regions.append(cfg.region(eps))
+        geo = validate_profile(regions[-1],
                                allow_degenerate=cfg.allow_degenerate_geometry)
         if not geo.passed:
             raise GeometryError(_failed_checks(geo))
+    return regions
 
 
 def cmd_solve(cfg, args):
@@ -497,14 +507,13 @@ def cmd_solve(cfg, args):
     if len(cfg.epsilons) != 1:
         raise ConfigError("solve needs exactly one epsilon "
                           "(config [region] epsilon or --epsilon)")
-    eps = cfg.epsilons[0]
-    _check_geometry(cfg, [eps])
-    sol, grad_u, report = solve_epsilon(cfg.sweep_problem(), eps, cfg.nx)
+    [region] = _gated_regions(cfg, cfg.epsilons)
+    sol, grad_u, report = solve_epsilon(cfg.sweep_problem(), region, cfg.nx)
     summary = report_to_dict(report)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        tag = _eps_tag(eps)
+        tag = _eps_tag(region.epsilon)
         _write_field_csv(outdir / f"field_eps{tag}.csv", sol, grad_u)
         _write_json(outdir / f"report_eps{tag}.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
@@ -521,9 +530,8 @@ def cmd_sweep(cfg, args):
     if len(set(eps_list)) < len(eps_list):
         raise ConfigError("sweep epsilons must be distinct, got "
                           + ",".join(f"{e:g}" for e in eps_list))
-    eps_list = sorted(eps_list, reverse=True)
-    _check_geometry(cfg, eps_list)
-    fit = sweep_and_fit(cfg.sweep_problem(), eps_list, cfg.metric, nx=cfg.nx,
+    regions = _gated_regions(cfg, sorted(eps_list, reverse=True))
+    fit = sweep_and_fit(cfg.sweep_problem(), regions, cfg.metric, nx=cfg.nx,
                         jobs=args.jobs)
     payload = {
         "metric": cfg.metric,
@@ -573,11 +581,10 @@ def cmd_mms(cfg, args):
         sizes = list(DEFAULT_MMS_GRIDS)
     if len(sizes) < 3:
         raise ConfigError("mms needs at least 3 grids")
-    region = cfg.region(cfg.epsilons[0])
-    op = cfg.operator()
-    if region.nd != 1:
+    if cfg.n != 2:
         raise ConfigError("the built-in mms field is defined for n=2")
-    _check_geometry(cfg, [region.epsilon])
+    [region] = _gated_regions(cfg, cfg.epsilons[:1])
+    op = cfg.operator()
     problem = manufactured_problem(op, region, _mms_spec(op))
     study = convergence_study(problem, [(m, m) for m in sizes], tol=cfg.tol)
     print("grid      err_inf        err_l2         order_inf order_l2")
@@ -598,25 +605,30 @@ def cmd_report(args):
     indir = Path(args.indir)
     if not indir.is_dir():
         raise ConfigError(f"not a directory: {indir}")
-    reports = sorted(indir.glob("report_eps*.json"))
     lines = []
-    for path in reports:
-        rep = json.loads(path.read_text())
-        c_low = "-" if rep["c_low"] is None else "%.4f" % rep["c_low"]
-        lines.append(f"eps={rep['epsilon']:<8g} sup_grad={rep['sup_grad']:<12.6g} "
-                     f"C_emp={rep['C_emp']:.4f} c_low={c_low} "
-                     f"grid={rep['grid']['nx']}x{rep['grid']['nt']}")
-    ratefit = indir / "ratefit.json"
-    if ratefit.exists():
-        rf = json.loads(ratefit.read_text())
-        lines.append(f"rate[{rf['metric']}]: slope={rf['rate_fit']['slope']:.4f} "
-                     f"r2={rf['rate_fit']['r2']:.6f} conclusive={rf['conclusive']}")
-    validate = indir / "validate.json"
-    if validate.exists():
-        v = json.loads(validate.read_text())
-        lines.append(f"geometry passed={v['geometry']['passed']} "
-                     f"min_eig={v['geometry']['min_eigenvalue']:.6g} "
-                     f"lambda_est={v['operator']['lambda_estimate']:.6g}")
+    path = indir
+    try:
+        for path in sorted(indir.glob("report_eps*.json")):
+            rep = json.loads(path.read_text())
+            c_low = "-" if rep["c_low"] is None else "%.4f" % rep["c_low"]
+            lines.append(f"eps={rep['epsilon']:<8g} sup_grad={rep['sup_grad']:<12.6g} "
+                         f"C_emp={rep['C_emp']:.4f} c_low={c_low} "
+                         f"grid={rep['grid']['nx']}x{rep['grid']['nt']}")
+        path = indir / "ratefit.json"
+        if path.exists():
+            rf = json.loads(path.read_text())
+            lines.append(f"rate[{rf['metric']}]: slope={rf['rate_fit']['slope']:.4f} "
+                         f"r2={rf['rate_fit']['r2']:.6f} conclusive={rf['conclusive']}")
+        path = indir / "validate.json"
+        if path.exists():
+            v = json.loads(path.read_text())
+            lines.append(f"geometry passed={v['geometry']['passed']} "
+                         f"min_eig={v['geometry']['min_eigenvalue']:.6g} "
+                         f"lambda_est={v['operator']['lambda_estimate']:.6g}")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        # a file that cannot be read, parsed as JSON or summarized
+        raise ConfigError(f"cannot summarize {path}: "
+                          f"{type(exc).__name__}: {exc}") from None
     if not lines:
         raise ConfigError(f"no reports found in {indir}")
     print("\n".join(lines))

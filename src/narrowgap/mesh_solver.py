@@ -49,7 +49,6 @@ __all__ = [
     "LinearSystem",
     "SolutionField",
     "SolverError",
-    "build_grid",
     "assemble",
     "solve_system",
     "solve_dirichlet",
@@ -208,10 +207,6 @@ def _stack_levels(columns, tax):
                    for db, dd in zip(dbottom_c, ddelta_c)], axis=0)
     dX = np.stack([np.repeat(g, m) for g in dX_c], axis=0)
     return np.repeat(cols, m, axis=0), tvals, delta, xn, dT, dX
-
-
-def build_grid(region, nx, nt):
-    return MappedGrid(region, nx, nt)
 
 
 def quadrature_weights(grid):

@@ -16,10 +16,11 @@ import pytest
 from narrowgap import (
     BoundaryData,
     GapProfile,
+    MappedGrid,
+    NarrowRegion,
     PolynomialField,
     SweepProblem,
     analyze_solution,
-    build_grid,
     correction_field,
     energy,
     fit_rate,
@@ -99,13 +100,12 @@ def build_sweep(op, scenario="blowup"):
     acceptance criteria need: the midline bound profile, the bare window
     energy ratios, and a constant-closure rerun on the same grid."""
     data = mismatch_data(op)
-    problem = SweepProblem(op=op, profile=quad_profile(), data=data,
-                           scenario=scenario)
+    problem = SweepProblem(op=op, data=data, scenario=scenario)
     entries = []
     for eps in EPS_SWEEP:
-        value, report = sweep_member(problem, eps, metric="center_grad")
-        region = problem.region(eps)
-        grid = build_grid(region, sweep_grid(eps), NT)
+        region = NarrowRegion(n=2, epsilon=eps, profile=quad_profile())
+        value, report = sweep_member(problem, region, metric="center_grad")
+        grid = MappedGrid(region, sweep_grid(eps), NT)
         sol = solve_dirichlet(op, grid, data)
         gw = gradient(correction_field(sol, data))
         F0_ratio = report.F_delta0 / eps**grid.nd

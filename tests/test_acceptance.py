@@ -15,11 +15,11 @@ import pytest
 from narrowgap import (
     AuxiliaryEvaluator,
     BoundaryData,
+    MappedGrid,
     NarrowRegion,
     PolynomialField,
     SweepProblem,
     analyze_solution,
-    build_grid,
     convergence_study,
     fd_apply_operator,
     fit_rate,
@@ -64,7 +64,7 @@ def test_criterion_1_flat_gap_exact(kind, eps):
     gp = tuple(p1("1") if l == 0 else zero for l in range(op.N))
     data = BoundaryData(gp, (zero,) * op.N)
     region = NarrowRegion(n=2, epsilon=eps, profile=flat_profile())
-    grid = build_grid(region, 33, 17)
+    grid = MappedGrid(region, 33, 17)
     sol = solve_dirichlet(op, grid, data)
     a = [1.0] + [0.0] * (op.N - 1)
     exact = flat_gap_exact(eps, a, [0.0] * op.N, grid.points)
@@ -98,20 +98,23 @@ def test_criterion_3_upper_bound_shape(blowup_sweeps, kind):
 
 # -- criterion 4: no blow-up for matched data -------------------------------
 
+def sweep_regions():
+    return [NarrowRegion(n=2, epsilon=eps, profile=quad_profile())
+            for eps in EPS_SWEEP]
+
+
 @pytest.fixture(scope="module")
 def tangential_fit(laplace_op):
     """g+ = x1, g- = 2*x1: traces agree at the origin only."""
     data = BoundaryData((p1("x1"),), (p1("2*x1"),))
-    problem = SweepProblem(op=laplace_op, profile=quad_profile(), data=data,
-                           scenario="tangential")
-    return sweep_and_fit(problem, list(EPS_SWEEP), metric="center_grad")
+    problem = SweepProblem(op=laplace_op, data=data, scenario="tangential")
+    return sweep_and_fit(problem, sweep_regions(), metric="center_grad")
 
 
 def test_criterion_4_matched_data(laplace_op):
     data = BoundaryData((p1("x1"),), (p1("x1"),))
-    problem = SweepProblem(op=laplace_op, profile=quad_profile(), data=data,
-                           scenario="matched")
-    fit = sweep_and_fit(problem, list(EPS_SWEEP), metric="sup_grad")
+    problem = SweepProblem(op=laplace_op, data=data, scenario="matched")
+    fit = sweep_and_fit(problem, sweep_regions(), metric="sup_grad")
     assert abs(fit.slope) <= 0.1
 
 
@@ -161,7 +164,7 @@ def test_criterion_6_mms_orders(kind):
 
 def test_criterion_6_superposition(lame_op):
     region = NarrowRegion(n=2, epsilon=0.1, profile=quad_profile())
-    grid = build_grid(region, 45, 33)
+    grid = MappedGrid(region, 45, 33)
     zero = PolynomialField.zero(1)
     data = BoundaryData((p1("x1^2"), p1("1")), (zero, p1("x1")))
     assert superposition_check(lame_op, region, data, grid,

@@ -8,13 +8,13 @@ import pytest
 from narrowgap import (
     AnalysisError,
     BoundaryData,
+    MappedGrid,
     NarrowRegion,
     PolynomialField,
     SolutionField,
     SweepProblem,
     analysis,
     analyze_solution,
-    build_grid,
     correction_field,
     energy,
     fit_rate,
@@ -41,7 +41,7 @@ def lap():
 def solve_case(op, eps=0.1, profile=None, data=None, nx=33, nt=17):
     reg = NarrowRegion(n=op.n, epsilon=eps,
                        profile=profile or quad_profile(op.n - 1))
-    grid = build_grid(reg, nx, nt)
+    grid = MappedGrid(reg, nx, nt)
     data = data or mismatch_data(op)
     sol = solve_dirichlet(op, grid, data)
     return reg, grid, data, sol
@@ -156,11 +156,12 @@ def test_graded_values_converge_to_the_uniform_limit(lap, monkeypatch, eps):
     # theirs closes only about as fast as the spacing at the band edges and
     # not monotonically; it is checked on the finest grid alone.
     data = BoundaryData((p1("1.25"),), (p1("-0.5"),))
-    problem = SweepProblem(op=lap, profile=quad_profile(), data=data, nt=17)
+    problem = SweepProblem(op=lap, data=data, nt=17)
+    region = NarrowRegion(n=2, epsilon=eps, profile=quad_profile())
     grids = (33, 1025)
-    graded = [analysis.solve_epsilon(problem, eps, nx)[2] for nx in grids]
+    graded = [analysis.solve_epsilon(problem, region, nx)[2] for nx in grids]
     monkeypatch.setattr(mesh_solver, "GRADING", 0.0)
-    uniform = [analysis.solve_epsilon(problem, eps, nx)[2] for nx in grids]
+    uniform = [analysis.solve_epsilon(problem, region, nx)[2] for nx in grids]
     for name in ("sup_grad", "C_emp", "c_low", "energy_half", "F_delta0",
                  "k213", "k219", "k220", "k225", "k226"):
         g, u = getattr(graded[-1], name), getattr(uniform[-1], name)
@@ -269,7 +270,7 @@ def test_sweep_grid_schedule(lap, monkeypatch):
     assert {sweep_grid(eps) for eps in (10.0, 0.1, 0.05, 0.00625, 0.001)} == {45}
 
     def grid_at(eps, nx=45, nt=33):
-        return build_grid(NarrowRegion(n=2, epsilon=eps, profile=quad_profile()),
+        return MappedGrid(NarrowRegion(n=2, epsilon=eps, profile=quad_profile()),
                           nx, nt)
 
     for eps in (0.1, 0.4):
@@ -304,8 +305,8 @@ def test_sweep_grid_schedule(lap, monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(analysis, "MappedGrid", recording)
-    problem = SweepProblem(op=lap, profile=quad_profile(), data=mismatch_data(lap))
-    sweep_member(problem, 0.025)
+    problem = SweepProblem(op=lap, data=mismatch_data(lap))
+    sweep_member(problem, NarrowRegion(n=2, epsilon=0.025, profile=quad_profile()))
     fine, coarse = built
     assert (fine.nx, coarse.nx) == (45, 23)
     assert fine.dX[22] < 1
@@ -315,17 +316,16 @@ def test_sweep_grid_schedule(lap, monkeypatch):
 
 def test_sweep_member_richardson_gate(lap, monkeypatch):
     monkeypatch.setattr(analysis, "RICHARDSON_TOL", 1e-12)
-    problem = SweepProblem(op=lap, profile=quad_profile(),
-                           data=mismatch_data(lap))
+    problem = SweepProblem(op=lap, data=mismatch_data(lap))
     with pytest.raises(AnalysisError):
-        sweep_member(problem, 0.1)
+        sweep_member(problem, NarrowRegion(n=2, epsilon=0.1, profile=quad_profile()))
 
 
 def test_sweep_member_unknown_metric(lap):
-    problem = SweepProblem(op=lap, profile=quad_profile(),
-                           data=mismatch_data(lap))
+    problem = SweepProblem(op=lap, data=mismatch_data(lap))
+    region = NarrowRegion(n=2, epsilon=0.1, profile=quad_profile())
     with pytest.raises(AnalysisError):
-        sweep_member(problem, 0.1, metric="median_grad")
+        sweep_member(problem, region, metric="median_grad")
 
 
 def test_report_scales_linearly_with_data(lap):
@@ -343,7 +343,7 @@ def test_report_scales_linearly_with_data(lap):
 
 def test_superposition_zero_for_single_component(lap):
     reg = NarrowRegion(n=2, epsilon=0.1, profile=quad_profile())
-    grid = build_grid(reg, 17, 9)
+    grid = MappedGrid(reg, 17, 9)
     disc = superposition_check(lap, reg, mismatch_data(lap), grid)
     assert disc < 1e-11
 
@@ -355,7 +355,9 @@ def test_sweep_and_fit_rejects_jobs_below_one(lap, monkeypatch, jobs):
                         lambda *a, **kw: pools.append(kw))
     monkeypatch.setattr(analysis, "sweep_member",
                         lambda *a: pytest.fail("a member was solved"))
-    problem = SweepProblem(op=lap, profile=quad_profile(), data=mismatch_data(lap))
+    problem = SweepProblem(op=lap, data=mismatch_data(lap))
+    regions = [NarrowRegion(n=2, epsilon=eps, profile=quad_profile())
+               for eps in (0.1, 0.05, 0.025)]
     with pytest.raises(ValueError, match=f"got {jobs}"):
-        sweep_and_fit(problem, [0.1, 0.05, 0.025], jobs=jobs)
+        sweep_and_fit(problem, regions, jobs=jobs)
     assert pools == []

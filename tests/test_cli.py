@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from narrowgap import RationalField, analysis, cli, mesh_solver, verification
+from narrowgap import (RationalField, analysis, cli, geometry, mesh_solver,
+                       verification)
 from narrowgap.analysis import fit_rate
 from narrowgap.cli import (
     EXIT_GATE,
@@ -261,11 +262,15 @@ BAD_NUMBERS += [
     ("[analysis] R0", "nan", _with("analysis", "R0 = nan"), []),
     ("--epsilon", "inf", QUAD_CFG, ["solve", "--epsilon", "inf"]),
 ]
+# R0 is a radius: numbers at or below 0 are not one
+BAD_RADII = ["-0.25", "0"]
+BAD_NUMBERS += [("[analysis] R0", bad, _with("analysis", f"R0 = {bad}"), [])
+                for bad in BAD_RADII]
 
 
 def _bad_number_id(case):
     name, bad = case[0].split()[-1], case[1]
-    return f"{name}={bad}" if bad in BAD_TOLS else name
+    return f"{name}={bad}" if bad in BAD_TOLS + BAD_RADII else name
 
 
 @pytest.mark.parametrize("name,bad,text,command", BAD_NUMBERS,
@@ -284,6 +289,8 @@ def test_bad_number_is_a_config_error(tmp_path, capsys, name, bad, text, command
         else "a number"
     if name == "[solver] tol" and bad in BAD_TOLS:
         what = "a number in (0, 1)"
+    if name == "[analysis] R0" and bad in BAD_RADII:
+        what = "a positive number"
     assert err == {"error": "config", "message": f"{name} must be {what}, got {bad!r}"}
 
 
@@ -677,6 +684,20 @@ def test_mms_flat_gap_needs_override(tmp_path, capsys):
         assert "order_inf" in capsys.readouterr().out
 
 
+def test_mms_in_3d_is_a_config_error_before_the_gate(tmp_path, capsys):
+    # the dimension is checked before any region is built, so a 3-D gap
+    # that also closes on the solve box is a config error, not a validation one
+    closing = QUAD3D_CFG.replace('h1 = "0.5*x1^2 + 0.5*x2^2"', 'h1 = "-x1^2 - x2^2"')
+    closing = closing.replace('h2 = "-0.5*x1^2 - 0.5*x2^2"', 'h2 = "0"')
+    cfg = write_cfg(tmp_path, closing)
+    assert main(["mms", "--config", cfg, "--grids", "9,17,33"]) == EXIT_USAGE
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {"error": "config",
+                                "message": "the built-in mms field is defined for n=2"}
+    assert main(["solve", "--config", cfg, "--epsilon", "0.1"]) == EXIT_VALIDATION
+    assert "gap closes" in capsys.readouterr().err
+
+
 def test_mms_honours_solver_settings(tmp_path, capsys, monkeypatch):
     tols = []
 
@@ -734,6 +755,49 @@ def test_report_rejects_the_config_flags(tmp_path, capsys, flag):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "usage"
     assert flag[0] in err["message"]
+
+
+@pytest.mark.parametrize("name, content, what", [
+    ("report_eps0p1.json", '{"epsilon": 0.1', "JSONDecodeError"),
+    ("report_eps0p1.json", '{"epsilon": 0.1, "sup_grad": 1.0}', "KeyError: 'c_low'"),
+    ("report_eps0p1.json", None, "IsADirectoryError"),
+    ("ratefit.json", '{"metric": "center_grad"}', "KeyError: 'rate_fit'"),
+    ("validate.json", "[]", "TypeError"),
+], ids=["bad-json", "missing-key", "directory", "ratefit", "validate"])
+def test_report_malformed_file_is_a_config_error(tmp_path, capsys, name, content,
+                                                 what):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    assert main(["report", "--in", str(tmp_path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "config"
+    assert str(path) in err["message"] and what in err["message"]
+
+
+@pytest.mark.parametrize("args, built", [
+    (["sweep", "--epsilons", "0.1,0.05,0.025"], 3),
+    (["solve"], 1),
+    (["mms", "--grids", "9,17,33"], 1),
+    (["validate"], 1),
+], ids=["sweep", "solve", "mms", "validate"])
+def test_each_command_builds_one_region_per_epsilon(tmp_path, capsys, monkeypatch,
+                                                    args, built):
+    # the geometry gate's region is the one that is solved and analyzed
+    count = []
+    post_init = geometry.NarrowRegion.__post_init__
+    monkeypatch.setattr(geometry.NarrowRegion, "__post_init__",
+                        lambda self: count.append(self) or post_init(self))
+    cfg = write_cfg(tmp_path, QUAD_CFG)
+    assert main([args[0], "--config", cfg] + args[1:]) == EXIT_OK
+    capsys.readouterr()
+    assert len(count) == built
 
 
 @pytest.mark.parametrize("command", ["validate", "solve", "sweep", "mms"])

@@ -16,7 +16,6 @@ from narrowgap import (
     PolynomialField,
     SolverError,
     boundary_values,
-    build_grid,
     flat_gap_exact,
     make_builtin,
     parse_expression,
@@ -39,7 +38,7 @@ def reg():
 
 @pytest.fixture(scope="module")
 def grid(reg):
-    return build_grid(reg, 33, 17)
+    return MappedGrid(reg, 33, 17)
 
 
 def test_grid_layout(reg, grid):
@@ -149,13 +148,13 @@ def test_quadrature_weights_measure_the_region(reg, grid):
     # integral of delta over [-1, 1] is 2*eps + 2/3
     area = quadrature_weights(grid).sum()
     assert area == pytest.approx(0.2 + 2 / 3, rel=2e-3)
-    fine = quadrature_weights(build_grid(reg, 129, 17)).sum()
+    fine = quadrature_weights(MappedGrid(reg, 129, 17)).sum()
     assert abs(fine - (0.2 + 2 / 3)) < abs(area - (0.2 + 2 / 3))
 
 
 def test_flat_gap_solution_is_exact():
     flat = NarrowRegion(n=2, epsilon=0.05, profile=flat_profile())
-    grid = build_grid(flat, 17, 9)
+    grid = MappedGrid(flat, 17, 9)
     data = BoundaryData((p1("1"),), (PolynomialField.zero(1),))
     sol = solve_dirichlet(make_builtin("laplace", n=2), grid, data)
     exact = flat_gap_exact(0.05, [1.0], [0.0], grid.points)
@@ -221,7 +220,7 @@ def test_nodal_interpolant_matches_the_exact_rationals(n):
         nx, nt = 17, 9
     gp, gm = (parse_expression(t, nvars=n - 1) for t in traces)
     data = BoundaryData((gp,), (gm,))
-    grid = build_grid(NarrowRegion(n=n, epsilon=0.05, profile=profile), nx, nt)
+    grid = MappedGrid(NarrowRegion(n=n, epsilon=0.05, profile=profile), nx, nt)
     exact = AuxiliaryEvaluator(grid.region, data).utilde_values(grid.points)
     np.testing.assert_allclose(boundary_values(grid, data), exact, rtol=0,
                                atol=1e-14)
@@ -236,7 +235,7 @@ def test_flat_gap_3d_is_exact_under_auto(kind):
     data = BoundaryData(gp, (zero,) * op.N)
     flat = NarrowRegion(n=3, epsilon=0.05,
                         profile=GapProfile(h1=zero, h2=zero))
-    grid = build_grid(flat, 13, 9)
+    grid = MappedGrid(flat, 13, 9)
     sol = solve_dirichlet(op, grid, data)
     # on a flat gap with constant traces the column interpolant BiCGSTAB
     # starts from is already the discrete solution
@@ -254,7 +253,7 @@ def p2(text):
 def quad_grid_3d(nx, nt, eps=0.05):
     profile = GapProfile(h1=p2("0.5*x1^2 + 0.5*x2^2"),
                          h2=p2("-0.5*x1^2 - 0.5*x2^2"))
-    return build_grid(NarrowRegion(n=3, epsilon=eps, profile=profile), nx, nt)
+    return MappedGrid(NarrowRegion(n=3, epsilon=eps, profile=profile), nx, nt)
 
 
 def test_direct_and_krylov_paths_agree_3d():
@@ -480,7 +479,7 @@ def test_column_preconditioner_is_the_block_inverse(n, nx, nt):
 
     zero = PolynomialField.zero(n - 1)
     prof = GapProfile(h1=p(CURVED[n][0]), h2=p(CURVED[n][1]))
-    grid = build_grid(NarrowRegion(n=n, epsilon=0.1, profile=prof), nx, nt)
+    grid = MappedGrid(NarrowRegion(n=n, epsilon=0.1, profile=prof), nx, nt)
     op = make_builtin("lame", n=n)
     data = BoundaryData((p("1"),) + (zero,) * (n - 1), (zero,) * n)
     A = assemble(op, grid, data=data).matrix
@@ -505,7 +504,7 @@ def test_assembly_memory_stays_within_three_matrices():
 
     zero = PolynomialField.zero(2)
     prof = GapProfile(h1=p("0.5*x1^2 + 0.5*x2^2"), h2=p("-0.5*x1^2 - 0.5*x2^2"))
-    grid = build_grid(NarrowRegion(n=3, epsilon=0.1, profile=prof), 25, 17)
+    grid = MappedGrid(NarrowRegion(n=3, epsilon=0.1, profile=prof), 25, 17)
     op = make_builtin("lame", n=3)
     data = BoundaryData((p("1"), zero, zero), (zero,) * 3)
     tracemalloc.start()

@@ -23,8 +23,8 @@ import numpy as np
 import pytest
 
 import solver_oracle as oracle
-from narrowgap import (BoundaryData, GapProfile, NarrowRegion, PolynomialField,
-                       analysis, build_grid, convergence_study, make_builtin,
+from narrowgap import (BoundaryData, GapProfile, MappedGrid, NarrowRegion,
+                       PolynomialField, analysis, convergence_study, make_builtin,
                        manufactured_problem, parse_expression, verification)
 from narrowgap.cli import EXIT_OK, _mms_spec, load_config, main
 from narrowgap.mesh_solver import assemble
@@ -50,7 +50,7 @@ def _lame_case(n, nx, nt, eps=0.1):
     op = make_builtin("lame", n=n, lame_mu=1.0, lame_lambda=1.5)
     top = (p("1"), p("x1")) + (zero,) * (n - 2)
     bottom = (zero, p("x1^2")) + (p(f"x{n - 1}"),) * (n - 2)
-    return op, build_grid(_region(n, eps), nx, nt), {"data": BoundaryData(top, bottom)}
+    return op, MappedGrid(_region(n, eps), nx, nt), {"data": BoundaryData(top, bottom)}
 
 
 def _custom_mms_case(tmp_path, eps=0.1):
@@ -59,7 +59,7 @@ def _custom_mms_case(tmp_path, eps=0.1):
     cfg = load_config(path)
     op = cfg.operator()
     problem = manufactured_problem(op, cfg.region(eps), _mms_spec(op))
-    grid = build_grid(problem.region, 17, 17)
+    grid = MappedGrid(problem.region, 17, 17)
     exact, src = problem.nodal_fields(grid)
     return op, grid, {"nodal_bc": exact, "source": src}
 
