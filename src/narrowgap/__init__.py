@@ -26,7 +26,7 @@ from .polynomial import (ExpressionError, PolynomialField, RationalField,
                          parse_expression)
 from .verification import (ConvergenceStudy, ManufacturedProblem,
                            convergence_study, fd_apply_operator,
-                           flat_gap_exact, manufactured_problem)
+                           manufactured_problem)
 
 __version__ = "0.1.0"
 
@@ -42,7 +42,7 @@ __all__ = [
     "assemble",
     "check_derivative_bounds", "convergence_study", "correction_field",
     "boundary_values", "energy", "estimate_bounds", "estimate_ellipticity",
-    "fd_apply_operator", "fit_rate", "flat_gap_exact",
+    "fd_apply_operator", "fit_rate",
     "gradient",
     "make_builtin", "manufactured_problem",
     "parse_expression", "quadrature_weights",

@@ -49,7 +49,11 @@ __all__ = [
 ]
 
 
-# tangential node count of every sweep member (sweep_grid)
+# default tangential node count of a solve (SweepProblem.nx), one count at
+# every eps.  The grid's tangential map (mesh_solver.tangential_map) follows
+# eps instead: uniform for eps >= 0.1, below that clustered at x' = 0, where
+# the window |x'| < delta(0) = eps and the transition band |x'| ~ sqrt(eps)
+# of the two-regime pointwise bounds lie.
 NX_BASE = 45
 # largest relative drift of a sweep metric between a member's grid and the
 # half-resolution check grid
@@ -215,17 +219,16 @@ class BoundReport:
     k226: float | None
     grid: tuple
     R0: float
-    scenario: str = ""
 
     def lemma_constants(self):
         return {"k213": self.k213, "k219": self.k219, "k220": self.k220,
                 "k225": self.k225, "k226": self.k226}
 
 
-def analyze_solution(solution, data, region, R0=0.25, scenario="", grad_u=None):
-    """Full per-epsilon report: gradient bounds for u, energy and pointwise
-    bounds for the correction w.  ``grad_u`` is gradient(solution) when the
-    caller already has it.
+def analyze_solution(solution, data, R0=0.25, grad_u=None):
+    """Full per-epsilon report on the region the solution was solved on:
+    gradient bounds for u, energy and pointwise bounds for the correction w.
+    ``grad_u`` is gradient(solution) when the caller already has it.
 
     sup_grad, C_emp, c_low, k225 and k226 are maxima or minima over the
     tangential columns of the grid (README "Outputs" gives each formula);
@@ -233,6 +236,7 @@ def analyze_solution(solution, data, region, R0=0.25, scenario="", grad_u=None):
     and the Euclidean mismatch there, and the norm budgets.
     """
     grid = solution.grid
+    region = grid.region
     eps = region.epsilon
     nd = grid.nd
     if grad_u is None:
@@ -293,7 +297,7 @@ def analyze_solution(solution, data, region, R0=0.25, scenario="", grad_u=None):
         epsilon=eps, sup_grad=sup_grad, C_emp=C_emp, c_low=c_low,
         energy_half=energy_half, F_delta0=F_delta0,
         k213=k213, k219=k219, k220=k220, k225=k225, k226=k226,
-        grid=(grid.nx, grid.nt), R0=R0, scenario=scenario,
+        grid=(grid.nx, grid.nt), R0=R0,
     )
 
 
@@ -303,12 +307,11 @@ class RateFit:
     slope: float
     intercept: float
     r2: float
-    metric: str = ""
     conclusive: bool = True
     reports: list = field(default_factory=list)
 
 
-def fit_rate(points, metric=""):
+def fit_rate(points):
     """Least squares for log M = p log eps + q; R^2 >= 0.98 is conclusive."""
     if len(points) < 3:
         raise AnalysisError("rate fit needs at least 3 points")
@@ -326,7 +329,7 @@ def fit_rate(points, metric=""):
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-24 else 1.0
     return RateFit(points=[(float(e), float(v)) for e, v in points],
                    slope=float(slope), intercept=float(intercept), r2=float(r2),
-                   metric=metric, conclusive=bool(r2 >= 0.98))
+                   conclusive=bool(r2 >= 0.98))
 
 
 @dataclass
@@ -336,20 +339,14 @@ class SweepProblem:
     data: object
     lateral_closure: str = "utilde"
     R0: float = 0.25
+    nx: int = NX_BASE
     nt: int = 33
-    scenario: str = ""
     tol: float = 1e-10
 
 
 def sweep_grid(eps):
-    """The tangential node count of a sweep member at ``eps``: NX_BASE at
-    every eps.
-
-    The grid's tangential map (mesh_solver.tangential_map) follows eps
-    instead: it is uniform for eps >= 0.1 and below clusters the nodes at
-    x' = 0, where the window |x'| < delta(0) = eps and the transition band
-    |x'| ~ sqrt(eps) of the two-regime pointwise bounds lie.
-    """
+    """NX_BASE, the default nx at every eps.  Kept because
+    bench/make_references.py imports it."""
     return NX_BASE
 
 
@@ -373,22 +370,19 @@ def _solve_one(problem, region, nx, nt):
                            tol=problem.tol)
 
 
-def solve_epsilon(problem, region, nx=None):
-    """Solve on ``region`` with an nx x problem.nt grid and analyze it.
+def solve_epsilon(problem, region):
+    """Solve on ``region`` with a problem.nx x problem.nt grid and analyze it.
 
-    nx defaults to sweep_grid(region.epsilon).  The gradient is taken once and
-    shared with analyze_solution.  Returns (solution, gradient, BoundReport).
+    The gradient is taken once and shared with analyze_solution.  Returns
+    (solution, gradient, BoundReport).
     """
-    if nx is None:
-        nx = sweep_grid(region.epsilon)
-    sol = _solve_one(problem, region, nx, problem.nt)
+    sol = _solve_one(problem, region, problem.nx, problem.nt)
     grad_u = gradient(sol)
-    report = analyze_solution(sol, problem.data, region, problem.R0,
-                              problem.scenario, grad_u=grad_u)
+    report = analyze_solution(sol, problem.data, problem.R0, grad_u=grad_u)
     return sol, grad_u, report
 
 
-def sweep_member(problem, region, metric="center_grad", nx=None):
+def sweep_member(problem, region, metric="center_grad"):
     """solve_epsilon with an a-posteriori Richardson check on the same region.
 
     The metric is recomputed on a half-resolution grid; a drift beyond
@@ -397,7 +391,7 @@ def sweep_member(problem, region, metric="center_grad", nx=None):
     coarser check grid: that raises as well, rather than comparing the grid
     with itself.  Returns (metric value, BoundReport).
     """
-    sol, grad_u, report = solve_epsilon(problem, region, nx)
+    sol, grad_u, report = solve_epsilon(problem, region)
     value = _metric_value(grad_u, metric, problem.R0)
 
     nx, nt = sol.grid.nx, sol.grid.nt
@@ -418,12 +412,12 @@ def sweep_member(problem, region, metric="center_grad", nx=None):
     return value, report
 
 
-def sweep_and_fit(problem, regions, metric="center_grad", nx=None, jobs=1):
+def sweep_and_fit(problem, regions, metric="center_grad", jobs=1):
     """Run sweep_member on each region, largest epsilon first, and fit the
     log-log rate.  With jobs > 1 the members run in that many worker processes,
     each sent the pickled problem and region; the results equal a serial run."""
     regions = sorted(regions, key=lambda region: region.epsilon, reverse=True)
-    args = [(problem, region, metric, nx) for region in regions]
+    args = [(problem, region, metric) for region in regions]
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if jobs > 1:
@@ -435,13 +429,12 @@ def sweep_and_fit(problem, regions, metric="center_grad", nx=None, jobs=1):
             results = list(pool.map(sweep_member, *zip(*args)))
     else:
         results = [sweep_member(*a) for a in args]
-    fit = fit_rate([(r.epsilon, value) for r, (value, _) in zip(regions, results)],
-                   metric=metric)
+    fit = fit_rate([(r.epsilon, value) for r, (value, _) in zip(regions, results)])
     fit.reports = [report for _, report in results]
     return fit
 
 
-def superposition_check(op, region, data, grid, lateral_closure="utilde", tol=1e-10):
+def superposition_check(op, data, grid, lateral_closure="utilde", tol=1e-10):
     """Max-norm gap between the full solve and the sum of component solves."""
     full = solve_dirichlet(op, grid, data, lateral_closure=lateral_closure, tol=tol)
     total = np.zeros_like(full.values)

@@ -33,8 +33,8 @@ import numpy as np
 
 # analyze_solution is bound here, unused, because bench/test_bench.py checks
 # that the bench tracer rebinds it at this import site
-from .analysis import (AnalysisError, SweepProblem, analyze_solution,  # noqa: F401
-                       solve_epsilon, sweep_and_fit)
+from .analysis import (NX_BASE, AnalysisError, SweepProblem,  # noqa: F401
+                       analyze_solution, solve_epsilon, sweep_and_fit)
 from .auxiliary import BoundaryData
 from .geometry import GapProfile, GeometryError, NarrowRegion, validate_profile
 from .mesh_solver import MappedGrid, SolverError
@@ -246,7 +246,7 @@ class RunConfig:
         "kappa2": 1.0})
     g_plus_texts: list = dc_field(default_factory=list)
     g_minus_texts: list = dc_field(default_factory=list)
-    nx: int | None = None
+    nx: int = NX_BASE
     nt: int = 33
     tol: float = 1e-10
     R0: float = 0.25
@@ -328,8 +328,7 @@ class RunConfig:
         """The SweepProblem that solve and sweep run on each gated region."""
         return SweepProblem(op=self.operator(), data=self.data(),
                             lateral_closure=self.lateral_closure,
-                            R0=self.R0, nt=self.nt, scenario=self.scenario,
-                            tol=self.tol)
+                            R0=self.R0, nx=self.nx, nt=self.nt, tol=self.tol)
 
 
 def load_config(path):
@@ -372,9 +371,10 @@ def load_config(path):
 # emission
 
 
-def report_to_dict(report):
-    """BoundReport as the pinned JSON structure; its ``rate_fit`` is null
-    (the fit of a sweep goes to ratefit.json)."""
+def report_to_dict(report, scenario):
+    """BoundReport as the pinned JSON structure, labelled with the config's
+    ``scenario``; its ``rate_fit`` is null (the fit of a sweep goes to
+    ratefit.json)."""
     return {
         "epsilon": report.epsilon,
         "sup_grad": report.sup_grad,
@@ -386,7 +386,7 @@ def report_to_dict(report):
         "rate_fit": None,
         "grid": {"nx": report.grid[0], "nt": report.grid[1]},
         "R0": report.R0,
-        "scenario": report.scenario,
+        "scenario": scenario,
     }
 
 
@@ -508,8 +508,8 @@ def cmd_solve(cfg, args):
         raise ConfigError("solve needs exactly one epsilon "
                           "(config [region] epsilon or --epsilon)")
     [region] = _gated_regions(cfg, cfg.epsilons)
-    sol, grad_u, report = solve_epsilon(cfg.sweep_problem(), region, cfg.nx)
-    summary = report_to_dict(report)
+    sol, grad_u, report = solve_epsilon(cfg.sweep_problem(), region)
+    summary = report_to_dict(report, cfg.scenario)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -531,8 +531,7 @@ def cmd_sweep(cfg, args):
         raise ConfigError("sweep epsilons must be distinct, got "
                           + ",".join(f"{e:g}" for e in eps_list))
     regions = _gated_regions(cfg, sorted(eps_list, reverse=True))
-    fit = sweep_and_fit(cfg.sweep_problem(), regions, cfg.metric, nx=cfg.nx,
-                        jobs=args.jobs)
+    fit = sweep_and_fit(cfg.sweep_problem(), regions, cfg.metric, jobs=args.jobs)
     payload = {
         "metric": cfg.metric,
         "seed": cfg.seed,
@@ -547,7 +546,7 @@ def cmd_sweep(cfg, args):
         outdir.mkdir(parents=True, exist_ok=True)
         for rep in fit.reports:
             _write_json(outdir / f"report_eps{_eps_tag(rep.epsilon)}.json",
-                        report_to_dict(rep))
+                        report_to_dict(rep, cfg.scenario))
         _write_json(outdir / "ratefit.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if not fit.conclusive:
@@ -586,7 +585,10 @@ def cmd_mms(cfg, args):
     [region] = _gated_regions(cfg, cfg.epsilons[:1])
     op = cfg.operator()
     problem = manufactured_problem(op, region, _mms_spec(op))
-    study = convergence_study(problem, [(m, m) for m in sizes], tol=cfg.tol)
+    try:
+        study = convergence_study(problem, [(m, m) for m in sizes], tol=cfg.tol)
+    except ValueError as exc:  # the grids do not increase; raised before a solve
+        raise ConfigError(str(exc)) from None
     print("grid      err_inf        err_l2         order_inf order_l2")
     for k, (nx, nt) in enumerate(study.grids):
         oi = "%9.3f" % study.orders_inf[k - 1] if k else "        -"

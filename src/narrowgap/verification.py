@@ -1,5 +1,4 @@
-"""Independent oracles: exact flat-gap solutions, manufactured problems,
-and grid-convergence studies.
+"""Independent oracles: manufactured problems and grid-convergence studies.
 
 The manufactured fields are separable in the computational coordinates
 (x', t): each component is a sum of products of per-coordinate factors,
@@ -29,27 +28,10 @@ __all__ = [
     "SeparableField",
     "ManufacturedProblem",
     "ConvergenceStudy",
-    "flat_gap_exact",
     "manufactured_problem",
     "fd_apply_operator",
     "convergence_study",
 ]
-
-
-def flat_gap_exact(epsilon, a, b, x):
-    """Exact solution between flat plates with constant data a on top, b on
-    bottom: componentwise b + (a - b)*(x_n + eps/2)/eps.  Linear fields are
-    in the kernel of any constant-coefficient principal part, so this solves
-    the homogeneous problem exactly for the built-in operators.
-    """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x[None, :] if single else x
-    frac = (pts[:, -1] + epsilon / 2.0) / epsilon
-    vals = b[:, None] + (a - b)[:, None] * frac[None, :]
-    return vals[:, 0] if single else vals
 
 
 class Factor1D:
@@ -291,10 +273,16 @@ class ConvergenceStudy:
 def convergence_study(problem, grid_list, tol=1e-10):
     """Solve the manufactured problem on each grid and report errors.
 
-    grid_list: (nx, nt) pairs, expected in 2:1-ish refinement.  Errors are
-    nodal L-infinity and Jacobian-weighted L2 against u*; orders are log2
-    ratios of successive errors.  ``tol`` goes to solve_system.
+    grid_list: (nx, nt) pairs with nx strictly increasing, else ValueError
+    before any solve.  Errors are nodal L-infinity and Jacobian-weighted L2
+    against u*; the order between successive grids is log2 of their error
+    ratio over log2 of their refinement ratio (nx_{k+1} - 1)/(nx_k - 1).
+    ``tol`` goes to solve_system.
     """
+    nxs = [nx for nx, _ in grid_list]
+    if any(b <= a for a, b in zip(nxs, nxs[1:])):
+        raise ValueError(f"grids must strictly increase in nx, got {nxs}")
+    steps = [math.log2((b - 1) / (a - 1)) for a, b in zip(nxs, nxs[1:])]
     region = problem.region
     errors_inf, errors_l2, grids = [], [], []
     for nx, nt in grid_list:
@@ -307,10 +295,10 @@ def convergence_study(problem, grid_list, tol=1e-10):
         w = quadrature_weights(grid)
         errors_l2.append(float(np.sqrt((diff.reshape(len(problem.fields), -1) ** 2 * w).sum())))
         grids.append((nx, nt))
-    orders_inf = [math.log2(errors_inf[k] / errors_inf[k + 1])
-                  for k in range(len(errors_inf) - 1)]
-    orders_l2 = [math.log2(errors_l2[k] / errors_l2[k + 1])
-                 for k in range(len(errors_l2) - 1)]
+    orders_inf = [math.log2(errors_inf[k] / errors_inf[k + 1]) / steps[k]
+                  for k in range(len(steps))]
+    orders_l2 = [math.log2(errors_l2[k] / errors_l2[k + 1]) / steps[k]
+                 for k in range(len(steps))]
     monotone = all(errors_inf[k + 1] < errors_inf[k] for k in range(len(errors_inf) - 1))
     return ConvergenceStudy(grids=grids, errors_inf=errors_inf, errors_l2=errors_l2,
                             orders_inf=orders_inf, orders_l2=orders_l2,

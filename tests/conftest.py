@@ -95,12 +95,12 @@ class SweepEntry:
     closure_report: object
 
 
-def build_sweep(op, scenario="blowup"):
+def build_sweep(op):
     """Richardson-gated sweep plus the extra per-member measurements the
     acceptance criteria need: the midline bound profile, the bare window
     energy ratios, and a constant-closure rerun on the same grid."""
     data = mismatch_data(op)
-    problem = SweepProblem(op=op, data=data, scenario=scenario)
+    problem = SweepProblem(op=op, data=data)
     entries = []
     for eps in EPS_SWEEP:
         region = NarrowRegion(n=2, epsilon=eps, profile=quad_profile())
@@ -116,15 +116,14 @@ def build_sweep(op, scenario="blowup"):
             s = float(region.delta_poly.value_many(x0[None, :])[0])
             Fx0_ratio = energy(gw, window=(x0, s)) / (2 * se) ** (2 * grid.nd)
         alt = solve_dirichlet(op, grid, data, lateral_closure="constant")
-        closure_report = analyze_solution(alt, data, region, scenario=scenario)
+        closure_report = analyze_solution(alt, data)
         entries.append(SweepEntry(
             eps=eps, region=region, grid=grid, solution=sol, report=report,
             center_grad=value,
             profile_max=midline_profile_max(sol, data, region),
             F0_ratio=F0_ratio, Fx0_ratio=Fx0_ratio,
             closure_report=closure_report))
-    fit = fit_rate([(e.eps, e.center_grad) for e in entries],
-                   metric="center_grad")
+    fit = fit_rate([(e.eps, e.center_grad) for e in entries])
     return entries, fit
 
 

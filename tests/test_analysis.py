@@ -88,14 +88,14 @@ def test_correction_is_zero_on_the_boundary(kind, n, traces):
 
 def test_centerline_constant_flat_gap_is_one(lap):
     reg, grid, data, sol = solve_case(lap, profile=flat_profile())
-    c_low = analyze_solution(sol, data, reg).c_low
+    c_low = analyze_solution(sol, data).c_low
     assert c_low == pytest.approx(1.0, rel=1e-9)
 
 
 def test_centerline_constant_matched_is_none(lap):
     data = BoundaryData((p1("x1"),), (p1("x1"),))
     reg, grid, _, sol = solve_case(lap, data=data)
-    assert analyze_solution(sol, data, reg).c_low is None
+    assert analyze_solution(sol, data).c_low is None
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -122,7 +122,7 @@ def test_3d_energies_converge():
         for nx in (17, 25, 33):
             reg, grid, data, sol = solve_case(op, eps=eps, nx=nx, nt=9)
             assert (grid.dX[nx // 2] < 1) == (eps < 0.1)
-            reports.append(analyze_solution(sol, data, reg))
+            reports.append(analyze_solution(sol, data))
         for name in names:
             values = [getattr(rep, name) for rep in reports]
             steps = np.diff(values)
@@ -156,12 +156,11 @@ def test_graded_values_converge_to_the_uniform_limit(lap, monkeypatch, eps):
     # theirs closes only about as fast as the spacing at the band edges and
     # not monotonically; it is checked on the finest grid alone.
     data = BoundaryData((p1("1.25"),), (p1("-0.5"),))
-    problem = SweepProblem(op=lap, data=data, nt=17)
+    problems = [SweepProblem(op=lap, data=data, nx=nx, nt=17) for nx in (33, 1025)]
     region = NarrowRegion(n=2, epsilon=eps, profile=quad_profile())
-    grids = (33, 1025)
-    graded = [analysis.solve_epsilon(problem, region, nx)[2] for nx in grids]
+    graded = [analysis.solve_epsilon(p, region)[2] for p in problems]
     monkeypatch.setattr(mesh_solver, "GRADING", 0.0)
-    uniform = [analysis.solve_epsilon(problem, region, nx)[2] for nx in grids]
+    uniform = [analysis.solve_epsilon(p, region)[2] for p in problems]
     for name in ("sup_grad", "C_emp", "c_low", "energy_half", "F_delta0",
                  "k213", "k219", "k220", "k225", "k226"):
         g, u = getattr(graded[-1], name), getattr(uniform[-1], name)
@@ -175,12 +174,12 @@ def test_graded_values_converge_to_the_uniform_limit(lap, monkeypatch, eps):
 
 def test_pointwise_band_applicability(lap):
     reg, grid, data, sol = solve_case(lap, eps=0.1)
-    rep = analyze_solution(sol, data, reg)
+    rep = analyze_solution(sol, data)
     assert rep.k225 is not None
     assert rep.k226 is None         # sqrt(0.1) > R0 = 0.25: band is empty
 
     reg, grid, data, sol = solve_case(lap, eps=0.05, nx=45)
-    rep = analyze_solution(sol, data, reg)
+    rep = analyze_solution(sol, data)
     assert rep.k225 is not None and rep.k226 is not None
 
 
@@ -195,7 +194,7 @@ def test_column_constants_match_the_readme_formulas(kind, n, eps, nx, nt, traces
     gp, gm = ([parse_expression(t, nvars=n - 1) for t in side] for side in traces)
     data = BoundaryData(tuple(gp), tuple(gm))
     reg, grid, _, sol = solve_case(op, eps=eps, data=data, nx=nx, nt=nt)
-    rep = analyze_solution(sol, data, reg)
+    rep = analyze_solution(sol, data)
     w = correction_field(sol, data)
 
     x = grid.tang                                   # one row per node
@@ -233,10 +232,9 @@ def test_column_constants_match_the_readme_formulas(kind, n, eps, nx, nt, traces
 
 def test_analyze_solution_report_fields(lap):
     reg, grid, data, sol = solve_case(lap, eps=0.05, nx=45, nt=33)
-    rep = analyze_solution(sol, data, reg, scenario="unit")
+    rep = analyze_solution(sol, data)
     assert rep.epsilon == 0.05
     assert rep.grid == (45, 33)
-    assert rep.scenario == "unit"
     assert rep.sup_grad > 0 and rep.C_emp > 0 and rep.c_low > 0
     assert rep.energy_half >= rep.F_delta0 >= 0
     keys = set(rep.lemma_constants())
@@ -332,8 +330,8 @@ def test_report_scales_linearly_with_data(lap):
     reg, grid, data, sol = solve_case(lap, nx=45, nt=33)
     doubled = BoundaryData((p1("2"),), (PolynomialField.zero(1),))
     sol2 = solve_dirichlet(lap, grid, doubled)
-    rep1 = analyze_solution(sol, data, reg)
-    rep2 = analyze_solution(sol2, doubled, reg)
+    rep1 = analyze_solution(sol, data)
+    rep2 = analyze_solution(sol2, doubled)
     assert rep2.sup_grad == pytest.approx(2 * rep1.sup_grad, rel=1e-9)
     # normalized constants are invariant under data scaling
     assert rep2.c_low == pytest.approx(rep1.c_low, rel=1e-9)
@@ -344,7 +342,7 @@ def test_report_scales_linearly_with_data(lap):
 def test_superposition_zero_for_single_component(lap):
     reg = NarrowRegion(n=2, epsilon=0.1, profile=quad_profile())
     grid = MappedGrid(reg, 17, 9)
-    disc = superposition_check(lap, reg, mismatch_data(lap), grid)
+    disc = superposition_check(lap, mismatch_data(lap), grid)
     assert disc < 1e-11
 
 

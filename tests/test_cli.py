@@ -81,7 +81,7 @@ def test_load_config_defaults(tmp_path):
     assert cfg.epsilons == [0.1]
     assert cfg.op_kind == "laplace"
     assert cfg.g_plus_texts == ["1"] and cfg.g_minus_texts == ["0"]
-    assert cfg.nx is None and cfg.nt == 33
+    assert cfg.nx == 45 and cfg.nt == 33
     assert cfg.metric == "center_grad"
     assert cfg.lateral_closure == "utilde"
 
@@ -510,6 +510,20 @@ def test_sweep_and_report(tmp_path, capsys):
     assert main(["report", "--config", cfg, "--in", str(out)]) == EXIT_USAGE
 
 
+def test_scenario_labels_every_report(tmp_path, capsys):
+    # the label is the config's alone: the CLI writes it into each file
+    cfg = write_cfg(tmp_path, QUAD_CFG + '\n[analysis]\nscenario = "demo"\n')
+    solve, sweep = tmp_path / "solve", tmp_path / "sweep"
+    assert main(["solve", "--config", cfg, "--out", str(solve)]) == EXIT_OK
+    assert main(["sweep", "--config", cfg, "--epsilons", "0.1,0.05,0.025",
+                 "--out", str(sweep)]) == EXIT_OK
+    capsys.readouterr()
+    reports = [*solve.glob("report_eps*.json"), *sweep.glob("report_eps*.json")]
+    assert len(reports) == 4
+    for path in reports + [sweep / "ratefit.json"]:
+        assert json.loads(path.read_text())["scenario"] == "demo", path
+
+
 def test_sweep_parallel_matches_serial(tmp_path, capsys):
     cfg = write_cfg(tmp_path, QUAD_CFG)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -567,8 +581,8 @@ def test_solver_error_line_shows_residual_history(tmp_path, capsys):
 
 
 def test_sweep_inconclusive_fit_exits_gate(tmp_path, capsys, monkeypatch):
-    def inconclusive(points, metric=""):
-        fit = fit_rate(points, metric)
+    def inconclusive(points):
+        fit = fit_rate(points)
         fit.conclusive = False
         return fit
 
@@ -658,16 +672,41 @@ def test_run_path_evaluates_no_rational_field(tmp_path, capsys, monkeypatch,
     assert calls == []
 
 
-def test_mms_gate(tmp_path, capsys):
+@pytest.mark.parametrize("grids", ["9,17,33", "9,11,13", "17,25,33"])
+def test_mms_passes_on_increasing_grids(tmp_path, capsys, grids):
+    # each order divides by log2 of its refinement ratio, so a ladder that
+    # does not halve h shows second order too
     cfg = write_cfg(tmp_path, QUAD_CFG)
-    assert main(["mms", "--config", cfg, "--grids", "9,17,33"]) == EXIT_OK
+    assert main(["mms", "--config", cfg, "--grids", grids]) == EXIT_OK
     captured = capsys.readouterr()
-    assert "order_inf" in captured.out
-    # near-equal grids cannot show second order; the gate must trip
-    code = main(["mms", "--config", cfg, "--grids", "9,11,13"])
+    assert "order_inf" in captured.out and captured.err == ""
+
+
+def test_mms_gate(tmp_path, capsys, monkeypatch):
+    def first_order(*args, **kwargs):
+        study = verification.convergence_study(*args, **kwargs)
+        study.orders_inf = [1.5] * len(study.orders_inf)
+        return study
+
+    monkeypatch.setattr(cli, "convergence_study", first_order)
+    cfg = write_cfg(tmp_path, QUAD_CFG)
+    code = main(["mms", "--config", cfg, "--grids", "9,17,33"])
     captured = capsys.readouterr()
     assert code == EXIT_GATE
     assert json.loads(captured.err.strip())["error"] == "convergence"
+
+
+@pytest.mark.parametrize("grids", ["33,17,9", "17,17,33"])
+def test_mms_grids_that_do_not_increase_are_a_config_error(tmp_path, capsys,
+                                                            monkeypatch, grids):
+    monkeypatch.setattr(verification, "assemble",
+                        lambda *a, **kw: pytest.fail("a grid was solved"))
+    cfg = write_cfg(tmp_path, QUAD_CFG)
+    assert main(["mms", "--config", cfg, "--grids", grids]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "config" and "strictly increase in nx" in err["message"]
 
 
 def test_mms_flat_gap_needs_override(tmp_path, capsys):

@@ -16,7 +16,6 @@ from narrowgap import (
     PolynomialField,
     SolverError,
     boundary_values,
-    flat_gap_exact,
     make_builtin,
     parse_expression,
     quadrature_weights,
@@ -157,7 +156,7 @@ def test_flat_gap_solution_is_exact():
     grid = MappedGrid(flat, 17, 9)
     data = BoundaryData((p1("1"),), (PolynomialField.zero(1),))
     sol = solve_dirichlet(make_builtin("laplace", n=2), grid, data)
-    exact = flat_gap_exact(0.05, [1.0], [0.0], grid.points)
+    exact = AuxiliaryEvaluator(flat, data).utilde_values(grid.points)
     assert np.abs(sol.values - exact.reshape(sol.values.shape)).max() < 1e-11
     assert sol.residual < 1e-10
 
@@ -241,8 +240,7 @@ def test_flat_gap_3d_is_exact_under_auto(kind):
     # starts from is already the discrete solution
     assert sol.method == "krylov"
     assert sol.iterations == 0
-    exact = flat_gap_exact(0.05, [1.0] + [0.0] * (op.N - 1), [0.0] * op.N,
-                           grid.points)
+    exact = AuxiliaryEvaluator(flat, data).utilde_values(grid.points)
     assert np.abs(sol.values - exact.reshape(sol.values.shape)).max() < 1e-9
 
 

@@ -10,7 +10,6 @@ from narrowgap import (
     NarrowRegion,
     convergence_study,
     fd_apply_operator,
-    flat_gap_exact,
     make_builtin,
     manufactured_problem,
     parse_expression,
@@ -23,14 +22,6 @@ from conftest import flat_profile, quad_profile
 @pytest.fixture(scope="module")
 def reg():
     return NarrowRegion(n=2, epsilon=0.1, profile=quad_profile())
-
-
-def test_flat_gap_exact_profile():
-    x = np.array([[0.3, 0.0], [0.0, -0.05], [0.0, 0.05]])
-    vals = flat_gap_exact(0.1, [1.0], [0.0], x)
-    np.testing.assert_allclose(vals[0], [0.5, 0.0, 1.0], atol=1e-15)
-    single = flat_gap_exact(0.1, [3.0], [1.0], np.array([0.0, 0.0]))
-    assert single[0] == pytest.approx(2.0, abs=1e-15)
 
 
 def test_factor_jets():
@@ -121,6 +112,18 @@ def test_convergence_study_orders(reg):
     assert len(study.orders_inf) == 2
     for order in study.orders_inf:
         assert 1.6 <= order <= 2.4
+
+
+def test_convergence_study_orders_on_a_ladder_that_is_not_2_to_1(reg):
+    # the order divides by log2 of each refinement ratio (24/16, then 32/24);
+    # the bare log2 of the error ratios reads about 1.14 and 0.83 here
+    op = make_builtin("laplace", n=2)
+    problem = manufactured_problem(
+        op, reg, [[(1.0, [("sin", 1.0), ("poly", 1.0, 0.5, 0.25)])]])
+    study = convergence_study(problem, [(17, 17), (25, 25), (33, 33)])
+    assert study.monotone
+    for order in study.orders_inf + study.orders_l2:
+        assert 1.8 <= order <= 2.2
 
 
 def test_convergence_study_exact_field_floors_at_rounding():
