@@ -714,7 +714,7 @@ def main(argv=None):
         handler = {"validate": cmd_validate, "solve": cmd_solve,
                    "sweep": cmd_sweep, "mms": cmd_mms}[args.command]
         return handler(cfg, args)
-    except (ConfigError, ExpressionError, FileNotFoundError) as exc:
+    except (ConfigError, ExpressionError, OSError, UnicodeDecodeError) as exc:
         _error_json("config", exc)
         return EXIT_USAGE
     except (GeometryError, OperatorError) as exc:

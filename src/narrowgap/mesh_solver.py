@@ -22,7 +22,8 @@ discretizes each G at cell faces with compact differences in the face
 direction and averaged central differences across it, then differences the
 fluxes back to nodes: second order, exact for fields linear in the
 computational coordinates.  Only interior nodes get equations; the Dirichlet
-values of the boundary nodes enter through the coupling block A_IB.
+values b_B of the boundary nodes enter the right-hand side b = b_I - A_IB b_B,
+summed while the coefficients are split, so no A_IB matrix is kept.
 
 Every factorization is one banded LU (LAPACK dgbtrf).  In 2-D it factors
 all of A_II.  In 3-D BiCGSTAB solves A_II, right-preconditioned by the band
@@ -227,12 +228,12 @@ def quadrature_weights(grid):
 
 @dataclass
 class LinearSystem:
-    """The interior system A_II x_I = b_I - A_IB b_B of one Dirichlet
-    problem, unknowns in (tangential column, t, component) order."""
-    matrix: sp.csr_matrix    # A_II
-    coupling: sp.csr_matrix  # A_IB
-    rhs: np.ndarray          # b_I
-    bc: np.ndarray           # b_B, the boundary values
+    """The interior system A_II x_I = b of one Dirichlet problem, with
+    b = b_I - A_IB b_B formed during assembly (no A_IB matrix is kept),
+    unknowns in (tangential column, t, component) order."""
+    matrix: sp.csr_matrix  # A_II
+    b: np.ndarray          # b_I - A_IB b_B
+    bc: np.ndarray         # b_B, the boundary values
     grid: MappedGrid
     N: int
 
@@ -337,29 +338,27 @@ def _computational(W, delta, dT, dX):
     return [W[a] / dX[a] for a in range(nd)] + [vertical / delta]
 
 
-def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="utilde"):
-    """Assemble the interior system A_II x_I = b_I - A_IB b_B.
+def assemble(op, grid, bc, source=None):
+    """Assemble the interior system A_II x_I = b with b = b_I - A_IB b_B.
 
-    Exactly one of ``data`` (composed boundary traces) or ``nodal_bc``
-    (explicit (N, nodes) or (N, *dims) boundary values, used on every
-    boundary node) must be given.  ``source`` is an optional nodal field f
-    with the equation convention L u = f; it enters b_I multiplied by the
-    Jacobian delta * prod_a X'_a.  Interior and boundary unknowns are both
-    numbered in (tangential column, t, component) order, so every interior
-    column is one contiguous block of N*(nt-2) unknowns.  An interior row
-    reaches only the nodes p + o with o in {-1, 0, 1}^n, at most two entries
-    of o nonzero; the coefficients of those offsets are accumulated in one
-    dense array over the interior nodes and split into A_II and A_IB once.
-    The map's factors (module docstring) scale the coefficients, not the
+    ``bc`` holds the nodal values, shape (N, nodes) or (N, *dims), of which
+    the boundary nodes are the Dirichlet values b_B.  ``source`` is an
+    optional nodal field f with the equation convention L u = f; it enters
+    b_I multiplied by the Jacobian delta * prod_a X'_a.  Interior and
+    boundary unknowns are both numbered in (tangential column, t, component)
+    order, so every interior column is one contiguous block of N*(nt-2)
+    unknowns.  An interior row reaches only the nodes p + o with o in
+    {-1, 0, 1}^n, at most two entries of o nonzero; the coefficients of
+    those offsets are accumulated in one dense array over the interior nodes
+    and split once into A_II and the sum A_IB b_B (_split_columns).  The
+    map's factors (module docstring) scale the coefficients, not the
     stencils.
     """
     if op.n != grid.n:
         raise GeometryError("operator dimension does not match the grid")
-    if (data is None) == (nodal_bc is None):
-        raise ValueError("exactly one of data / nodal_bc must be given")
-    if data is not None and data.N != op.N:
-        raise ValueError(f"data has {data.N} components, operator wants {op.N}")
     N, nd, n = op.N, grid.nd, grid.n
+    if np.shape(bc) not in ((N, grid.nodes), (N,) + grid.dims):
+        raise ValueError(f"bc has shape {np.shape(bc)}, want {(N, grid.nodes)}")
     dims, h = grid.dims, grid.hx
     e = np.eye(n, dtype=int)
     offsets = [o for o in itertools.product((-1, 0, 1), repeat=n)
@@ -419,57 +418,61 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
                     add(i, j, stencil, K)
                 add(i, j, [(0 * e[0], 1.0)], jac * op.D[i, j].value_many(points))
 
-    if nodal_bc is not None:
-        bc = np.asarray(nodal_bc, dtype=float).reshape(N, grid.nodes)
-    else:
-        bc = boundary_values(grid, data, lateral_closure)
+    bc = np.asarray(bc, dtype=float).reshape(N, grid.nodes)
     interior = grid.interior_mask
     rhs = np.zeros((N, int(interior.sum())))
     if source is not None:
         src = np.asarray(source, dtype=float).reshape(N, grid.nodes)
         rhs = (jacobian * src)[:, interior]
 
-    matrix, coupling = _split_columns(coef, grid, offsets)
-    return LinearSystem(matrix=matrix, coupling=coupling, rhs=rhs.T.ravel(),
+    matrix, coupled = _split_columns(coef, grid, offsets, bc.T)
+    return LinearSystem(matrix=matrix, b=(rhs.T - coupled).ravel(),
                         bc=bc[:, ~interior].T.ravel(), grid=grid, N=N)
 
 
-def _split_columns(coef, grid, offsets):
-    """CSR matrices A_II and A_IB from the offset coefficients ``coef`` of
-    shape (*interior dims, N, offsets, N), keeping the nonzero entries."""
+def _split_columns(coef, grid, offsets, bc):
+    """A_II in CSR (its nonzero entries) and the product A_IB b_B, shape
+    (interior nodes, N), from the offset coefficients ``coef`` (*interior
+    dims, N, offsets, N) and the nodal values ``bc`` (nodes, N).  A row sums
+    A_IB b_B from 0 in offset, then component order, so it is bitwise what a
+    CSR product with A_IB would give, without forming A_IB."""
     N = coef.shape[-1]
     interior = grid.interior_mask
-    rank = np.empty(grid.nodes, dtype=np.int32)
-    rank[interior] = np.arange(interior.sum())
-    rank[~interior] = np.arange(grid.nodes - interior.sum())
+    rank = np.cumsum(interior, dtype=np.int32) - 1
     strides = [int(np.prod(grid.dims[d + 1:])) for d in range(grid.n)]
     nodes = np.flatnonzero(interior)[:, None] + np.asarray(offsets) @ strides
-    col = (rank[nodes] * N)[:, None, :, None] + np.arange(N, dtype=np.int32)
     coef = coef.reshape(len(nodes), N, len(offsets), N)
-    nonzero = coef != 0
-
-    def pick(inside, ncols):
-        keep = nonzero & inside[:, None, :, None]
-        indptr = np.zeros(keep.shape[0] * N + 1, dtype=np.int32)
-        np.cumsum(keep.reshape(len(indptr) - 1, -1).sum(axis=1), out=indptr[1:])
-        return sp.csr_matrix((coef[keep], np.broadcast_to(col, coef.shape)[keep],
-                              indptr), shape=(len(indptr) - 1, ncols * N))
-
     inside = interior[nodes]
-    return pick(inside, len(nodes)), pick(~inside, grid.nodes - len(nodes))
+    coupled = np.zeros((len(nodes), N))
+    for k in range(len(offsets)):
+        rows = np.flatnonzero(~inside[:, k])
+        for j in range(N):
+            coupled[rows] += coef[rows, :, k, j] * bc[nodes[rows, k], j, None]
+
+    keep = (coef != 0) & inside[:, None, :, None]
+    col = (rank[nodes] * N)[:, None, :, None] + np.arange(N, dtype=np.int32)
+    indptr = np.zeros(keep.shape[0] * N + 1, dtype=np.int32)
+    np.cumsum(keep.reshape(len(indptr) - 1, -1).sum(axis=1), out=indptr[1:])
+    matrix = sp.csr_matrix((coef[keep], np.broadcast_to(col, coef.shape)[keep],
+                            indptr), shape=(len(indptr) - 1,) * 2)
+    return matrix, coupled
 
 
-def _band_lu(A):
-    """LU factorization of the sparse square matrix A stored as one band
-    (LAPACK dgbtrf, partial pivoting), its widths kl and ku read from A's
-    sparsity.  Returns the solve x = A^-1 b (dgbtrs)."""
+def _band_lu(A, width=None):
+    """LU factorization of the entries of the sparse square matrix A within
+    ``width`` of the diagonal (all of them by default), stored as one band
+    (LAPACK dgbtrf, partial pivoting), its widths kl and ku read from those
+    entries.  Returns the solve x = A^-1 b (dgbtrs)."""
     A = A.tocoo(copy=False)
-    n = A.shape[0]
-    kl = int((A.row - A.col).max(initial=0))
-    ku = int((A.col - A.row).max(initial=0))
+    n, row, col, data = A.shape[0], A.row, A.col, A.data
+    if width is not None:
+        near = np.abs(row - col) <= width
+        row, col, data = row[near], col[near], data[near]
+    kl = int((row - col).max(initial=0))
+    ku = int((col - row).max(initial=0))
     # Fortran order, so that dgbtrf factors this array in place
     band = np.zeros((2 * kl + ku + 1, n), order="F")
-    band[kl + ku + A.row - A.col, A.col] = A.data
+    band[kl + ku + row - col, col] = data
     lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
     if info != 0:
         raise SolverError(f"band LU failed (dgbtrf info={info}): "
@@ -482,15 +485,6 @@ def _band_lu(A):
         return x
 
     return solve
-
-
-def _column_blocks(A, block):
-    """The entries of A whose row and column lie in the same diagonal block
-    of size ``block``."""
-    coo = A.tocoo(copy=False)
-    same = coo.row // block == coo.col // block
-    return sp.coo_matrix((coo.data[same], (coo.row[same], coo.col[same])),
-                         shape=A.shape)
 
 
 def _bicgstab(A, b, M, atol, history, x0):
@@ -562,32 +556,33 @@ def _column_interpolant(system):
 
 
 def solve_system(system, tol=1e-10):
-    """Solve the interior system A_II x_I = b_I - A_IB b_B.
+    """Solve the interior system A_II x_I = b, b = b_I - A_IB b_B.
 
     In 2-D the band LU factors all of A_II in its (column, t, component)
     order, with kl = ku = N*(nt-1) + N - 1 (``direct``).  In 3-D that band
     would grow like N*(nt-2)*(nx-2), so BiCGSTAB (``_bicgstab``) runs,
-    right-preconditioned by the same band LU applied to the vertical column
-    blocks (all components along one column in t, band width 2N-1;
-    ``krylov``).  The mapped equation couples far more strongly in t than
-    across columns, so those blocks carry most of the operator.  BiCGSTAB
-    starts from the column interpolant utilde (``_column_interpolant``); the
-    iteration count is 0 when utilde already meets ``tol``, as on a flat gap
-    with constant traces.
+    right-preconditioned by the same band LU of the entries of A_II within
+    2N-1 of the diagonal (``krylov``): exactly the vertical column blocks, as
+    a coupling across columns sits at least N*(nt-4) + 1 >= 5N + 1 away
+    (nt >= 9, MappedGrid.check_nodes).  The mapped equation couples far more
+    strongly in t than across columns, so those blocks carry most of the
+    operator.  BiCGSTAB starts from the column interpolant utilde
+    (``_column_interpolant``); the iteration count is 0 when utilde already
+    meets ``tol``, as on a flat gap with constant traces.
 
     Returns the solution per component, boundary values included, with the
     relative residual ||b - A x|| / ||b|| on the system's own right-hand side
-    b = b_I - A_IB b_B (||b|| read as 1 when b = 0).  The solve is accepted
-    if that is at most ``tol``, in either dimension; BiCGSTAB stops once it
-    is there.  Otherwise raises SolverError, with the BiCGSTAB recurrence
-    residual of every iteration divided by the same ||b||.  A ``tol``
-    outside (0, 1), nan and inf included, raises ValueError.
+    b (||b|| read as 1 when b = 0).  The solve is accepted if that is at
+    most ``tol``, in either dimension; BiCGSTAB stops once it is there.
+    Otherwise raises SolverError, with the BiCGSTAB recurrence residual of
+    every iteration divided by the same ||b||.  A ``tol`` outside (0, 1), nan
+    and inf included, raises ValueError.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     A = system.matrix
     grid = system.grid
-    b = system.rhs - system.coupling @ system.bc
+    b = system.b
     scale = float(np.linalg.norm(b)) or 1.0
     history = []
 
@@ -596,7 +591,7 @@ def solve_system(system, tol=1e-10):
         x = _band_lu(A)(b)
     else:
         method, solver = "krylov", "BiCGSTAB"
-        columns = _band_lu(_column_blocks(A, system.N * (grid.nt - 2)))
+        columns = _band_lu(A, 2 * system.N - 1)
         x, _ = _bicgstab(A, b, columns, tol * scale, history,
                          _column_interpolant(system))
         history = [h / scale for h in history]
@@ -619,5 +614,7 @@ def solve_system(system, tol=1e-10):
 
 def solve_dirichlet(op, grid, data, lateral_closure="utilde", tol=1e-10):
     """Assemble-and-solve convenience for the composed-trace problem."""
-    system = assemble(op, grid, data=data, lateral_closure=lateral_closure)
+    if data.N != op.N:
+        raise ValueError(f"data has {data.N} components, operator wants {op.N}")
+    system = assemble(op, grid, boundary_values(grid, data, lateral_closure))
     return solve_system(system, tol=tol)

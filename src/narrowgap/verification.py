@@ -288,7 +288,7 @@ def convergence_study(problem, grid_list, tol=1e-10):
     for nx, nt in grid_list:
         grid = MappedGrid(region, nx, nt)
         exact, src = problem.nodal_fields(grid)
-        system = assemble(problem.op, grid, nodal_bc=exact, source=src)
+        system = assemble(problem.op, grid, exact, source=src)
         sol = solve_system(system, tol=tol)
         diff = sol.values - exact
         errors_inf.append(float(np.abs(diff).max()))

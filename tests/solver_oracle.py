@@ -5,15 +5,16 @@ system was assembled directly and factored by one banded LU.
 an identity row carrying the boundary value; ``solve_system`` strips those
 rows again (``_reduced_ordering``) and factors the interior matrix with
 ``scipy.sparse.linalg.splu`` in every dimension.  The code is kept verbatim
-from that version, less the ``method`` argument that selected nothing here,
-as an oracle for the assembly, the pinned outputs and the 3-D Krylov path,
-in the same way as ``ellipticity_oracle`` keeps the nodal ellipticity
-search.  Since the tangential map arrived it also carries the
-map's diagonal factors, as diagonal matrices around the same chains: each
-tangential difference is divided by X' where it is taken, the flux of
-family a is multiplied by prod_{b != a} X'_b (every X'_b for the vertical
-family), and the node terms and the source by the Jacobian
-delta * prod_b X'_b.  On a uniform grid every factor is 1.
+from that version, less the ``method`` argument that selected nothing here
+and with the solver's one boundary input (``assemble`` takes nodal values,
+``solve_dirichlet`` builds them from the traces), as an oracle for the
+assembly, the pinned outputs and the 3-D Krylov path, in the same way as
+``ellipticity_oracle`` keeps the nodal ellipticity search.  Since the
+tangential map arrived it also carries the map's diagonal factors, as
+diagonal matrices around the same chains: each tangential difference is
+divided by X' where it is taken, the flux of family a is multiplied by
+prod_{b != a} X'_b (every X'_b for the vertical family), and the node terms
+and the source by the Jacobian delta * prod_b X'_b.  On a uniform grid every factor is 1.
 """
 
 from __future__ import annotations
@@ -154,21 +155,16 @@ def _node_gradient_ops(grid):
     return ops
 
 
-def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="utilde"):
+def assemble(op, grid, bc, source=None):
     """Assemble the mapped-coordinate system with Dirichlet identity rows.
 
-    Exactly one of ``data`` (composed boundary traces) or ``nodal_bc``
-    (explicit (N, nodes) or (N, *dims) boundary values, used on every
-    boundary node) must be given.  ``source`` is an optional nodal field f
-    with the equation convention L u = f; it enters the right-hand side
-    multiplied by the Jacobian delta.
+    ``bc`` holds explicit (N, nodes) or (N, *dims) nodal values, used on
+    every boundary node.  ``source`` is an optional nodal field f with the
+    equation convention L u = f; it enters the right-hand side multiplied by
+    the Jacobian delta.
     """
     if op.n != grid.n:
         raise GeometryError("operator dimension does not match the grid")
-    if (data is None) == (nodal_bc is None):
-        raise ValueError("exactly one of data / nodal_bc must be given")
-    if data is not None and data.N != op.N:
-        raise ValueError(f"data has {data.N} components, operator wants {op.N}")
     N, nd = op.N, grid.nd
     M = grid.nodes
 
@@ -235,10 +231,7 @@ def assemble(op, grid, data=None, source=None, nodal_bc=None, lateral_closure="u
             if i == j:
                 blocks[i][j] = blocks[i][j] + eye_bnd
 
-    if nodal_bc is not None:
-        bc = np.asarray(nodal_bc, dtype=float).reshape(N, M)
-    else:
-        bc = boundary_values(grid, data, lateral_closure)
+    bc = np.asarray(bc, dtype=float).reshape(N, M)
 
     rhs = np.zeros((N, M))
     if source is not None:
@@ -312,6 +305,8 @@ def solve_system(system, tol=1e-10):
 def solve_dirichlet(op, grid, data, source=None, lateral_closure="utilde",
                     tol=1e-10):
     """Assemble-and-solve convenience for the composed-trace problem."""
-    system = assemble(op, grid, data=data, source=source,
-                      lateral_closure=lateral_closure)
+    if data.N != op.N:
+        raise ValueError(f"data has {data.N} components, operator wants {op.N}")
+    system = assemble(op, grid, boundary_values(grid, data, lateral_closure),
+                      source=source)
     return solve_system(system, tol=tol)

@@ -786,6 +786,26 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [
+    "validate --config {tmp}",
+    "validate --config {latin1}",
+    "solve --config {cfg} --out {cfg}",
+    "validate --config {cfg} --out {cfg}/sub",
+], ids=["config-is-a-directory", "config-not-utf8", "out-is-a-file",
+        "out-below-a-file"])
+def test_unreadable_config_or_unusable_out_is_a_config_error(tmp_path, capsys,
+                                                             command):
+    cfg = write_cfg(tmp_path, QUAD_CFG)
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(QUAD_CFG.replace("quadratic", "quadr\xe4tic").encode("latin-1"))
+    argv = command.format(tmp=tmp_path, cfg=cfg, latin1=latin1).split()
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.strip().splitlines()
+    assert json.loads(line)["error"] == "config"
+
+
 @pytest.mark.parametrize("flag", [["--seed", "5"], ["--allow-degenerate-geometry"]])
 def test_report_rejects_the_config_flags(tmp_path, capsys, flag):
     # report reads only its directory, so no [flags] override applies to it

@@ -22,8 +22,8 @@ from narrowgap import (
     solve_dirichlet,
 )
 from narrowgap.mesh_solver import (KRYLOV_MAX_ITERS, MappedGrid, _band_lu,
-                                   _bicgstab, _column_blocks, _face_geometry,
-                                   assemble, solve_system)
+                                   _bicgstab, _face_geometry, assemble,
+                                   solve_system)
 
 from conftest import flat_profile, p1, quad_profile
 import solver_oracle as oracle
@@ -278,10 +278,10 @@ def test_residual_is_relative_to_the_system_rhs(n, grid):
     else:
         zero, g = PolynomialField.zero(2), quad_grid_3d(13, 9)
         data = BoundaryData((p2("1"), zero, p2("x1")), (zero, p2("x2"), zero))
-    system = assemble(op, g, data=data)
+    system = assemble(op, g, boundary_values(g, data))
     sol = solve_system(system, tol=1e-10)
     x = sol.values.reshape(op.N, -1).T[g.interior_mask].ravel()
-    b = system.rhs - system.coupling @ system.bc
+    b = system.b
     expect = np.linalg.norm(b - system.matrix @ x) / np.linalg.norm(b)
     assert sol.residual == pytest.approx(expect, rel=1e-12)
     assert sol.residual <= 1e-10
@@ -292,7 +292,8 @@ def test_solve_rejects_a_tolerance_outside_the_unit_interval(tol):
     # a tol of 1 or more would accept a loose answer, and one of 0 or less
     # (or nan) would run BiCGSTAB into a breakdown
     data = BoundaryData((p2("1"),), (PolynomialField.zero(2),))
-    system = assemble(make_builtin("laplace", n=3), quad_grid_3d(9, 9), data=data)
+    grid = quad_grid_3d(9, 9)
+    system = assemble(make_builtin("laplace", n=3), grid, boundary_values(grid, data))
     with pytest.raises(ValueError, match="tol must be in"):
         solve_system(system, tol=tol)
 
@@ -388,12 +389,12 @@ def test_interpolant_start_cuts_the_iterations(kind, nx, nt):
     op = make_builtin(kind, n=3)
     zero = PolynomialField.zero(2)
     data = BoundaryData((p2("1"),) + (zero,) * (op.N - 1), (zero,) * op.N)
-    system = assemble(op, grid, data=data)
+    system = assemble(op, grid, boundary_values(grid, data))
     tol = 1e-10
     sol = solve_system(system, tol=tol)
     A = system.matrix
-    b = system.rhs - system.coupling @ system.bc
-    columns = _band_lu(_column_blocks(A, op.N * (nt - 2)))
+    b = system.b
+    columns = _band_lu(A, 2 * op.N - 1)
     cold = []
     x, converged = _bicgstab(A, b, columns, tol * np.linalg.norm(b), cold,
                              np.zeros_like(b))
@@ -416,7 +417,7 @@ def test_bicgstab_iterations(kind, eps, nx, nt, most):
     op = make_builtin(kind, n=3)
     zero = PolynomialField.zero(2)
     data = BoundaryData((p2("1"),) + (zero,) * (op.N - 1), (zero,) * op.N)
-    sol = solve_system(assemble(op, grid, data=data), tol=1e-10)
+    sol = solve_system(assemble(op, grid, boundary_values(grid, data)), tol=1e-10)
     assert sol.method == "krylov"
     assert 0 < sol.iterations <= most
     assert sol.residual <= 1e-10
@@ -435,13 +436,12 @@ def test_assemble_shapes(reg, grid):
     op = make_builtin("lame", n=2)
     zero = PolynomialField.zero(1)
     data = BoundaryData((p1("1"), zero), (zero, zero))
-    system = assemble(op, grid, data=data)
-    n_in, n_bnd = grid.interior_mask.sum(), grid.boundary_mask.sum()
+    system = assemble(op, grid, boundary_values(grid, data))
+    n_in = grid.interior_mask.sum()
     assert n_in == 31 * 15
     assert system.unknowns == 2 * n_in
     assert system.matrix.shape == (2 * n_in, 2 * n_in)
-    assert system.coupling.shape == (2 * n_in, 2 * n_bnd)
-    assert system.rhs.shape == (2 * n_in,)
+    assert system.b.shape == (2 * n_in,)
     # boundary values in (column, t, component) order
     bc = boundary_values(grid, data)[:, grid.boundary_mask].T
     assert np.array_equal(system.bc, bc.ravel())
@@ -449,6 +449,20 @@ def test_assemble_shapes(reg, grid):
     # one level up, so kl = ku = N*(nt - 1) + N - 1
     coo = system.matrix.tocoo()
     assert np.abs(coo.row - coo.col).max() == 2 * 16 + 1
+
+
+def test_solve_dirichlet_rejects_data_of_another_component_count(grid):
+    zero = PolynomialField.zero(1)
+    data = BoundaryData((p1("1"), zero), (zero, zero))
+    with pytest.raises(ValueError, match="data has 2 components, operator wants 1"):
+        solve_dirichlet(make_builtin("laplace", n=2), grid, data)
+
+
+@pytest.mark.parametrize("shape", [(1, 10), (2, 33 * 17), (33 * 17, 1), (17, 33)])
+def test_assemble_rejects_boundary_values_of_another_shape(grid, shape):
+    # one component on 33 x 17 takes (1, 561) or (1, 33, 17)
+    with pytest.raises(ValueError, match=r"bc has shape .*, want \(1, 561\)"):
+        assemble(make_builtin("laplace", n=2), grid, np.zeros(shape))
 
 
 def test_singular_system_raises():
@@ -480,12 +494,15 @@ def test_column_preconditioner_is_the_block_inverse(n, nx, nt):
     grid = MappedGrid(NarrowRegion(n=n, epsilon=0.1, profile=prof), nx, nt)
     op = make_builtin("lame", n=n)
     data = BoundaryData((p("1"),) + (zero,) * (n - 1), (zero,) * n)
-    A = assemble(op, grid, data=data).matrix
+    A = assemble(op, grid, boundary_values(grid, data)).matrix
     block = n * (nt - 2)
-    blocks = _column_blocks(A, block)
-    offsets = blocks.tocoo().col - blocks.tocoo().row
-    assert offsets.min() == -(2 * n - 1) and offsets.max() == 2 * n - 1
-    apply = _band_lu(blocks)
+    # the entries within 2N - 1 of the diagonal are exactly the column blocks
+    coo = A.tocoo()
+    offsets = coo.col - coo.row
+    near = np.abs(offsets) <= 2 * n - 1
+    assert np.array_equal(near, coo.row // block == coo.col // block)
+    assert offsets[near].min() == -(2 * n - 1) and offsets[near].max() == 2 * n - 1
+    apply = _band_lu(A, 2 * n - 1)
     V = np.random.default_rng(1).normal(size=(A.shape[0], 3))
     for v in V.T:
         expect = np.concatenate([
@@ -495,8 +512,9 @@ def test_column_preconditioner_is_the_block_inverse(n, nx, nt):
 
 
 def test_assembly_memory_stays_within_three_matrices():
-    # 3-D Lame 25^2 x 17, from assembly through the factored column blocks;
-    # the full matrix with Dirichlet rows, reduced afterwards, took 4.6x
+    # 3-D Lame 25^2 x 17, from the boundary values through the factored
+    # column blocks, against A_II alone; the full matrix with Dirichlet rows,
+    # reduced afterwards, took 4.6x of A_II + A_IB
     def p(text):
         return parse_expression(text, nvars=2)
 
@@ -507,11 +525,11 @@ def test_assembly_memory_stays_within_three_matrices():
     data = BoundaryData((p("1"), zero, zero), (zero,) * 3)
     tracemalloc.start()
     try:
-        system = assemble(op, grid, data=data)
-        _band_lu(_column_blocks(system.matrix, 3 * 15))
+        system = assemble(op, grid, boundary_values(grid, data))
+        _band_lu(system.matrix, 2 * 3 - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    csr = sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
-              for m in (system.matrix, system.coupling))
+    m = system.matrix
+    csr = m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
     assert peak <= 3 * csr

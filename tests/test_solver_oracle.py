@@ -2,8 +2,10 @@
 (``solver_oracle``: the full-matrix assembly with Dirichlet identity rows,
 reduced and factored by sparse LU).
 
-(a) A_II and A_IB equal the oracle's interior rows, permuted to the
-(column, t, component) order, to rounding.
+(a) A_II equals the oracle's interior rows, permuted to the (column, t,
+component) order, to rounding, and so does b = b_I - A_IB b_B, which
+assembly forms without keeping an A_IB matrix; the boundary values b_B
+equal the oracle's Dirichlet rows exactly.
 (b) Every number that ``test_pinned_outputs`` pins from a solve, and every
 number of its two pinned field CSVs, agrees between the oracle and the
 solver to 1e-9 relative.  ``validate`` never reaches the solver, so its pins
@@ -27,7 +29,7 @@ from narrowgap import (BoundaryData, GapProfile, MappedGrid, NarrowRegion,
                        PolynomialField, analysis, convergence_study, make_builtin,
                        manufactured_problem, parse_expression, verification)
 from narrowgap.cli import EXIT_OK, _mms_spec, load_config, main
-from narrowgap.mesh_solver import assemble
+from narrowgap.mesh_solver import assemble, boundary_values
 
 from test_pinned_outputs import (CONFIGS, PINNED_MMS_ERRORS, PINNED_SOLVE,
                                  PINNED_SWEEP, flatten)
@@ -50,7 +52,8 @@ def _lame_case(n, nx, nt, eps=0.1):
     op = make_builtin("lame", n=n, lame_mu=1.0, lame_lambda=1.5)
     top = (p("1"), p("x1")) + (zero,) * (n - 2)
     bottom = (zero, p("x1^2")) + (p(f"x{n - 1}"),) * (n - 2)
-    return op, MappedGrid(_region(n, eps), nx, nt), {"data": BoundaryData(top, bottom)}
+    grid = MappedGrid(_region(n, eps), nx, nt)
+    return op, grid, boundary_values(grid, BoundaryData(top, bottom)), None
 
 
 def _custom_mms_case(tmp_path, eps=0.1):
@@ -61,22 +64,22 @@ def _custom_mms_case(tmp_path, eps=0.1):
     problem = manufactured_problem(op, cfg.region(eps), _mms_spec(op))
     grid = MappedGrid(problem.region, 17, 17)
     exact, src = problem.nodal_fields(grid)
-    return op, grid, {"nodal_bc": exact, "source": src}
+    return op, grid, exact, src
 
 
 @pytest.mark.parametrize("case", ["lame2d", "lame3d", "custom_mms",
                                   "lame3d_graded", "custom_mms_graded"])
 def test_interior_assembly_matches_the_oracle_rows(case, tmp_path):
     # the graded cases (eps 0.025) carry the tangential map's factors
-    op, grid, kw = {"lame2d": lambda: _lame_case(2, 17, 9),
-                    "lame3d": lambda: _lame_case(3, 11, 9),
-                    "custom_mms": lambda: _custom_mms_case(tmp_path),
-                    "lame3d_graded": lambda: _lame_case(3, 11, 9, eps=0.025),
-                    "custom_mms_graded": lambda: _custom_mms_case(tmp_path, 0.025),
-                    }[case]()
+    op, grid, bc, src = {"lame2d": lambda: _lame_case(2, 17, 9),
+                         "lame3d": lambda: _lame_case(3, 11, 9),
+                         "custom_mms": lambda: _custom_mms_case(tmp_path),
+                         "lame3d_graded": lambda: _lame_case(3, 11, 9, eps=0.025),
+                         "custom_mms_graded": lambda: _custom_mms_case(tmp_path, 0.025),
+                         }[case]()
     assert (grid.dX[grid.nx // 2] < 1) == case.endswith("graded")
-    system = assemble(op, grid, **kw)
-    full = oracle.assemble(op, grid, **kw)
+    system = assemble(op, grid, bc, source=src)
+    full = oracle.assemble(op, grid, bc, source=src)
     # the oracle numbers its unknowns component-major over C-ordered nodes
     N, M = op.N, grid.nodes
     inner = (np.flatnonzero(grid.interior_mask)[:, None] + M * np.arange(N)).ravel()
@@ -85,9 +88,12 @@ def test_interior_assembly_matches_the_oracle_rows(case, tmp_path):
     scale = abs(full.matrix).max()
     # entries are short sums of products: rounding stays within a few ulp
     assert abs(system.matrix - rows[:, inner]).max() <= 1e-14 * scale
-    assert abs(system.coupling - rows[:, outer]).max() <= 1e-14 * scale
-    assert np.array_equal(system.rhs, full.rhs[inner])
-    assert np.array_equal(system.bc, full.rhs[outer])
+    # the same entry bound on A_IB, carried through the product with b_B
+    b_B = full.rhs[outer]
+    coupling = rows[:, outer]
+    bound = 1e-14 * scale * (abs(coupling).sign() @ abs(b_B))
+    assert np.all(abs(system.b - (full.rhs[inner] - coupling @ b_B)) <= bound)
+    assert np.array_equal(system.bc, b_B)
 
 
 def _run(argv):
