@@ -332,7 +332,11 @@ class RunConfig:
 
 
 def load_config(path):
-    sections = _parse_sections(Path(path).read_text(), str(path))
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
+    sections = _parse_sections(text, str(path))
     region = sections.get("region", {})
     if "h1" not in region or "h2" not in region:
         raise ConfigError("[region] must define h1 and h2")
@@ -477,14 +481,20 @@ def cmd_validate(cfg, args):
     payload, geo = _validate_payload(cfg)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "validate.json").write_text(text + "\n")
+        (_out_dir(args) / "validate.json").write_text(text + "\n")
     print(text)
     if not geo.passed:
         _error_json("validation", _failed_checks(geo))
         return EXIT_VALIDATION
     return EXIT_OK
+
+
+def _out_dir(args):
+    """The ``--out`` directory, made before any solving so that an unusable
+    path fails at once; None without ``--out``."""
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return Path(args.out)
 
 
 def _gated_regions(cfg, eps_list):
@@ -508,11 +518,10 @@ def cmd_solve(cfg, args):
         raise ConfigError("solve needs exactly one epsilon "
                           "(config [region] epsilon or --epsilon)")
     [region] = _gated_regions(cfg, cfg.epsilons)
+    outdir = _out_dir(args)
     sol, grad_u, report = solve_epsilon(cfg.sweep_problem(), region)
     summary = report_to_dict(report, cfg.scenario)
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
         tag = _eps_tag(region.epsilon)
         _write_field_csv(outdir / f"field_eps{tag}.csv", sol, grad_u)
         _write_json(outdir / f"report_eps{tag}.json", summary)
@@ -531,6 +540,7 @@ def cmd_sweep(cfg, args):
         raise ConfigError("sweep epsilons must be distinct, got "
                           + ",".join(f"{e:g}" for e in eps_list))
     regions = _gated_regions(cfg, sorted(eps_list, reverse=True))
+    outdir = _out_dir(args)
     fit = sweep_and_fit(cfg.sweep_problem(), regions, cfg.metric, jobs=args.jobs)
     payload = {
         "metric": cfg.metric,
@@ -541,9 +551,7 @@ def cmd_sweep(cfg, args):
                      "r2": fit.r2},
         "conclusive": fit.conclusive,
     }
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    if outdir:
         for rep in fit.reports:
             _write_json(outdir / f"report_eps{_eps_tag(rep.epsilon)}.json",
                         report_to_dict(rep, cfg.scenario))
@@ -663,8 +671,9 @@ def _build_parser():
     parser = _Parser(prog="narrowgap",
                      description="narrow-gap elliptic solver and bound checker")
     sub = parser.add_subparsers(dest="command", required=True)
-    # the [flags] overrides of every command that reads a config
+    # the config and its [flags] overrides, read by every command but report
     flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", required=True)
     flags.add_argument("--seed", type=int, default=None,
                        help="override [flags] seed")
     flags.add_argument("--allow-degenerate-geometry", action="store_true",
@@ -674,22 +683,18 @@ def _build_parser():
         return sub.add_parser(name, parents=[flags], **kw)
 
     p = add("validate", help="check geometry hypotheses and operator bounds")
-    p.add_argument("--config", required=True)
     p.add_argument("--out", default=None)
 
     p = add("solve", help="solve one epsilon, emit field CSV + report JSON")
-    p.add_argument("--config", required=True)
     p.add_argument("--epsilon", default=None)
     p.add_argument("--out", default=None)
 
     p = add("sweep", help="solve an epsilon list and fit the blow-up rate")
-    p.add_argument("--config", required=True)
     p.add_argument("--epsilons", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=_jobs, default=1)
 
     p = add("mms", help="manufactured-solution convergence study")
-    p.add_argument("--config", required=True)
     p.add_argument("--grids", default=None)
 
     p = sub.add_parser("report", help="summarize a results directory")
@@ -714,7 +719,7 @@ def main(argv=None):
         handler = {"validate": cmd_validate, "solve": cmd_solve,
                    "sweep": cmd_sweep, "mms": cmd_mms}[args.command]
         return handler(cfg, args)
-    except (ConfigError, ExpressionError, OSError, UnicodeDecodeError) as exc:
+    except (ConfigError, ExpressionError, OSError) as exc:
         _error_json("config", exc)
         return EXIT_USAGE
     except (GeometryError, OperatorError) as exc:

@@ -25,9 +25,10 @@ computational coordinates.  Only interior nodes get equations; the Dirichlet
 values b_B of the boundary nodes enter the right-hand side b = b_I - A_IB b_B,
 summed while the coefficients are split, so no A_IB matrix is kept.
 
-Every factorization is one banded LU (LAPACK dgbtrf).  In 2-D it factors
-all of A_II.  In 3-D BiCGSTAB solves A_II, right-preconditioned by the band
-LU of the vertical column blocks: no restart and no coarse level.  It starts
+Every factorization is one banded LU in float32 (LAPACK sgbtrf).  In 2-D it
+factors all of A_II, and refinement with float64 residuals restores float64
+accuracy.  In 3-D BiCGSTAB solves A_II, right-preconditioned by the band LU
+of the vertical column blocks: no restart and no coarse level.  It starts
 from the column interpolant utilde, linear in t between each column's
 boundary values, which carries the 1/eps gradient of the solution u =
 utilde + w, so the iterations only have to find the bounded correction w.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import sgbtrf, sgbtrs
 
 from .geometry import GeometryError
 
@@ -57,8 +58,8 @@ __all__ = [
     "tangential_map",
 ]
 
-# iteration cap of the 3-D BiCGSTAB
-KRYLOV_MAX_ITERS = 500
+# iteration cap of the 3-D BiCGSTAB and of the 2-D refinement
+MAX_ITERS = 500
 # the tangential map is the identity for eps >= EPS_BASE.  Below, its
 # spacing at x' = 0 is (eps/EPS_BASE)^GRADING times the uniform one and stays
 # close to that over a core |x'| < CORE*sqrt(eps) (tangential_map)
@@ -149,15 +150,13 @@ class MappedGrid:
         self.points = np.concatenate([self.tang, self.xn_flat[:, None]], axis=-1)
 
         idx = np.unravel_index(np.arange(self.nodes), self.dims)
-        bnd = np.zeros(self.nodes, dtype=bool)
+        self.lateral_mask = np.zeros(self.nodes, dtype=bool)
         for d in range(nd):
-            bnd |= (idx[d] == 0) | (idx[d] == self.dims[d] - 1)
-        self.lateral_mask = bnd.copy()
+            self.lateral_mask |= (idx[d] == 0) | (idx[d] == self.dims[d] - 1)
         self.bottom_mask = idx[nd] == 0
         self.top_mask = idx[nd] == self.nt - 1
-        bnd |= self.bottom_mask | self.top_mask
-        self.boundary_mask = bnd
-        self.interior_mask = ~bnd
+        self.boundary_mask = self.lateral_mask | self.bottom_mask | self.top_mask
+        self.interior_mask = ~self.boundary_mask
 
     @staticmethod
     def check_nodes(name, m):
@@ -218,11 +217,8 @@ def quadrature_weights(grid):
     ndim = len(grid.dims)
     for d in range(ndim):
         wd = np.full(grid.dims[d], grid.hx[d])
-        wd[0] *= 0.5
-        wd[-1] *= 0.5
-        shape = [1] * ndim
-        shape[d] = grid.dims[d]
-        w = w * wd.reshape(shape)
+        wd[[0, -1]] *= 0.5
+        w = w * wd.reshape([-1 if k == d else 1 for k in range(ndim)])
     return w.ravel() * grid.jacobian_flat
 
 
@@ -460,31 +456,56 @@ def _split_columns(coef, grid, offsets, bc):
 
 def _band_lu(A, width=None):
     """LU factorization of the entries of the sparse square matrix A within
-    ``width`` of the diagonal (all of them by default), stored as one band
-    (LAPACK dgbtrf, partial pivoting), its widths kl and ku read from those
-    entries.  Returns the solve x = A^-1 b (dgbtrs)."""
-    A = A.tocoo(copy=False)
-    n, row, col, data = A.shape[0], A.row, A.col, A.data
+    ``width`` of the diagonal (all of them by default), stored as one float32
+    band (LAPACK sgbtrf, partial pivoting), its widths kl and ku read from
+    those entries.  Returns the float64 solve x = A^-1 b (sgbtrs) to float32
+    accuracy; b is scaled to unit norm for the float32 cast (0 stays 0)."""
+    coo = A.tocoo(copy=False)
+    below, col, data = coo.row - coo.col, coo.col, coo.data
+    del coo  # frees its row indices before the band is allocated
     if width is not None:
-        near = np.abs(row - col) <= width
-        row, col, data = row[near], col[near], data[near]
-    kl = int((row - col).max(initial=0))
-    ku = int((col - row).max(initial=0))
-    # Fortran order, so that dgbtrf factors this array in place
-    band = np.zeros((2 * kl + ku + 1, n), order="F")
-    band[kl + ku + row - col, col] = data
-    lu, piv, info = dgbtrf(band, kl, ku, overwrite_ab=1)
+        near = np.abs(below) <= width
+        below, col, data = below[near], col[near], data[near]
+    kl = int(below.max(initial=0))
+    ku = -int(below.min(initial=0))
+    # Fortran order, so that sgbtrf factors this array in place
+    band = np.zeros((2 * kl + ku + 1, A.shape[0]), dtype=np.float32, order="F")
+    below += kl + ku
+    band[below, col] = data
+    lu, piv, info = sgbtrf(band, kl, ku, overwrite_ab=1)
+    # the band is well formed, so sgbtrf fails only at a zero pivot
     if info != 0:
-        raise SolverError(f"band LU failed (dgbtrf info={info}): "
-                          f"{'zero pivot' if info > 0 else 'bad argument'}")
+        raise SolverError(f"band LU failed: zero pivot (sgbtrf info={info})")
 
     def solve(b):
-        x, info = dgbtrs(lu, kl, ku, b, piv)
+        scale = np.linalg.norm(b) or 1.0
+        x, info = sgbtrs(lu, kl, ku, (b / scale).astype(np.float32), piv,
+                         overwrite_b=1)
         if info != 0:
-            raise SolverError(f"band solve failed (dgbtrs info={info})")
-        return x
+            raise SolverError(f"band solve failed (sgbtrs info={info})")
+        return np.multiply(x, scale, dtype=np.float64)
 
     return solve
+
+
+def _refine(A, b, M):
+    """Mixed-precision refinement of A x = b with the float32 solve M
+    (Buttari et al., Int. J. High Perform. Comput. Appl. 21, 2007): x = M(b),
+    then x += M(b - A x), the residual formed in float64, while its norm at
+    least halves (at most MAX_ITERS solves).  Returns the iterate of least
+    residual and the residual norm after every solve."""
+    x = M(b)
+    r = b - A @ x
+    history = [np.linalg.norm(r)]
+    while history[-1] > 0 and len(history) < MAX_ITERS:
+        step = x + M(r)
+        r_step = b - A @ step
+        history.append(np.linalg.norm(r_step))
+        if history[-1] < history[-2]:
+            x, r = step, r_step
+        if not history[-1] <= 0.5 * history[-2]:
+            break
+    return x, history
 
 
 def _bicgstab(A, b, M, atol, history, x0):
@@ -500,7 +521,7 @@ def _bicgstab(A, b, M, atol, history, x0):
     monotone) is appended to ``history`` at every iteration.  Once it is at
     most ``atol``, r is replaced by the recomputed b - A x (van der Vorst &
     Ye, SIAM J. Sci. Comput. 22, 2000), and (x, True) is returned if that is
-    at most ``atol`` too.  After KRYLOV_MAX_ITERS iterations, or at a
+    at most ``atol`` too.  After MAX_ITERS iterations, or at a
     breakdown (rhat.v = 0, omega = 0 or a non-finite scalar), returns the
     last iterate unconverged.
     """
@@ -511,7 +532,7 @@ def _bicgstab(A, b, M, atol, history, x0):
     rhat = r.copy()
     p = v = np.zeros_like(b)
     rho = alpha = omega = 1.0
-    for _ in range(KRYLOV_MAX_ITERS):
+    for _ in range(MAX_ITERS):
         rho, previous = rhat @ r, rho
         p = r + rho / previous * alpha / omega * (p - omega * v)
         phat = M(p)
@@ -559,7 +580,8 @@ def solve_system(system, tol=1e-10):
     """Solve the interior system A_II x_I = b, b = b_I - A_IB b_B.
 
     In 2-D the band LU factors all of A_II in its (column, t, component)
-    order, with kl = ku = N*(nt-1) + N - 1 (``direct``).  In 3-D that band
+    order, with kl = ku = N*(nt-1) + N - 1 (``direct``), refined by _refine
+    in 4 or 5 solves, the iteration count.  In 3-D that band
     would grow like N*(nt-2)*(nx-2), so BiCGSTAB (``_bicgstab``) runs,
     right-preconditioned by the same band LU of the entries of A_II within
     2N-1 of the diagonal (``krylov``): exactly the vertical column blocks, as
@@ -574,9 +596,10 @@ def solve_system(system, tol=1e-10):
     relative residual ||b - A x|| / ||b|| on the system's own right-hand side
     b (||b|| read as 1 when b = 0).  The solve is accepted if that is at
     most ``tol``, in either dimension; BiCGSTAB stops once it is there.
-    Otherwise raises SolverError, with the BiCGSTAB recurrence residual of
-    every iteration divided by the same ||b||.  A ``tol`` outside (0, 1), nan
-    and inf included, raises ValueError.
+    Otherwise raises SolverError, with the residual history divided by the
+    same ||b||: the refinement residual after every solve in 2-D, the
+    BiCGSTAB recurrence residual of every iteration in 3-D.  A ``tol``
+    outside (0, 1), nan and inf included, raises ValueError.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
@@ -584,17 +607,15 @@ def solve_system(system, tol=1e-10):
     grid = system.grid
     b = system.b
     scale = float(np.linalg.norm(b)) or 1.0
-    history = []
-
     if grid.n == 2:
         method, solver = "direct", "banded LU"
-        x = _band_lu(A)(b)
+        x, history = _refine(A, b, _band_lu(A))
     else:
         method, solver = "krylov", "BiCGSTAB"
-        columns = _band_lu(A, 2 * system.N - 1)
-        x, _ = _bicgstab(A, b, columns, tol * scale, history,
-                         _column_interpolant(system))
-        history = [h / scale for h in history]
+        history = []
+        x, _ = _bicgstab(A, b, _band_lu(A, 2 * system.N - 1), tol * scale,
+                         history, _column_interpolant(system))
+    history = [h / scale for h in history]
 
     residual = float(np.linalg.norm(b - A @ x)) / scale
     if not residual <= tol:

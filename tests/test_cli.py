@@ -553,7 +553,9 @@ def test_sweep_honours_solver_settings(tmp_path, capsys):
         assert code == EXIT_SOLVER
         assert err["error"] == "solver"
         assert solver in err["message"]
-        assert (err["residual_history"] == []) == (solver == "banded LU")
+        # BiCGSTAB's recurrence residuals, or the 2-D refinement residuals
+        history = err["residual_history"]
+        assert history and all(isinstance(v, float) for v in history)
 
 
 def test_sweep_without_a_coarser_check_grid_exits_gate(tmp_path, capsys):
@@ -786,15 +788,16 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", [
-    "validate --config {tmp}",
-    "validate --config {latin1}",
-    "solve --config {cfg} --out {cfg}",
-    "validate --config {cfg} --out {cfg}/sub",
+@pytest.mark.parametrize("command, named", [
+    ("validate --config {tmp}", "{tmp}"),
+    ("validate --config {latin1}", "{latin1}"),
+    ("solve --config {cfg} --out {cfg}", "{cfg}"),
+    ("validate --config {cfg} --out {cfg}/sub", "{cfg}/sub"),
 ], ids=["config-is-a-directory", "config-not-utf8", "out-is-a-file",
         "out-below-a-file"])
 def test_unreadable_config_or_unusable_out_is_a_config_error(tmp_path, capsys,
-                                                             command):
+                                                             command, named):
+    # the message names the path that could not be used
     cfg = write_cfg(tmp_path, QUAD_CFG)
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes(QUAD_CFG.replace("quadratic", "quadr\xe4tic").encode("latin-1"))
@@ -803,7 +806,30 @@ def test_unreadable_config_or_unusable_out_is_a_config_error(tmp_path, capsys,
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
     (line,) = captured.err.strip().splitlines()
-    assert json.loads(line)["error"] == "config"
+    err = json.loads(line)
+    assert err["error"] == "config"
+    assert named.format(tmp=tmp_path, cfg=cfg, latin1=latin1) in err["message"]
+
+
+@pytest.mark.parametrize("verb", ["solve", "sweep"])
+def test_unusable_out_fails_before_any_solve(tmp_path, capsys, monkeypatch, verb):
+    # --out is made before the first solve, so a path that cannot be a
+    # directory fails at once instead of after the whole solve or sweep
+    calls = []
+    real = analysis.solve_epsilon
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "solve_epsilon", counting)
+    monkeypatch.setattr(analysis, "solve_epsilon", counting)
+    text = QUAD_CFG if verb == "solve" else QUAD_CFG.replace(
+        "epsilon = 0.1", "epsilons = 0.1,0.05,0.025")
+    cfg = write_cfg(tmp_path, text)
+    assert main([verb, "--config", cfg, "--out", cfg]) == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
+    assert calls == []
 
 
 @pytest.mark.parametrize("flag", [["--seed", "5"], ["--allow-degenerate-geometry"]])

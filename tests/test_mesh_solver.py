@@ -21,9 +21,9 @@ from narrowgap import (
     quadrature_weights,
     solve_dirichlet,
 )
-from narrowgap.mesh_solver import (KRYLOV_MAX_ITERS, MappedGrid, _band_lu,
-                                   _bicgstab, _face_geometry, assemble,
-                                   solve_system)
+from narrowgap.mesh_solver import (MAX_ITERS, MappedGrid, _band_lu,
+                                   _bicgstab, _face_geometry, _refine,
+                                   assemble, solve_system)
 
 from conftest import flat_profile, p1, quad_profile
 import solver_oracle as oracle
@@ -326,7 +326,7 @@ def test_bicgstab_matches_a_dense_solve():
     expect = np.linalg.solve(A, b)
     assert converged
     assert np.linalg.norm(x - expect) <= 1e-10 * np.linalg.norm(expect)
-    assert 0 < len(history) < KRYLOV_MAX_ITERS
+    assert 0 < len(history) < MAX_ITERS
 
 
 def test_bicgstab_without_tolerance_runs_to_the_cap():
@@ -338,7 +338,7 @@ def test_bicgstab_without_tolerance_runs_to_the_cap():
     history = []
     x, converged = _bicgstab(A, b, lambda v: v, 0.0, history, np.zeros_like(b))
     assert not converged
-    assert len(history) == KRYLOV_MAX_ITERS
+    assert len(history) == MAX_ITERS
     assert np.all(np.isfinite(history)) and np.all(np.isfinite(x))
 
 
@@ -405,7 +405,8 @@ def test_interpolant_start_cuts_the_iterations(kind, nx, nt):
 
 
 # most = 1.5x the iterations measured at one and at two BLAS threads
-# (17, 20, 38, 42), so that a doubling of the count fails
+# (17, 20, 38, 42), so that a doubling of the count fails; with the float32
+# column LU they read 17, 19, 33 to 39 and 35 to 37
 @pytest.mark.parametrize("kind, eps, nx, nt, most", [
     ("laplace", 0.1, 25, 17, 26),   # the two solves of the solve3d workload
     ("lame", 0.1, 17, 13, 30),
@@ -473,15 +474,19 @@ def test_singular_system_raises():
 
 
 def test_band_lu_solves_a_nonsymmetric_band():
+    # the float32 factors alone are good to about 1e-7; refined in float64
+    # they reach the float64 solve
     rng = np.random.default_rng(5)
     n, kl, ku = 40, 2, 5
     dense = np.zeros((n, n))
     for k in range(-kl, ku + 1):
         dense += np.diag(rng.normal(size=n - abs(k)), k)
     b = rng.normal(size=n)
-    x = _band_lu(sp.csr_matrix(dense))(b)
+    A = sp.csr_matrix(dense)
+    x, history = _refine(A, b, _band_lu(A))
     expect = np.linalg.solve(dense, b)
     assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
+    assert 1 < len(history) <= 6
 
 
 @pytest.mark.parametrize("n, nx, nt", [(2, 17, 9), (3, 9, 9)])
@@ -503,12 +508,72 @@ def test_column_preconditioner_is_the_block_inverse(n, nx, nt):
     assert np.array_equal(near, coo.row // block == coo.col // block)
     assert offsets[near].min() == -(2 * n - 1) and offsets[near].max() == 2 * n - 1
     apply = _band_lu(A, 2 * n - 1)
+    # refining against the block-diagonal part of A gives its exact inverse
+    blocks = sp.csr_matrix((coo.data[near], (coo.row[near], coo.col[near])),
+                           shape=A.shape)
     V = np.random.default_rng(1).normal(size=(A.shape[0], 3))
     for v in V.T:
         expect = np.concatenate([
             np.linalg.solve(A[k:k + block, k:k + block].toarray(), v[k:k + block])
             for k in range(0, A.shape[0], block)])
-        assert np.linalg.norm(apply(v) - expect) <= 1e-12 * np.linalg.norm(expect)
+        x, _ = _refine(blocks, v, apply)
+        assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def _lame_2d_system(eps, nx, nt):
+    zero = PolynomialField.zero(1)
+    grid = MappedGrid(NarrowRegion(n=2, epsilon=eps, profile=quad_profile()),
+                      nx, nt)
+    data = BoundaryData((p1("1"), p1("x1")), (zero, p1("x1^2")))
+    return assemble(make_builtin("lame", n=2), grid, boundary_values(grid, data))
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3, 1e-4, 1e-5])
+def test_refinement_reaches_the_float64_floor(eps):
+    # 4 or 5 float32 solves from eps 0.1 down to 1e-5 (the tangential map
+    # grades the axes below 0.1), ending below 1e-15 of ||b||
+    sol = solve_system(_lame_2d_system(eps, 45, 33))
+    assert sol.method == "direct"
+    assert 1 < sol.iterations <= 6
+    assert sol.residual <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-30, 1e30])
+def test_refinement_holds_at_any_scale_of_b(scale):
+    # b is divided by its norm before the float32 cast: 1e-30 * b would
+    # otherwise leave residuals below the float32 range, and 1e30 * b
+    # solutions above it
+    system = _lame_2d_system(0.01, 17, 9)
+    A, b = system.matrix, system.b
+    x, history = _refine(A, b, _band_lu(A))
+    xs, hs = _refine(A, scale * b, _band_lu(A))
+    assert np.linalg.norm(xs / scale - x) <= 1e-12 * np.linalg.norm(x)
+    assert hs[-1] <= 1e-15 * scale * np.linalg.norm(b)
+    assert len(hs) == len(history)
+
+
+def test_refinement_of_zero_is_zero():
+    A = _lame_2d_system(0.1, 17, 9).matrix
+    M = _band_lu(A)
+    zero = np.zeros(A.shape[0])
+    assert M(zero).dtype == np.float64 and not M(zero).any()
+    x, history = _refine(A, zero, M)
+    assert not x.any() and history == [0.0]
+
+
+def test_band_lu_stores_its_band_in_float32():
+    # 2-D Lame 65 x 65: kl = ku = 2*64 + 1, and the peak is the float32 band
+    # plus the index arrays, about half the float64 band
+    A = _lame_2d_system(0.1, 65, 65).matrix
+    kl = 2 * 64 + 1
+    float64_band = (3 * kl + 1) * A.shape[0] * 8
+    tracemalloc.start()
+    try:
+        _band_lu(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.55 * float64_band
 
 
 def test_assembly_memory_stays_within_three_matrices():

@@ -10,11 +10,14 @@ equal the oracle's Dirichlet rows exactly.
 number of its two pinned field CSVs, agrees between the oracle and the
 solver to 1e-9 relative.  ``validate`` never reaches the solver, so its pins
 are left out.  The pinned 3-D solve runs BiCGSTAB, preconditioned by the
-band LU of the column blocks, at tol 1e-10 of ||b_I - A_IB b_B|| against the
-oracle's direct LU; started from utilde, that gap is 4.4e-10 on its report
-(largest on F_delta0 and k219) and 2.2e-11 on its field CSV (8.1e-11 and
-4.1e-11 from a zero start, 2.0e-12 and 6.6e-13 at tol 1e-10 of the norm of
-[b_I, b_B], 8.8e-13 and 2.4e-14 with the earlier two-level GMRES).
+float32 band LU of the column blocks, at tol 1e-10 of ||b_I - A_IB b_B||
+against the oracle's direct LU; started from utilde, that gap is 4.4e-10 on
+its report (largest on k219 and F_delta0) and 2.2e-11 on its field CSV, the
+same with a float64 column LU (8.1e-11 and 4.1e-11 from a zero start,
+2.0e-12 and 6.6e-13 at tol 1e-10 of the norm of [b_I, b_B], 8.8e-13 and
+2.4e-14 with the earlier two-level GMRES).  The 2-D solves, a float32 band
+LU refined in float64, sit at most 1.6e-12 from it on the sweep reports,
+1.0e-10 on the mms errors and 1.5e-14 on the lame2d report.
 """
 
 import io
