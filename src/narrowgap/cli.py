@@ -395,6 +395,7 @@ def report_to_dict(report, scenario):
 
 
 def _write_json(path, obj):
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
@@ -407,6 +408,7 @@ def _write_field_csv(path, solution, gradfield):
     table = np.column_stack([grid.tang, grid.xn_flat, grid.tvals,
                              solution.values.reshape(N, -1).T,
                              gradfield.norm().ravel()])
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         _write_csv(fh, header, table)
 
@@ -479,10 +481,9 @@ def _failed_checks(geo):
 
 def cmd_validate(cfg, args):
     payload, geo = _validate_payload(cfg)
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        (_out_dir(args) / "validate.json").write_text(text + "\n")
-    print(text)
+        _write_json(_out_dir(args) / "validate.json", payload)
+    print(json.dumps(payload, indent=2, sort_keys=True))
     if not geo.passed:
         _error_json("validation", _failed_checks(geo))
         return EXIT_VALIDATION
@@ -490,11 +491,16 @@ def cmd_validate(cfg, args):
 
 
 def _out_dir(args):
-    """The ``--out`` directory, made before any solving so that an unusable
-    path fails at once; None without ``--out``."""
+    """The ``--out`` directory, None without ``--out``.  Checked before any
+    solving, so that a path below a file fails at once; the writers make it,
+    so that a failed solve leaves no empty directory."""
     if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        return Path(args.out)
+        out = Path(args.out)
+        # "." and "/" exist, so this finds the nearest existing path
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {out}: {existing} is not a directory")
+        return out
 
 
 def _gated_regions(cfg, eps_list):

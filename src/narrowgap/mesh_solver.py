@@ -27,8 +27,9 @@ summed while the coefficients are split, so no A_IB matrix is kept.
 
 Every factorization is one banded LU in float32 (LAPACK sgbtrf).  In 2-D it
 factors all of A_II, and refinement with float64 residuals restores float64
-accuracy.  In 3-D BiCGSTAB solves A_II, right-preconditioned by the band LU
-of the vertical column blocks: no restart and no coarse level.  It starts
+accuracy; where that stalls above tol, BiCGSTAB preconditioned by the same
+LU goes on.  In 3-D BiCGSTAB solves A_II, right-preconditioned by the band
+LU of the vertical column blocks: no restart and no coarse level.  It starts
 from the column interpolant utilde, linear in t between each column's
 boundary values, which carries the 1/eps gradient of the solution u =
 utilde + w, so the iterations only have to find the bounded correction w.
@@ -58,8 +59,8 @@ __all__ = [
     "tangential_map",
 ]
 
-# iteration cap of the 3-D BiCGSTAB and of the 2-D refinement
-MAX_ITERS = 500
+# iteration cap of BiCGSTAB
+KRYLOV_MAX_ITERS = 500
 # the tangential map is the identity for eps >= EPS_BASE.  Below, its
 # spacing at x' = 0 is (eps/EPS_BASE)^GRADING times the uniform one and stays
 # close to that over a core |x'| < CORE*sqrt(eps) (tangential_map)
@@ -150,13 +151,15 @@ class MappedGrid:
         self.points = np.concatenate([self.tang, self.xn_flat[:, None]], axis=-1)
 
         idx = np.unravel_index(np.arange(self.nodes), self.dims)
-        self.lateral_mask = np.zeros(self.nodes, dtype=bool)
+        bnd = np.zeros(self.nodes, dtype=bool)
         for d in range(nd):
-            self.lateral_mask |= (idx[d] == 0) | (idx[d] == self.dims[d] - 1)
+            bnd |= (idx[d] == 0) | (idx[d] == self.dims[d] - 1)
+        self.lateral_mask = bnd.copy()
         self.bottom_mask = idx[nd] == 0
         self.top_mask = idx[nd] == self.nt - 1
-        self.boundary_mask = self.lateral_mask | self.bottom_mask | self.top_mask
-        self.interior_mask = ~self.boundary_mask
+        bnd |= self.bottom_mask | self.top_mask
+        self.boundary_mask = bnd
+        self.interior_mask = ~bnd
 
     @staticmethod
     def check_nodes(name, m):
@@ -217,8 +220,11 @@ def quadrature_weights(grid):
     ndim = len(grid.dims)
     for d in range(ndim):
         wd = np.full(grid.dims[d], grid.hx[d])
-        wd[[0, -1]] *= 0.5
-        w = w * wd.reshape([-1 if k == d else 1 for k in range(ndim)])
+        wd[0] *= 0.5
+        wd[-1] *= 0.5
+        shape = [1] * ndim
+        shape[d] = grid.dims[d]
+        w = w * wd.reshape(shape)
     return w.ravel() * grid.jacobian_flat
 
 
@@ -459,7 +465,9 @@ def _band_lu(A, width=None):
     ``width`` of the diagonal (all of them by default), stored as one float32
     band (LAPACK sgbtrf, partial pivoting), its widths kl and ku read from
     those entries.  Returns the float64 solve x = A^-1 b (sgbtrs) to float32
-    accuracy; b is scaled to unit norm for the float32 cast (0 stays 0)."""
+    accuracy.  The band is divided by about its largest entry, b by its norm
+    (0 stays 0) before the float32 casts, so that a large or small scale of
+    A or b neither overflows nor underflows them."""
     coo = A.tocoo(copy=False)
     below, col, data = coo.row - coo.col, coo.col, coo.data
     del coo  # frees its row indices before the band is allocated
@@ -468,6 +476,9 @@ def _band_lu(A, width=None):
         below, col, data = below[near], col[near], data[near]
     kl = int(below.max(initial=0))
     ku = -int(below.min(initial=0))
+    # the least power of two above the largest entry: dividing by it is exact
+    size = math.ldexp(1.0, math.frexp(np.abs(data).max(initial=0.0))[1])
+    data = (data / size).astype(np.float32)
     # Fortran order, so that sgbtrf factors this array in place
     band = np.zeros((2 * kl + ku + 1, A.shape[0]), dtype=np.float32, order="F")
     below += kl + ku
@@ -483,7 +494,7 @@ def _band_lu(A, width=None):
                          overwrite_b=1)
         if info != 0:
             raise SolverError(f"band solve failed (sgbtrs info={info})")
-        return np.multiply(x, scale, dtype=np.float64)
+        return np.multiply(x, scale / size, dtype=np.float64)
 
     return solve
 
@@ -492,12 +503,13 @@ def _refine(A, b, M):
     """Mixed-precision refinement of A x = b with the float32 solve M
     (Buttari et al., Int. J. High Perform. Comput. Appl. 21, 2007): x = M(b),
     then x += M(b - A x), the residual formed in float64, while its norm at
-    least halves (at most MAX_ITERS solves).  Returns the iterate of least
-    residual and the residual norm after every solve."""
+    least halves, which the float64 rounding of A x ends after a few solves.
+    Returns the iterate of least residual and the residual norm after every
+    solve."""
     x = M(b)
     r = b - A @ x
     history = [np.linalg.norm(r)]
-    while history[-1] > 0 and len(history) < MAX_ITERS:
+    while history[-1] > 0:
         step = x + M(r)
         r_step = b - A @ step
         history.append(np.linalg.norm(r_step))
@@ -521,7 +533,7 @@ def _bicgstab(A, b, M, atol, history, x0):
     monotone) is appended to ``history`` at every iteration.  Once it is at
     most ``atol``, r is replaced by the recomputed b - A x (van der Vorst &
     Ye, SIAM J. Sci. Comput. 22, 2000), and (x, True) is returned if that is
-    at most ``atol`` too.  After MAX_ITERS iterations, or at a
+    at most ``atol`` too.  After KRYLOV_MAX_ITERS iterations, or at a
     breakdown (rhat.v = 0, omega = 0 or a non-finite scalar), returns the
     last iterate unconverged.
     """
@@ -532,7 +544,7 @@ def _bicgstab(A, b, M, atol, history, x0):
     rhat = r.copy()
     p = v = np.zeros_like(b)
     rho = alpha = omega = 1.0
-    for _ in range(MAX_ITERS):
+    for _ in range(KRYLOV_MAX_ITERS):
         rho, previous = rhat @ r, rho
         p = r + rho / previous * alpha / omega * (p - omega * v)
         phat = M(p)
@@ -581,7 +593,11 @@ def solve_system(system, tol=1e-10):
 
     In 2-D the band LU factors all of A_II in its (column, t, component)
     order, with kl = ku = N*(nt-1) + N - 1 (``direct``), refined by _refine
-    in 4 or 5 solves, the iteration count.  In 3-D that band
+    (4 to 14 solves for Laplace and Lame up to lam/mu = 1e4).  Where that
+    stalls above ``tol``, as when cond(A) times the float32 rounding nears 1
+    (Lame at lam/mu = 1e10 and eps = 1e-5), BiCGSTAB preconditioned by the
+    same LU goes on from the refined x (GMRES-IR in Carson & Higham, SIAM J.
+    Sci. Comput. 40, 2018, with BiCGSTAB for GMRES).  In 3-D that band
     would grow like N*(nt-2)*(nx-2), so BiCGSTAB (``_bicgstab``) runs,
     right-preconditioned by the same band LU of the entries of A_II within
     2N-1 of the diagonal (``krylov``): exactly the vertical column blocks, as
@@ -597,9 +613,10 @@ def solve_system(system, tol=1e-10):
     b (||b|| read as 1 when b = 0).  The solve is accepted if that is at
     most ``tol``, in either dimension; BiCGSTAB stops once it is there.
     Otherwise raises SolverError, with the residual history divided by the
-    same ||b||: the refinement residual after every solve in 2-D, the
-    BiCGSTAB recurrence residual of every iteration in 3-D.  A ``tol``
-    outside (0, 1), nan and inf included, raises ValueError.
+    same ||b||: the refinement residual after every solve in 2-D, then the
+    BiCGSTAB recurrence residual of every iteration.  Its length is the
+    iteration count.  A ``tol`` outside (0, 1), nan and inf included, raises
+    ValueError.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
@@ -609,12 +626,14 @@ def solve_system(system, tol=1e-10):
     scale = float(np.linalg.norm(b)) or 1.0
     if grid.n == 2:
         method, solver = "direct", "banded LU"
-        x, history = _refine(A, b, _band_lu(A))
+        M = _band_lu(A)
+        start, history = _refine(A, b, M)
     else:
         method, solver = "krylov", "BiCGSTAB"
-        history = []
-        x, _ = _bicgstab(A, b, _band_lu(A, 2 * system.N - 1), tol * scale,
-                         history, _column_interpolant(system))
+        M = _band_lu(A, 2 * system.N - 1)
+        start, history = _column_interpolant(system), []
+    # returns the start at once where it already meets tol
+    x, _ = _bicgstab(A, b, M, tol * scale, history, start)
     history = [h / scale for h in history]
 
     residual = float(np.linalg.norm(b - A @ x)) / scale

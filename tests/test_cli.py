@@ -553,7 +553,7 @@ def test_sweep_honours_solver_settings(tmp_path, capsys):
         assert code == EXIT_SOLVER
         assert err["error"] == "solver"
         assert solver in err["message"]
-        # BiCGSTAB's recurrence residuals, or the 2-D refinement residuals
+        # BiCGSTAB's recurrence residuals, after the refinement ones in 2-D
         history = err["residual_history"]
         assert history and all(isinstance(v, float) for v in history)
 
@@ -813,7 +813,7 @@ def test_unreadable_config_or_unusable_out_is_a_config_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("verb", ["solve", "sweep"])
 def test_unusable_out_fails_before_any_solve(tmp_path, capsys, monkeypatch, verb):
-    # --out is made before the first solve, so a path that cannot be a
+    # --out is checked before the first solve, so a path that cannot be a
     # directory fails at once instead of after the whole solve or sweep
     calls = []
     real = analysis.solve_epsilon
@@ -830,6 +830,15 @@ def test_unusable_out_fails_before_any_solve(tmp_path, capsys, monkeypatch, verb
     assert main([verb, "--config", cfg, "--out", cfg]) == EXIT_USAGE
     assert json.loads(capsys.readouterr().err.strip())["error"] == "config"
     assert calls == []
+
+
+def test_failed_solve_makes_no_out_directory(tmp_path, capsys):
+    # --out is made only to write results, so report never finds it empty
+    cfg = write_cfg(tmp_path, QUAD_CFG + "[solver]\nnx = 9\nnt = 9\ntol = 1e-30\n")
+    out = tmp_path / "results" / "run"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_SOLVER
+    capsys.readouterr()
+    assert not (tmp_path / "results").exists()
 
 
 @pytest.mark.parametrize("flag", [["--seed", "5"], ["--allow-degenerate-geometry"]])

@@ -21,7 +21,7 @@ from narrowgap import (
     quadrature_weights,
     solve_dirichlet,
 )
-from narrowgap.mesh_solver import (MAX_ITERS, MappedGrid, _band_lu,
+from narrowgap.mesh_solver import (KRYLOV_MAX_ITERS, MappedGrid, _band_lu,
                                    _bicgstab, _face_geometry, _refine,
                                    assemble, solve_system)
 
@@ -326,7 +326,7 @@ def test_bicgstab_matches_a_dense_solve():
     expect = np.linalg.solve(A, b)
     assert converged
     assert np.linalg.norm(x - expect) <= 1e-10 * np.linalg.norm(expect)
-    assert 0 < len(history) < MAX_ITERS
+    assert 0 < len(history) < KRYLOV_MAX_ITERS
 
 
 def test_bicgstab_without_tolerance_runs_to_the_cap():
@@ -338,7 +338,7 @@ def test_bicgstab_without_tolerance_runs_to_the_cap():
     history = []
     x, converged = _bicgstab(A, b, lambda v: v, 0.0, history, np.zeros_like(b))
     assert not converged
-    assert len(history) == MAX_ITERS
+    assert len(history) == KRYLOV_MAX_ITERS
     assert np.all(np.isfinite(history)) and np.all(np.isfinite(x))
 
 
@@ -520,12 +520,13 @@ def test_column_preconditioner_is_the_block_inverse(n, nx, nt):
         assert np.linalg.norm(x - expect) <= 1e-12 * np.linalg.norm(expect)
 
 
-def _lame_2d_system(eps, nx, nt):
+def _lame_2d_system(eps, nx, nt, lam=1.0):
     zero = PolynomialField.zero(1)
     grid = MappedGrid(NarrowRegion(n=2, epsilon=eps, profile=quad_profile()),
                       nx, nt)
     data = BoundaryData((p1("1"), p1("x1")), (zero, p1("x1^2")))
-    return assemble(make_builtin("lame", n=2), grid, boundary_values(grid, data))
+    return assemble(make_builtin("lame", n=2, lame_lambda=lam), grid,
+                    boundary_values(grid, data))
 
 
 @pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3, 1e-4, 1e-5])
@@ -550,6 +551,31 @@ def test_refinement_holds_at_any_scale_of_b(scale):
     assert np.linalg.norm(xs / scale - x) <= 1e-12 * np.linalg.norm(x)
     assert hs[-1] <= 1e-15 * scale * np.linalg.norm(b)
     assert len(hs) == len(history)
+
+
+@pytest.mark.parametrize("scale", [1e-50, 1e-40, 1e40, 1e50])
+def test_band_lu_holds_at_any_scale_of_a(scale):
+    # the band is divided by a power of two near its largest entry: 1e-50 * A
+    # would otherwise underflow float32, and 1e40 * A overflow it
+    system = _lame_2d_system(0.01, 17, 9)
+    A, b = system.matrix, system.b
+    x, _ = _refine(A, b, _band_lu(A))
+    xs, hs = _refine(scale * A, b, _band_lu(scale * A))
+    assert np.linalg.norm(scale * xs - x) <= 1e-12 * np.linalg.norm(x)
+    assert hs[-1] <= 1e-15 * np.linalg.norm(b)
+
+
+def test_stalled_refinement_goes_on_with_bicgstab():
+    # nearly incompressible Lame (lam/mu = 1e10) at eps = 1e-5: cond(A) times
+    # the float32 rounding nears 1, and refinement stops near 1e-5 of ||b||;
+    # BiCGSTAB preconditioned by the same float32 LU then meets tol
+    system = _lame_2d_system(1e-5, 129, 65, lam=1e10)
+    A, b = system.matrix, system.b
+    _, history = _refine(A, b, _band_lu(A))
+    assert history[-1] > 1e-6 * np.linalg.norm(b)
+    sol = solve_system(system)
+    assert sol.residual <= 1e-10
+    assert sol.iterations > len(history)
 
 
 def test_refinement_of_zero_is_zero():
