@@ -52,8 +52,8 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_GATE = 4
 
-# rows of a field CSV joined into one string per write (_write_csv)
-CSV_BLOCK_ROWS = 4096
+# rows of a field CSV formatted as one string per write (_write_csv)
+CSV_BLOCK_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -400,10 +400,8 @@ def _write_json(path, obj):
 
 
 def _write_field_csv(path, solution, gradfield):
-    grid = solution.grid
-    N = solution.N
-    nd = grid.nd
-    header = [f"x{d+1}" for d in range(nd)] + ["xn", "t"] \
+    grid, N = solution.grid, solution.N
+    header = [f"x{d+1}" for d in range(grid.nd)] + ["xn", "t"] \
         + [f"u_{j+1}" for j in range(N)] + ["grad_norm"]
     table = np.column_stack([grid.tang, grid.xn_flat, grid.tvals,
                              solution.values.reshape(N, -1).T,
@@ -415,23 +413,12 @@ def _write_field_csv(path, solution, gradfield):
 
 def _write_csv(fh, header, table):
     """Write the header and the float64 ``table`` (rows, len(header)) as CSV,
-    every value as '%.17g'.  Each distinct bit pattern is formatted once (so
-    -0.0 and 0.0, and NaN payloads, stay apart) and every cell is gathered
-    from those texts with its ending: the same bytes as formatting cell by
-    cell."""
-    bits, inverse = np.unique(table.view(np.int64), return_inverse=True)
-    text = list(map("%.17g".__mod__, bits.view(np.float64).tolist()))
-    cells = np.array([s + "," for s in text] + [s + "\n" for s in text],
-                     dtype=object)
-    # the shape of the inverse differs between numpy releases
-    inverse = inverse.reshape(table.shape)
-    inverse[:, -1] += len(text)
+    every value as '%.17g', one block of CSV_BLOCK_ROWS rows per write
+    formatted with one row format: the bytes of formatting cell by cell."""
     fh.write(",".join(header) + "\n")
-    # one string per block of rows: fewer writes than one per cell, and
-    # less memory than one for the whole file
-    for start in range(0, len(inverse), CSV_BLOCK_ROWS):
-        block = cells[inverse[start:start + CSV_BLOCK_ROWS]]
-        fh.write("".join(block.ravel().tolist()))
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    for block in np.split(table, range(CSV_BLOCK_ROWS, len(table), CSV_BLOCK_ROWS)):
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _eps_tag(eps):

@@ -21,9 +21,9 @@ stencils and the unknown ordering do not depend on the map.  Assembly
 discretizes each G at cell faces with compact differences in the face
 direction and averaged central differences across it, then differences the
 fluxes back to nodes: second order, exact for fields linear in the
-computational coordinates.  Only interior nodes get equations; the Dirichlet
-values b_B of the boundary nodes enter the right-hand side b = b_I - A_IB b_B,
-summed while the coefficients are split, so no A_IB matrix is kept.
+computational coordinates.  Only interior nodes get equations, each stencil
+coefficient summed in its own array and copied into A_II in CSR; the values
+b_B of the boundary nodes enter b = b_I - A_IB b_B, so no A_IB is kept.
 
 Every factorization is one banded LU in float32 (LAPACK sgbtrf).  In 2-D it
 factors all of A_II, and refinement with float64 residuals restores float64
@@ -37,8 +37,8 @@ utilde + w, so the iterations only have to find the bounded correction w.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +61,8 @@ __all__ = [
 
 # iteration cap of BiCGSTAB
 KRYLOV_MAX_ITERS = 500
+# entries of A_II copied at a time (_split_columns, _band_lu)
+BLOCK = 1 << 14
 # the tangential map is the identity for eps >= EPS_BASE.  Below, its
 # spacing at x' = 0 is (eps/EPS_BASE)^GRADING times the uniform one and stays
 # close to that over a core |x'| < CORE*sqrt(eps) (tangential_map)
@@ -216,15 +218,11 @@ def quadrature_weights(grid):
     """Flattened trapezoid weights in (xi, t) times the Jacobian
     delta(x') * prod_a X'_a, so that (w * field).sum() approximates the
     physical-domain integral."""
-    w = np.ones(grid.dims)
-    ndim = len(grid.dims)
-    for d in range(ndim):
-        wd = np.full(grid.dims[d], grid.hx[d])
-        wd[0] *= 0.5
-        wd[-1] *= 0.5
-        shape = [1] * ndim
-        shape[d] = grid.dims[d]
-        w = w * wd.reshape(shape)
+    w = np.ones(())
+    for m, h in zip(grid.dims, grid.hx):
+        wd = np.full(m, h)
+        wd[[0, -1]] *= 0.5
+        w = np.multiply.outer(w, wd)
     return w.ravel() * grid.jacobian_flat
 
 
@@ -350,11 +348,11 @@ def assemble(op, grid, bc, source=None):
     boundary unknowns are both numbered in (tangential column, t, component)
     order, so every interior column is one contiguous block of N*(nt-2)
     unknowns.  An interior row reaches only the nodes p + o with o in
-    {-1, 0, 1}^n, at most two entries of o nonzero; the coefficients of
-    those offsets are accumulated in one dense array over the interior nodes
-    and split once into A_II and the sum A_IB b_B (_split_columns).  The
-    map's factors (module docstring) scale the coefficients, not the
-    stencils.
+    {-1, 0, 1}^n, at most two entries of o nonzero.  Each slot (o, column
+    component j, row component i) is summed in its own array over the
+    interior nodes, made at its first nonzero term; _split_columns turns
+    them into A_II and A_IB b_B.  The map's factors (module docstring)
+    scale the coefficients, not the stencils.
     """
     if op.n != grid.n:
         raise GeometryError("operator dimension does not match the grid")
@@ -363,16 +361,14 @@ def assemble(op, grid, bc, source=None):
         raise ValueError(f"bc has shape {np.shape(bc)}, want {(N, grid.nodes)}")
     dims, h = grid.dims, grid.hx
     e = np.eye(n, dtype=int)
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=n)
-               if np.count_nonzero(o) <= 2]
-    slot = {o: k for k, o in enumerate(offsets)}
-    coef = np.zeros(tuple(m - 2 for m in dims) + (N, len(offsets), N))
+    slots = defaultdict(lambda: np.zeros(tuple(m - 2 for m in dims)))
 
     def add(i, j, stencil, K):
         """Add ``weight * K`` at each (offset, weight) of the stencil."""
-        if np.any(K):
+        if K.any():
             for off, w in stencil:
-                coef[..., i, slot[tuple(off)], j] += w * K
+                acc = slots[tuple(off.tolist()), j, i]
+                acc += w * K
 
     has_lower = op.has_lower_order_terms()
     for a in range(n):
@@ -420,69 +416,88 @@ def assemble(op, grid, bc, source=None):
                     add(i, j, stencil, K)
                 add(i, j, [(0 * e[0], 1.0)], jac * op.D[i, j].value_many(points))
 
+    del points, delta, dT, dX, W, terms, K  # the face arrays, before the split
     bc = np.asarray(bc, dtype=float).reshape(N, grid.nodes)
     interior = grid.interior_mask
-    rhs = np.zeros((N, int(interior.sum())))
-    if source is not None:
-        src = np.asarray(source, dtype=float).reshape(N, grid.nodes)
-        rhs = (jacobian * src)[:, interior]
+    src = np.zeros_like(bc) if source is None else np.asarray(source, dtype=float)
+    rhs = (jacobian * src.reshape(N, grid.nodes))[:, interior]
 
-    matrix, coupled = _split_columns(coef, grid, offsets, bc.T)
+    matrix, coupled = _split_columns(slots, grid, bc.T)
     return LinearSystem(matrix=matrix, b=(rhs.T - coupled).ravel(),
                         bc=bc[:, ~interior].T.ravel(), grid=grid, N=N)
 
 
-def _split_columns(coef, grid, offsets, bc):
-    """A_II in CSR (its nonzero entries) and the product A_IB b_B, shape
-    (interior nodes, N), from the offset coefficients ``coef`` (*interior
-    dims, N, offsets, N) and the nodal values ``bc`` (nodes, N).  A row sums
-    A_IB b_B from 0 in offset, then component order, so it is bitwise what a
-    CSR product with A_IB would give, without forming A_IB."""
-    N = coef.shape[-1]
-    interior = grid.interior_mask
+def _split_columns(slots, grid, bc):
+    """A_II in CSR and A_IB b_B, shape (interior nodes, N), from the slots and
+    the nodal values ``bc`` (nodes, N).  Row (node, i) holds the nonzero
+    values of its slots (o, j, i) at interior neighbours, in (o, j) order,
+    and sums A_IB b_B from 0 in that order, bitwise a CSR product with A_IB.
+    The values are copied BLOCK at a time, then the slots freed."""
+    N, interior = bc.shape[1], grid.interior_mask
     rank = np.cumsum(interior, dtype=np.int32) - 1
     strides = [int(np.prod(grid.dims[d + 1:])) for d in range(grid.n)]
-    nodes = np.flatnonzero(interior)[:, None] + np.asarray(offsets) @ strides
-    coef = coef.reshape(len(nodes), N, len(offsets), N)
-    inside = interior[nodes]
-    coupled = np.zeros((len(nodes), N))
-    for k in range(len(offsets)):
-        rows = np.flatnonzero(~inside[:, k])
-        for j in range(N):
-            coupled[rows] += coef[rows, :, k, j] * bc[nodes[rows, k], j, None]
-
-    keep = (coef != 0) & inside[:, None, :, None]
-    col = (rank[nodes] * N)[:, None, :, None] + np.arange(N, dtype=np.int32)
-    indptr = np.zeros(keep.shape[0] * N + 1, dtype=np.int32)
-    np.cumsum(keep.reshape(len(indptr) - 1, -1).sum(axis=1), out=indptr[1:])
-    matrix = sp.csr_matrix((coef[keep], np.broadcast_to(col, coef.shape)[keep],
-                            indptr), shape=(len(indptr) - 1,) * 2)
-    return matrix, coupled
+    base = np.flatnonzero(interior)
+    pairs = {pair: c for c, pair in enumerate(sorted({key[:2] for key in slots}))}
+    shift, pair_j = np.array([(np.dot(o, strides), j) for o, j in pairs],
+                             dtype=np.int32).reshape(-1, 2).T
+    inside = interior[shift[:, None] + base]
+    outside = [np.flatnonzero(~m) for m in inside]
+    keep = np.zeros((len(pairs), N, len(base)), dtype=bool)
+    coupled = np.zeros((N, len(base)))
+    for o, j, i in sorted(slots):
+        c, values = pairs[o, j], slots[o, j, i].ravel()
+        rows = outside[c]
+        coupled[i][rows] += values[rows] * bc[base[rows] + shift[c], j]
+        np.not_equal(values, 0, out=keep[c, i])
+    keep &= inside[:, None]
+    indptr = np.zeros(len(base) * N + 1, dtype=np.int32)
+    np.cumsum(np.add.reduce(keep.view(np.int8), dtype=np.int32).T, out=indptr[1:])
+    step = max(1, BLOCK // max(1, keep[..., 0].size))
+    ends = [*range(0, len(base), step), len(base)]
+    blocks = [(slice(a, b), slice(indptr[a * N], indptr[b * N]), keep[..., a:b])
+              for a, b in zip(ends, ends[1:])]
+    data = np.empty(indptr[-1])
+    for rows, span, mask in blocks:
+        values = np.zeros(mask.shape)
+        for (o, j, i), v in slots.items():
+            values[pairs[o, j], i] = v.ravel()[rows]
+        data[span] = values.T[mask.T]
+    slots.clear()
+    indices = np.empty(len(data), dtype=np.int32)
+    for rows, span, mask in blocks:
+        col = rank[shift[:, None] + base[rows]] * N + pair_j[:, None]
+        indices[span] = np.broadcast_to(col[:, None], mask.shape).T[mask.T]
+    return sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1,) * 2), coupled.T
 
 
 def _band_lu(A, width=None):
-    """LU factorization of the entries of the sparse square matrix A within
+    """LU factorization of the entries of the square CSR matrix A within
     ``width`` of the diagonal (all of them by default), stored as one float32
     band (LAPACK sgbtrf, partial pivoting), its widths kl and ku read from
     those entries.  Returns the float64 solve x = A^-1 b (sgbtrs) to float32
     accuracy.  The band is divided by about its largest entry, b by its norm
     (0 stays 0) before the float32 casts, so that a large or small scale of
     A or b neither overflows nor underflows them."""
-    coo = A.tocoo(copy=False)
-    below, col, data = coo.row - coo.col, coo.col, coo.data
-    del coo  # frees its row indices before the band is allocated
-    if width is not None:
-        near = np.abs(below) <= width
-        below, col, data = below[near], col[near], data[near]
-    kl = int(below.max(initial=0))
-    ku = -int(below.min(initial=0))
+    def entries():
+        """(row - column, column, value) of the entries kept, BLOCK at a time."""
+        step = max(1, BLOCK * A.shape[0] // max(A.nnz, 1))
+        for start in range(0, A.shape[0], step):
+            rows = A.indptr[start:start + step + 1]
+            col, val = A.indices[rows[0]:rows[-1]], A.data[rows[0]:rows[-1]]
+            below = np.repeat(np.arange(start, start + len(rows) - 1,
+                                        dtype=col.dtype), np.diff(rows)) - col
+            near = slice(None) if width is None else np.abs(below) <= width
+            yield below[near], col[near], val[near]
+
+    kl, ku, top = np.max([(0, 0, 0.0)] + [
+        (below.max(initial=0), -below.min(initial=0), np.abs(val).max(initial=0.0))
+        for below, _, val in entries()], axis=0)
     # the least power of two above the largest entry: dividing by it is exact
-    size = math.ldexp(1.0, math.frexp(np.abs(data).max(initial=0.0))[1])
-    data = (data / size).astype(np.float32)
+    kl, ku, size = int(kl), int(ku), math.ldexp(1.0, math.frexp(top)[1])
     # Fortran order, so that sgbtrf factors this array in place
     band = np.zeros((2 * kl + ku + 1, A.shape[0]), dtype=np.float32, order="F")
-    below += kl + ku
-    band[below, col] = data
+    for below, col, val in entries():
+        band[below + (kl + ku), col] = (val / size).astype(np.float32)
     lu, piv, info = sgbtrf(band, kl, ku, overwrite_ab=1)
     # the band is well formed, so sgbtrf fails only at a zero pivot
     if info != 0:
@@ -620,9 +635,7 @@ def solve_system(system, tol=1e-10):
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must be in (0, 1), got {tol!r}")
-    A = system.matrix
-    grid = system.grid
-    b = system.b
+    A, grid, b = system.matrix, system.grid, system.b
     scale = float(np.linalg.norm(b)) or 1.0
     if grid.n == 2:
         method, solver = "direct", "banded LU"

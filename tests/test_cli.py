@@ -4,6 +4,7 @@ import concurrent.futures
 import io
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -459,6 +460,21 @@ def test_csv_writer_matches_formatting_cell_by_cell(table, block):
     assert out.getvalue() == expect
 
 
+def test_csv_writer_memory_stays_within_four_tables(tmp_path):
+    # the laplace3d field shape, every value distinct: formatting every
+    # distinct value once for the whole file took 11-13x of the table on a
+    # real laplace3d field and 33x on this one
+    table = np.random.default_rng(0).standard_normal((10625, 6))
+    with open(tmp_path / "field.csv", "w") as fh:
+        tracemalloc.start()
+        try:
+            _write_csv(fh, [f"c{j}" for j in range(6)], table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 4 * table.nbytes
+
+
 def test_solve_epsilon_flag(tmp_path, capsys):
     cfg = write_cfg(tmp_path, QUAD_CFG)
     out = tmp_path / "out"
@@ -580,6 +596,21 @@ def test_solver_error_line_shows_residual_history(tmp_path, capsys):
     assert err["error"] == "solver"
     history = err["residual_history"]
     assert len(history) > 0 and all(isinstance(v, float) for v in history)
+
+
+@pytest.mark.parametrize("n, gap", [(2, '"0.5*x1^2"'), (3, '"0.5*x1^2 + 0.5*x2^2"')])
+def test_operator_without_coefficients_is_a_solver_error(tmp_path, capsys, n, gap):
+    # every coefficient is 0, so assembly sums no stencil slot at all and
+    # A_II has no entry: the band LU meets a zero pivot, as for any
+    # singular system
+    cfg = write_cfg(tmp_path, f"[region]\nn = {n}\nepsilon = 0.1\nh1 = {gap}\n"
+                    f"h2 = \"0\"\n\n[operator]\nkind = custom\nN = 1\n"
+                    'A.1.1.1.1 = "0"\n\n[data]\ng_plus.1 = "1"\n\n'
+                    "[solver]\nnx = 9\nnt = 9\n")
+    code = main(["solve", "--config", cfg])
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert code == EXIT_SOLVER
+    assert err["error"] == "solver" and "zero pivot" in err["message"]
 
 
 def test_sweep_inconclusive_fit_exits_gate(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@
 run path and the C2 sampler and the L[u]-from-jets expansion had one copy
 each, so refactors of those paths cannot move the results.  Small grids keep
 this fast; every number must hold to 1e-12 relative, and the field CSVs of
-the two pinned solves byte for byte.  The values that the banded LU, the
+the pinned solves byte for byte.  The values that the banded LU, the
 interior assembly and each 3-D Krylov solver (last the BiCGSTAB on the
 column-block band LU, which moved the laplace3d report by at most 2.8e-12)
 moved by more than 1e-12 were re-recorded with them; ``test_solver_oracle``
@@ -119,6 +119,7 @@ CONFIGS = {
     "lame2d": QUAD.format(eps="epsilon = 0.1") + LAME
     + "\n[solver]\nnx = 17\nnt = 9\n",
     "laplace3d": QUAD3D,
+    "lame3d": QUAD3D.replace("\n[solver]", LAME + "\n[solver]"),
     "laplace2d_sweep": QUAD.format(eps="epsilons = 0.1,0.05,0.025")
     + "\n[solver]\nnx = 33\nnt = 17\n",
     "curved_lame": CURVED_LAME,
@@ -155,10 +156,12 @@ PINNED_SOLVE = {
 # with the 3-D BiCGSTAB, its acceptance on ||b_I - A_IB b_B|| and its start
 # from the column interpolant; both again with the float32 band LU
 # (test_solver_oracle holds every value of both files within 1e-9 of the
-# sparse-LU oracle)
+# sparse-LU oracle); lame3d recorded with the float32 band LU, before the
+# assembly kept one coefficient array per stencil slot
 PINNED_FIELD_CSV = {
     "lame2d": "23165e38591fa60122d106efbcab7eb5086738a74b0aa15d30cef19bd85b8e89",
     "laplace3d": "ecdfd1bce2ea0b16fb5f8c4371fb4805be8c03caf7420f3fab2d77fe6312ae94",
+    "lame3d": "58d48b9ddbf1fb07644402bdc8cb0f2b18c52115441bd3f5b6ae8e61ebaccbb3",
 }
 
 PINNED_SWEEP = {
