@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .mesh_solver import (MappedGrid, SolutionField, boundary_values,
+from .mesh_solver import (MappedGrid, SolutionField, _column_interpolant,
                           quadrature_weights, solve_dirichlet)
 
 __all__ = [
@@ -115,12 +115,13 @@ def gradient(solution):
     return GradientField(values=out, grid=grid)
 
 
-def correction_field(solution, data):
-    """w = u - utilde as a nodal field on the same grid, utilde the nodal
-    interpolant of mesh_solver.boundary_values.  w vanishes on the top and
-    bottom rows, and on the lateral columns under the utilde closure."""
-    ut = boundary_values(solution.grid, data).reshape(solution.values.shape)
-    return SolutionField(values=solution.values - ut, grid=solution.grid,
+def correction_field(solution):
+    """w = u - utilde as a nodal field on the same grid, utilde the column
+    interpolant of u's rows t = 0 and t = 1 (g- and g+).  w vanishes on
+    those rows, and on the lateral columns under the utilde closure."""
+    u = solution.values
+    w = u - _column_interpolant(u, solution.grid).reshape(u.shape)
+    return SolutionField(values=w, grid=solution.grid,
                          residual=solution.residual, method="derived")
 
 
@@ -241,7 +242,7 @@ def analyze_solution(solution, data, R0=0.25, grad_u=None):
     nd = grid.nd
     if grad_u is None:
         grad_u = gradient(solution)
-    w = correction_field(solution, data)
+    w = correction_field(solution)
     grad_w = gradient(w)
 
     cols = grid.tang[::grid.nt]

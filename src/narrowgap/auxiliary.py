@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import _sample_ball, vertical_coordinate, vertical_jets
+from .geometry import _SampleGrid, vertical_coordinate, vertical_jets
 from .operators import OperatorError, apply_operator_jets
 from .polynomial import PolynomialField
 
@@ -74,7 +74,7 @@ class BoundaryData:
         """
         if self._norms is not None:
             return self._norms
-        pts = _sample_ball(self.nd, 1.0, 513 if self.nd == 1 else 65)
+        pts = _SampleGrid(self.nd, 1.0, 513 if self.nd == 1 else 65).points
 
         def side(comps):
             parts = [g.c2_samples(lambda p: p.value_many(pts)) for g in comps]
@@ -251,7 +251,7 @@ def check_derivative_bounds(region, data):
     """
     mx, mt = BOUND_SAMPLES
     nd, n = region.nd, region.n
-    tang = _sample_ball(nd, region.r_solve, mx)
+    tang = _SampleGrid(nd, region.r_solve, mx).points
     shape = (mt, len(tang))
     t = np.linspace(0.0, 1.0, mt)[:, None]
     r2 = np.broadcast_to((tang**2).sum(axis=-1), shape)

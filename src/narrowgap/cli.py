@@ -40,7 +40,7 @@ from .geometry import GapProfile, GeometryError, NarrowRegion, validate_profile
 from .mesh_solver import MappedGrid, SolverError
 from .operators import (EllipticOperator, OperatorError, estimate_bounds,
                         estimate_ellipticity, make_builtin)
-from .polynomial import ExpressionError, PolynomialField, parse_expression
+from .polynomial import ExpressionError, parse_expression
 from .verification import convergence_study, manufactured_problem
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_expression",
@@ -140,8 +140,8 @@ def _choice(what, *options):
 # section -> key pattern -> (RunConfig field, parser).  Patterns are anchored
 # regexes.  A parser turns the raw text into the field's value, or raises a
 # ConfigError naming the key as "[section] key"; an unset key keeps the
-# RunConfig default.  op_params holds the [operator] keys besides kind by
-# name, g_plus_texts / g_minus_texts the [data] traces by component.
+# RunConfig default.  [operator] keys besides kind go to op_params and name
+# the kind that reads them; [data] keys go to traces and name their side.
 CONFIG_SCHEMA = {
     "region": {
         "n": ("n", _int),
@@ -154,20 +154,20 @@ CONFIG_SCHEMA = {
     },
     "operator": {
         "kind": ("op_kind", _choice("operator kind", "laplace", "lame", "custom")),
-        "mu": ("op_params", _float),
-        "lam": ("op_params", _float),
-        "N": ("op_params", _int),
-        r"A\.\d+\.\d+\.\d+\.\d+": ("op_params", _text),
-        r"B\.\d+\.\d+\.\d+": ("op_params", _text),
-        r"C\.\d+\.\d+\.\d+": ("op_params", _text),
-        r"D\.\d+\.\d+": ("op_params", _text),
-        "lambda": ("op_params", _float),
-        "Lambda": ("op_params", _float),
-        "kappa2": ("op_params", _float),
+        "mu": ("lame", _float),
+        "lam": ("lame", _float),
+        "N": ("custom", _int),
+        r"A\.\d+\.\d+\.\d+\.\d+": ("custom", _text),
+        r"B\.\d+\.\d+\.\d+": ("custom", _text),
+        r"C\.\d+\.\d+\.\d+": ("custom", _text),
+        r"D\.\d+\.\d+": ("custom", _text),
+        "lambda": ("custom", _float),
+        "Lambda": ("custom", _float),
+        "kappa2": ("custom", _float),
     },
     "data": {
-        r"g_plus\.\d+": ("g_plus_texts", _text),
-        r"g_minus\.\d+": ("g_minus_texts", _text),
+        r"g_plus\.\d+": ("g_plus", _text),
+        r"g_minus\.\d+": ("g_minus", _text),
     },
     "solver": {
         "nx": ("nx", _nodes),
@@ -185,14 +185,6 @@ CONFIG_SCHEMA = {
                             _choice("lateral_closure", "utilde", "constant")),
         "seed": ("seed", _int),
     },
-}
-
-
-# [operator] key patterns each kind reads besides kind; any other key is an error
-OPERATOR_KEYS = {
-    "laplace": (),
-    "lame": ("mu", "lam"),
-    "custom": ("N", r"[ABCD]\..*", "lambda", "Lambda", "kappa2"),
 }
 
 
@@ -244,8 +236,7 @@ class RunConfig:
     op_params: dict = dc_field(default_factory=lambda: {
         "mu": 1.0, "lam": 1.0, "N": 1, "lambda": 1.0, "Lambda": 1.0,
         "kappa2": 1.0})
-    g_plus_texts: list = dc_field(default_factory=list)
-    g_minus_texts: list = dc_field(default_factory=list)
+    traces: dict = dc_field(default_factory=dict)  # {("g_plus", 1): text, ...}
     nx: int = NX_BASE
     nt: int = 33
     tol: float = 1e-10
@@ -283,14 +274,12 @@ class RunConfig:
                             lame_lambda=self.op_params["lam"])
 
     def _custom_operator(self):
-        n = self.n
-        N = self.ncomp
-        zero = PolynomialField.zero(n)
-        A = np.full((N, N, n, n), zero, dtype=object)
-        B = np.full((N, N, n), zero, dtype=object)
-        Cc = np.full((N, N, n), zero, dtype=object)
-        D = np.full((N, N), zero, dtype=object)
-        tensors = {"A": A, "B": B, "C": Cc, "D": D}
+        n, N = self.n, self.ncomp
+        op = EllipticOperator(n=n, N=N, A=None,
+                              lambda_claim=self.op_params["lambda"],
+                              Lambda_claim=self.op_params["Lambda"],
+                              kappa2_claim=self.op_params["kappa2"])
+        tensors = {"A": op.A, "B": op.B, "C": op.Cc, "D": op.D}
         for key, text in self.op_params.items():
             if not isinstance(text, str):
                 continue
@@ -302,25 +291,15 @@ class RunConfig:
                 raise ConfigError(f"[operator] {key}: indices must be i, j in 1..{N}"
                                   f" and a, b in 1..{n}")
             tensor[idx] = tensor[idx] + parse_expression(text, nvars=n)
-        return EllipticOperator(
-            n=n, N=N, A=A, B=B, Cc=Cc, D=D,
-            lambda_claim=self.op_params["lambda"],
-            Lambda_claim=self.op_params["Lambda"],
-            kappa2_claim=self.op_params["kappa2"])
+        return op
 
     def data(self):
         nd = self.n - 1
-        zero = PolynomialField.zero(nd)
-        gp = [zero] * self.ncomp
-        gm = [zero] * self.ncomp
-        for l, text in enumerate(self.g_plus_texts):
-            if text is not None:
-                gp[l] = parse_expression(text, nvars=nd)
-        for l, text in enumerate(self.g_minus_texts):
-            if text is not None:
-                gm[l] = parse_expression(text, nvars=nd)
+        gp, gm = ([parse_expression(self.traces.get((side, l), "0"), nvars=nd)
+                   for l in range(1, self.ncomp + 1)]
+                  for side in ("g_plus", "g_minus"))
         try:
-            return BoundaryData(g_plus=tuple(gp), g_minus=tuple(gm))
+            return BoundaryData(g_plus=gp, g_minus=gm)
         except ValueError as exc:  # e.g. a trace above MAX_DATA_DEGREE
             raise ConfigError(f"[data] {exc}") from exc
 
@@ -342,32 +321,25 @@ def load_config(path):
         raise ConfigError("[region] must define h1 and h2")
     if "epsilon" in region and "epsilons" in region:
         raise ConfigError("[region] defines both epsilon and epsilons")
+    if region.get("n", RunConfig.n) not in (2, 3):
+        raise ConfigError(f"[region] n must be 2 or 3, got {region['n']}")
+    kind = sections.get("operator", {}).get("kind", RunConfig.op_kind)
     cfg = RunConfig()
     for section, values in sections.items():
         for key, value in values.items():
             field = _field(section, key)[0]
-            if field == "op_params":
+            if section == "data":
+                cfg.traces[field, int(key.split(".")[1])] = value
+            elif section == "operator" and key != "kind":
+                if field != kind:
+                    raise ConfigError(f"[operator] {key} does not apply to kind = {kind}")
                 cfg.op_params[key] = value
-            elif section != "data":
+            else:
                 setattr(cfg, field, value)
-    if cfg.n not in (2, 3):
-        raise ConfigError(f"[region] n must be 2 or 3, got {cfg.n}")
-    for key in sections.get("operator", {}):
-        if key != "kind" and not any(re.fullmatch(pat, key)
-                                     for pat in OPERATOR_KEYS[cfg.op_kind]):
-            raise ConfigError(f"[operator] {key} does not apply to kind = {cfg.op_kind}")
-
-    data = sections.get("data", {})
-    index = {key: int(key.split(".")[1]) for key in data}
-    for key, l in index.items():
-        if not 1 <= l <= cfg.ncomp:
+    for key in sections.get("data", {}):
+        if not 1 <= int(key.split(".")[1]) <= cfg.ncomp:
             raise ConfigError(f"[data] {key}: component index must be 1..{cfg.ncomp} "
                               f"for the {cfg.op_kind} operator")
-    ncomp = max(index.values(), default=0)
-    cfg.g_plus_texts = [None] * ncomp
-    cfg.g_minus_texts = [None] * ncomp
-    for key, text in data.items():
-        getattr(cfg, _field("data", key)[0])[index[key] - 1] = text
     return cfg
 
 

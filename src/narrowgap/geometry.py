@@ -105,10 +105,14 @@ class GapProfile:
         )
         sep_hess = self.separation().hessian_value((0.0,) * self.nd)
         min_eig = float(np.linalg.eigvalsh(sep_hess).min())
-        ball = _SampleGrid(self.nd, 1.0, SAMPLES_PER_DIM)
-        c2_h1, c2_h2 = (float(sum(h.c2_samples(ball.values))[ball.inside].max())
+        c2_h1, c2_h2 = (float(sum(h.c2_samples(self.ball.values))[self.ball.inside].max())
                         for h in (self.h1, self.h2))
         return origin_resid, min_eig, c2_h1, c2_h2
+
+    @cached_property
+    def ball(self):
+        """The unit-ball _SampleGrid that validate_profile samples."""
+        return _SampleGrid(self.nd, 1.0, SAMPLES_PER_DIM)
 
 
 @dataclass(frozen=True)
@@ -183,19 +187,6 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
-def _tangential_box(nd, r, m):
-    """Regular sample grid on the box [-r, r]^nd, shape (m^nd, nd)."""
-    axis = np.linspace(-r, r, m)
-    if nd == 1:
-        return axis[:, None]
-    xx = np.meshgrid(*([axis] * nd), indexing="ij")
-    return np.stack([a.ravel() for a in xx], axis=-1)
-
-
-def _ball_mask(points, r):
-    return (points**2).sum(axis=-1) <= r**2 + 1e-12
-
-
 def vertical_coordinate(region, points):
     """(x', t) of the physical points (..., n): the tangential part and
     t = (x_n - bottom(x'))/delta(x')."""
@@ -247,12 +238,6 @@ def vertical_jets(region, tang, t):
     return stack(grad), np.stack([stack(row) for row in hess])
 
 
-def _sample_ball(nd, r, m):
-    """The points of the m^nd sample grid of [-r, r]^nd inside the r-ball."""
-    pts = _tangential_box(nd, r, m)
-    return pts[_ball_mask(pts, r)]
-
-
 class _SampleGrid:
     """The m^nd sample grid of [-r, r]^nd, kept as the tensor product of
     one axis.
@@ -260,17 +245,20 @@ class _SampleGrid:
     ``values(p)`` evaluates a polynomial on the whole grid as a sum of outer
     products of the per-axis powers axis**k, computed once, so a monomial
     costs one outer product instead of one power per point and variable.
-    Its shape is (m,) * nd; ravelled it is in the order of
-    ``_tangential_box(nd, r, m)``.  ``radius_sq`` is |x'|^2 and ``inside``
-    the mask of the r-ball (as ``_ball_mask``) on the same grid.
+    Its shape is (m,) * nd.  ``radius_sq`` is |x'|^2, ``inside`` the mask
+    of the r-ball and ``points`` (made when read) its points in C order.
     """
 
     def __init__(self, nd, r, m):
-        axis = np.linspace(-r, r, m)
-        self.powers = [axis**k for k in range(MAX_PROFILE_DEGREE + 1)]
+        self.axes = [np.linspace(-r, r, m)] * nd
+        self.powers = [self.axes[0]**k for k in range(MAX_PROFILE_DEGREE + 1)]
         self.radius_sq = (self.powers[2] if nd == 1
                           else np.add.outer(self.powers[2], self.powers[2]))
         self.inside = self.radius_sq <= r**2 + 1e-12
+
+    @cached_property
+    def points(self):
+        return np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1)[self.inside]
 
     def _term(self, expo, c):
         mono = self.powers[expo[0]]
@@ -334,14 +322,13 @@ def validate_profile(region, allow_degenerate=False):
         )
     )
 
-    ball = _SampleGrid(prof.nd, 1.0, SAMPLES_PER_DIM)
-    widths = ball.values(region.delta_poly)
-    min_width = float(widths[ball.inside].min())
+    widths = prof.ball.values(region.delta_poly)
+    min_width = float(widths[prof.ball.inside].min())
     if min_width <= 0:
         raise GeometryError(f"gap closes on the unit ball (min width {min_width:g})")
     report.checks.append(CheckResult("positive_gap", True, min_width, 0.0))
 
-    box, box_widths = ball, widths
+    box, box_widths = prof.ball, widths
     if region.r_solve != 1.0:
         box = _SampleGrid(prof.nd, region.r_solve, SAMPLES_PER_DIM)
         box_widths = box.values(region.delta_poly)

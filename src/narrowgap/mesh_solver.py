@@ -30,9 +30,9 @@ factors all of A_II, and refinement with float64 residuals restores float64
 accuracy; where that stalls above tol, BiCGSTAB preconditioned by the same
 LU goes on.  In 3-D BiCGSTAB solves A_II, right-preconditioned by the band
 LU of the vertical column blocks: no restart and no coarse level.  It starts
-from the column interpolant utilde, linear in t between each column's
-boundary values, which carries the 1/eps gradient of the solution u =
-utilde + w, so the iterations only have to find the bounded correction w.
+from the column interpolant utilde (_column_interpolant, the one code path
+for it), linear in t between each column's boundary values: it carries the
+1/eps gradient of u = utilde + w, so the iterations only find the bounded w.
 """
 
 from __future__ import annotations
@@ -233,7 +233,7 @@ class LinearSystem:
     unknowns in (tangential column, t, component) order."""
     matrix: sp.csr_matrix  # A_II
     b: np.ndarray          # b_I - A_IB b_B
-    bc: np.ndarray         # b_B, the boundary values
+    bc: np.ndarray         # (N, nodes) as given to assemble, b_B on the boundary
     grid: MappedGrid
     N: int
 
@@ -282,25 +282,33 @@ def _face_geometry(grid, a):
 def boundary_values(grid, data, lateral_closure="utilde"):
     """The interpolant utilde = g- + t*(g+ - g-) of the traces at every node,
     shape (N, nodes), with g+ and g- evaluated once per tangential column.
+    The vertical coordinate makes it linear in t, so it is exact up to rounding.
 
-    The vertical coordinate makes the interpolant linear in t, so this is
-    exact up to rounding, and its rows t = 0 and t = 1 are exactly g- and g+.
-    On the lateral columns between those rows the closure applies: ``utilde``
-    keeps the interpolant, ``constant`` takes the vertical average
-    (g+ + g-)/2.  assemble reads the boundary nodes only; the correction
-    field subtracts the whole array.
+    On the lateral columns between the rows t = 0 and t = 1 the closure
+    applies: ``utilde`` keeps the interpolant, ``constant`` takes the
+    vertical average (g+ + g-)/2.  assemble reads the boundary nodes only.
     """
     if lateral_closure not in ("utilde", "constant"):
         raise ValueError(f"unknown lateral closure {lateral_closure!r}")
     cols = grid.tang[::grid.nt]
-    gp = np.stack([g.value_many(cols) for g in data.g_plus])[..., None]
-    gm = np.stack([g.value_many(cols) for g in data.g_minus])[..., None]
-    ut = gm + grid.axes[grid.nd] * (gp - gm)
+    gm, gp = (np.stack([g.value_many(cols) for g in side])
+              for side in (data.g_minus, data.g_plus))
+    ut = _column_interpolant(np.stack([gm, gp], axis=-1), grid)
     if lateral_closure == "constant":
         lateral = grid.lateral_mask[::grid.nt]
-        ut[:, lateral] = 0.5 * (gp + gm)[:, lateral]
-    ut[..., 0], ut[..., -1] = gm[..., 0], gp[..., 0]
+        ut[:, lateral, 1:-1] = 0.5 * (gp + gm)[:, lateral, None]
     return ut.reshape(data.N, grid.nodes)
+
+
+def _column_interpolant(values, grid):
+    """bottom + t*(top - bottom), shape (N, columns, nt), between the first
+    (t = 0) and last (t = 1) entry of each column of ``values``: a nodal
+    field, (N, nodes) or (N, *dims), or those two ends, (N, columns, 2).
+    Its rows t = 0 and t = 1 are the ends themselves, bit for bit."""
+    v = np.reshape(values, (len(values), grid.nodes // grid.nt, -1))
+    ut = v[..., :1] + grid.axes[grid.nd] * (v[..., -1:] - v[..., :1])
+    ut[..., 0], ut[..., -1] = v[..., 0], v[..., -1]
+    return ut
 
 
 def _derivative_stencil(e, a, c, h):
@@ -418,13 +426,12 @@ def assemble(op, grid, bc, source=None):
 
     del points, delta, dT, dX, W, terms, K  # the face arrays, before the split
     bc = np.asarray(bc, dtype=float).reshape(N, grid.nodes)
-    interior = grid.interior_mask
     src = np.zeros_like(bc) if source is None else np.asarray(source, dtype=float)
-    rhs = (jacobian * src.reshape(N, grid.nodes))[:, interior]
+    rhs = (jacobian * src.reshape(N, grid.nodes))[:, grid.interior_mask]
 
     matrix, coupled = _split_columns(slots, grid, bc.T)
-    return LinearSystem(matrix=matrix, b=(rhs.T - coupled).ravel(),
-                        bc=bc[:, ~interior].T.ravel(), grid=grid, N=N)
+    return LinearSystem(matrix=matrix, b=(rhs.T - coupled).ravel(), bc=bc,
+                        grid=grid, N=N)
 
 
 def _split_columns(slots, grid, bc):
@@ -587,22 +594,6 @@ def _bicgstab(A, b, M, atol, history, x0):
     return x, False
 
 
-def _column_interpolant(system):
-    """The interior unknowns of the column interpolant: in every interior
-    column, bottom + t*(top - bottom) between its boundary values at t = 0
-    and t = 1, read from ``system.bc`` alone.  For composed traces these are
-    the bits of boundary_values at the interior nodes."""
-    grid, N = system.grid, system.N
-    bc = system.bc.reshape(-1, N)
-    # boundary nodes are numbered in node order, as bc is
-    rank = np.cumsum(grid.boundary_mask) - 1
-    bottom = np.flatnonzero(~grid.lateral_mask[::grid.nt]) * grid.nt
-    lo = bc[rank[bottom]][:, None]
-    hi = bc[rank[bottom + grid.nt - 1]][:, None]
-    t = grid.axes[grid.nd][1:-1, None]
-    return (lo + t * (hi - lo)).ravel()
-
-
 def solve_system(system, tol=1e-10):
     """Solve the interior system A_II x_I = b, b = b_I - A_IB b_B.
 
@@ -619,9 +610,9 @@ def solve_system(system, tol=1e-10):
     a coupling across columns sits at least N*(nt-4) + 1 >= 5N + 1 away
     (nt >= 9, MappedGrid.check_nodes).  The mapped equation couples far more
     strongly in t than across columns, so those blocks carry most of the
-    operator.  BiCGSTAB starts from the column interpolant utilde
-    (``_column_interpolant``); the iteration count is 0 when utilde already
-    meets ``tol``, as on a flat gap with constant traces.
+    operator.  BiCGSTAB starts from the column interpolant utilde of
+    ``system.bc``; the iteration count is 0 when utilde already meets
+    ``tol``, as on a flat gap with constant traces.
 
     Returns the solution per component, boundary values included, with the
     relative residual ||b - A x|| / ||b|| on the system's own right-hand side
@@ -644,7 +635,8 @@ def solve_system(system, tol=1e-10):
     else:
         method, solver = "krylov", "BiCGSTAB"
         M = _band_lu(A, 2 * system.N - 1)
-        start, history = _column_interpolant(system), []
+        start = _column_interpolant(system.bc, grid).reshape(system.N, -1)
+        start, history = start[:, grid.interior_mask].T.ravel(), []
     # returns the start at once where it already meets tol
     x, _ = _bicgstab(A, b, M, tol * scale, history, start)
     history = [h / scale for h in history]
@@ -656,11 +648,10 @@ def solve_system(system, tol=1e-10):
             f"{tol:.3e}",
             residual_history=history,
         )
-    values = np.empty((grid.nodes, system.N))
-    values[grid.interior_mask] = x.reshape(-1, system.N)
-    values[grid.boundary_mask] = system.bc.reshape(-1, system.N)
+    values = system.bc.copy()
+    values[:, grid.interior_mask] = x.reshape(-1, system.N).T
     return SolutionField(
-        values=values.T.reshape((system.N,) + grid.dims), grid=grid,
+        values=values.reshape((system.N,) + grid.dims), grid=grid,
         residual=residual, method=method, iterations=len(history),
     )
 

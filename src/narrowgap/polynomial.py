@@ -506,6 +506,7 @@ def parse_expression(text, nvars=None):
     powers and parenthesized subexpressions.  Decimal literals become exact
     rationals (``0.5`` is one half, not the nearest float).  With
     ``nvars=None`` the variable count is inferred from the largest index used.
+    Too deep a nesting and a coefficient beyond the float range are errors.
 
     >>> parse_expression("0.5*x1^2 - 0.25*x1^4", 1).coefficient((2,))
     Fraction(1, 2)
@@ -518,4 +519,12 @@ def parse_expression(text, nvars=None):
         indices = [int(m) for m in re.findall(r"x(\d+)", text)]
         nvars = max(indices) if indices else 1
     parser = _Parser(text, nvars)
-    return parser.parse()
+    try:
+        poly = parser.parse()
+        for c in poly.terms.values():
+            float(c)  # OverflowError beyond the float range
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply", text, parser.pos) from None
+    except OverflowError:
+        raise ExpressionError("coefficient beyond the float range", text, 0) from None
+    return poly

@@ -107,7 +107,7 @@ def build_sweep(op):
         value, report = sweep_member(problem, region, metric="center_grad")
         grid = MappedGrid(region, sweep_grid(eps), NT)
         sol = solve_dirichlet(op, grid, data)
-        gw = gradient(correction_field(sol, data))
+        gw = gradient(correction_field(sol))
         F0_ratio = report.F_delta0 / eps**grid.nd
         se = math.sqrt(eps)
         Fx0_ratio = None

@@ -66,7 +66,7 @@ def test_gradient_of_linear_solution_is_exact(lap):
 def test_correction_vanishes_for_matched_linear_data(lap):
     data = BoundaryData((p1("x1"),), (p1("x1"),))
     reg, grid, _, sol = solve_case(lap, data=data)
-    w = correction_field(sol, data)
+    w = correction_field(sol)
     assert np.abs(w.values).max() < 1e-10
     assert energy(gradient(w)) < 1e-18
 
@@ -82,8 +82,23 @@ def test_correction_is_zero_on_the_boundary(kind, n, traces):
     gp, gm = ([parse_expression(t, nvars=n - 1) for t in side] for side in traces)
     data = BoundaryData(tuple(gp), tuple(gm))
     reg, grid, _, sol = solve_case(op, data=data, nx=17, nt=9)
-    w = correction_field(sol, data)
+    w = correction_field(sol)
     assert np.count_nonzero(w.values.reshape(op.N, -1)[:, grid.boundary_mask]) == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_correction_is_u_minus_the_interpolant_of_the_traces(n):
+    # under the constant closure the lateral boundary differs from utilde,
+    # but the end rows t = 0 and t = 1 still hold the traces exactly
+    op = make_builtin("lame", n=n)
+    gp = [parse_expression(t, nvars=n - 1) for t in ("1", "x1^2", "0.5")[:n]]
+    gm = [parse_expression(t, nvars=n - 1) for t in ("0", "0.25*x1", "x1")[:n]]
+    data = BoundaryData(gp, gm)
+    reg = NarrowRegion(n=n, epsilon=0.1, profile=quad_profile(n - 1))
+    grid = MappedGrid(reg, 17, 9)
+    sol = solve_dirichlet(op, grid, data, lateral_closure="constant")
+    ut = mesh_solver.boundary_values(grid, data).reshape(sol.values.shape)
+    assert np.array_equal(correction_field(sol).values, sol.values - ut)
 
 
 def test_centerline_constant_flat_gap_is_one(lap):
@@ -103,7 +118,7 @@ def test_energy_windows_nest(n):
     op = make_builtin("laplace", n=n)
     nx, nt = (33, 17) if n == 2 else (17, 9)
     reg, grid, data, sol = solve_case(op, nx=nx, nt=nt)
-    gw = gradient(correction_field(sol, data))
+    gw = gradient(correction_field(sol))
     center = np.zeros(n - 1)
     values = [energy(gw, window=(center, s)) for s in (0.05, 0.1, 0.2, 0.4)]
     assert 0 < values[0] and all(b > a for a, b in zip(values, values[1:]))
@@ -195,7 +210,7 @@ def test_column_constants_match_the_readme_formulas(kind, n, eps, nx, nt, traces
     data = BoundaryData(tuple(gp), tuple(gm))
     reg, grid, _, sol = solve_case(op, eps=eps, data=data, nx=nx, nt=nt)
     rep = analyze_solution(sol, data)
-    w = correction_field(sol, data)
+    w = correction_field(sol)
 
     x = grid.tang                                   # one row per node
     r = np.sqrt((x**2).sum(axis=-1))

@@ -81,7 +81,7 @@ def test_load_config_defaults(tmp_path):
     assert cfg.n == 2
     assert cfg.epsilons == [0.1]
     assert cfg.op_kind == "laplace"
-    assert cfg.g_plus_texts == ["1"] and cfg.g_minus_texts == ["0"]
+    assert cfg.traces == {("g_plus", 1): "1", ("g_minus", 1): "0"}
     assert cfg.nx == 45 and cfg.nt == 33
     assert cfg.metric == "center_grad"
     assert cfg.lateral_closure == "utilde"
@@ -206,6 +206,33 @@ def test_operator_key_the_kind_ignores_is_a_config_error(tmp_path, capsys, kind,
     assert err["error"] == "config"
     assert err["message"] == (f"[operator] {extra.split()[0]} does not apply "
                               f"to kind = {kind}")
+
+
+@pytest.mark.parametrize("N", [0, -1])
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_custom_operator_without_components_is_a_validation_error(tmp_path, capsys,
+                                                                  N, command):
+    text = QUAD_CFG.split("[data]")[0] + f"[operator]\nkind = custom\nN = {N}\n"
+    code = main([command, "--config", write_cfg(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == EXIT_VALIDATION
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err == {"error": "validation", "message": "N must be >= 1"}
+
+
+@pytest.mark.parametrize("command, old, new", [
+    ("validate", 'h1 = "0.5*x1^2"', 'h1 = "' + "(" * 400 + "0.5*x1^2" + ")" * 400 + '"'),
+    ("solve", 'g_plus.1 = "1"', 'g_plus.1 = "10^400"'),
+], ids=["nested", "overflow"])
+def test_expression_beyond_evaluation_is_a_config_error(tmp_path, capsys, command,
+                                                         old, new):
+    code = main([command, "--config", write_cfg(tmp_path, QUAD_CFG.replace(old, new))])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "config"
 
 
 @pytest.mark.parametrize("n", [1, 4])

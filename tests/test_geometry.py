@@ -142,24 +142,40 @@ def test_sample_grid_values_agree_with_value_many(poly, r, m):
     grid = geometry._SampleGrid(poly.nvars, r, m)
     on_grid = grid.values(poly)
     assert on_grid.shape == (m,) * poly.nvars
-    expected = poly.value_many(geometry._tangential_box(poly.nvars, r, m))
+    expected = poly.value_many(_box(poly.nvars, r, m))
     scale = np.abs(expected).max()
     assert np.abs(on_grid.ravel() - expected).max() <= 1e-14 * scale
 
 
+def _box(nd, r, m):
+    """The m^nd points of the regular grid of [-r, r]^nd in C order, shape
+    (m^nd, nd)."""
+    axes = np.meshgrid(*[np.linspace(-r, r, m)] * nd, indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=-1)
+
+
+def _ball(nd, r, m):
+    """The points of _box(nd, r, m) inside the r-ball, |x'|^2 <= r^2 + 1e-12."""
+    box = _box(nd, r, m)
+    return box[(box**2).sum(axis=-1) <= r**2 + 1e-12]
+
+
 def test_sample_grid_masks_the_ball():
-    grid = geometry._SampleGrid(2, 0.8, 33)
-    box = geometry._tangential_box(2, 0.8, 33)
-    np.testing.assert_array_equal(grid.radius_sq.ravel(), (box**2).sum(axis=-1))
-    np.testing.assert_array_equal(grid.inside.ravel(), geometry._ball_mask(box, 0.8))
+    for nd in (1, 2):
+        grid = geometry._SampleGrid(nd, 0.8, 33)
+        box = _box(nd, 0.8, 33)
+        inside = (box**2).sum(axis=-1) <= 0.8**2 + 1e-12
+        np.testing.assert_array_equal(grid.radius_sq.ravel(), (box**2).sum(axis=-1))
+        np.testing.assert_array_equal(grid.inside.ravel(), inside)
+        np.testing.assert_array_equal(grid.points, box[inside])
 
 
 def _point_cloud_validation(region, samples_per_dim=160, tol=1e-9):
     """The numbers of validate_profile computed on the points of the sample
     grid inside each ball, with value_many, and the checks that fail."""
     prof = region.profile
-    ball = geometry._sample_ball(prof.nd, 1.0, samples_per_dim)
-    box = geometry._sample_ball(prof.nd, region.r_solve, samples_per_dim)
+    ball = _ball(prof.nd, 1.0, samples_per_dim)
+    box = _ball(prof.nd, region.r_solve, samples_per_dim)
     c2_h1, c2_h2 = (float(sum(h.c2_samples(lambda p: p.value_many(ball))).max())
                     for h in (prof.h1, prof.h2))
     ratios = (region.delta_poly.value_many(box)

@@ -443,9 +443,9 @@ def test_assemble_shapes(reg, grid):
     assert system.unknowns == 2 * n_in
     assert system.matrix.shape == (2 * n_in, 2 * n_in)
     assert system.b.shape == (2 * n_in,)
-    # boundary values in (column, t, component) order
-    bc = boundary_values(grid, data)[:, grid.boundary_mask].T
-    assert np.array_equal(system.bc, bc.ravel())
+    # the nodal boundary values assemble was given
+    bc = boundary_values(grid, data)[:, grid.boundary_mask]
+    assert np.array_equal(system.bc[:, grid.boundary_mask], bc)
     # (column, t, component) order: a row reaches the next column's nodes
     # one level up, so kl = ku = N*(nt - 1) + N - 1
     coo = system.matrix.tocoo()

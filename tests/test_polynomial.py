@@ -57,6 +57,18 @@ def test_parse_rejects_malformed(bad):
         parse_expression(bad, nvars=2)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("(" * 400 + "x1" + ")" * 400, "nested too deeply"),
+    ("10^400", "beyond the float range"),
+    ("x2 - x1*10^200*10^200", "beyond the float range"),
+], ids=["nested", "power", "product"])
+def test_parse_rejects_what_evaluation_cannot_take(bad, message):
+    with pytest.raises(ExpressionError, match=message):
+        parse_expression(bad, nvars=2)
+    # a coefficient within the float range parses
+    assert float(parse_expression("10^300", nvars=2).coefficient((0, 0))) == 1e300
+
+
 def test_ring_operations_match_pointwise():
     p = parse_expression("x1^2 + 2*x2", nvars=2)
     q = parse_expression("x1*x2 - 3", nvars=2)
