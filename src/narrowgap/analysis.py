@@ -45,7 +45,6 @@ __all__ = [
     "sweep_member",
     "sweep_and_fit",
     "fit_rate",
-    "superposition_check",
 ]
 
 
@@ -433,14 +432,3 @@ def sweep_and_fit(problem, regions, metric="center_grad", jobs=1):
     fit = fit_rate([(r.epsilon, value) for r, (value, _) in zip(regions, results)])
     fit.reports = [report for _, report in results]
     return fit
-
-
-def superposition_check(op, data, grid, lateral_closure="utilde", tol=1e-10):
-    """Max-norm gap between the full solve and the sum of component solves."""
-    full = solve_dirichlet(op, grid, data, lateral_closure=lateral_closure, tol=tol)
-    total = np.zeros_like(full.values)
-    for l in range(data.N):
-        part = solve_dirichlet(op, grid, data.component(l),
-                               lateral_closure=lateral_closure, tol=tol)
-        total += part.values
-    return float(np.abs(full.values - total).max())

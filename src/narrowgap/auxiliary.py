@@ -1,4 +1,4 @@
-"""Auxiliary interpolant machinery: ubar, utilde, the source ftilde, bound shapes.
+"""Auxiliary interpolant machinery: ubar, utilde and the source ftilde.
 
 ubar is the vertical affine coordinate t = (x_n - bottom(x'))/delta(x'), 0 on
 the bottom boundary and 1 on the top one; utilde_l = g-_l + t (g+_l - g-_l)
@@ -7,32 +7,23 @@ is the source felt by the correction w = u - utilde.  Every jet is a float
 array: the closed-form jets of t (geometry.vertical_jets) carry the jets of a
 field given in (x', t) to physical space by one chain rule, so t_nn and the
 second vertical derivative of utilde are exactly zero.
-
-check_derivative_bounds measures, per inequality of the derivative-bound
-family, the smallest constant C that makes it hold over a sample cloud; the
-constants are the sweep-stability quantities the verification layer tracks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import _SampleGrid, vertical_coordinate, vertical_jets
 from .operators import OperatorError, apply_operator_jets
-from .polynomial import PolynomialField
+from .polynomial import MAX_DEGREE, PolynomialField
 
 __all__ = [
     "BoundaryData",
     "AuxiliaryEvaluator",
-    "BoundShapeReport",
     "chain_rule",
-    "check_derivative_bounds",
 ]
-
-MAX_DATA_DEGREE = 8
-BOUND_SAMPLES = (129, 9)  # tangential points per axis, vertical levels
 
 
 class BoundaryData:
@@ -54,48 +45,27 @@ class BoundaryData:
                 raise TypeError("boundary components must be PolynomialField")
             if g.nvars != nd:
                 raise ValueError("boundary components over mixed dimensions")
-            if g.degree() > MAX_DATA_DEGREE:
-                raise ValueError(f"boundary data degree {g.degree()} > {MAX_DATA_DEGREE}")
+            if g.degree() > MAX_DEGREE:
+                raise ValueError(f"boundary data degree {g.degree()} > {MAX_DEGREE}")
         self.g_plus = g_plus
         self.g_minus = g_minus
         self.N = len(g_plus)
         self.nd = nd
         self._mismatch = tuple(p - m for p, m in zip(g_plus, g_minus))
-        self._norms = None
 
     def mismatch_poly(self, l):
         return self._mismatch[l]
 
-    def norms(self):
-        """Per-component sampled norms on the unit ball.
-
-        Returns a dict with arrays of length N: c0 (sup |g|), c1 (sup |grad|),
-        c2 (sup |hess|_F), full (sup of the pointwise sum), for each side.
-        """
-        if self._norms is not None:
-            return self._norms
+    @cached_property
+    def _c2_norms(self):
         pts = _SampleGrid(self.nd, 1.0, 513 if self.nd == 1 else 65).points
-
-        def side(comps):
-            parts = [g.c2_samples(lambda p: p.value_many(pts)) for g in comps]
-            c0, c1, c2 = (np.array([part[k].max() for part in parts])
-                          for k in range(3))
-            full = np.array([sum(part).max() for part in parts])
-            return dict(c0=c0, c1=c1, c2=c2, full=full)
-
-        self._norms = {"plus": side(self.g_plus), "minus": side(self.g_minus)}
-        return self._norms
+        return {side: max(float(sum(g.c2_samples(lambda p: p.value_many(pts))).max())
+                          for g in comps)
+                for side, comps in (("plus", self.g_plus), ("minus", self.g_minus))}
 
     def c2_norm(self, side="plus"):
         """Vector C2 norm: max over components of sup(|g|+|grad g|+|hess g|)."""
-        return float(self.norms()[side]["full"].max())
-
-    def component(self, l):
-        """Data with all components except l zeroed (for split solves)."""
-        zero = PolynomialField.zero(self.nd)
-        gp = tuple(g if i == l else zero for i, g in enumerate(self.g_plus))
-        gm = tuple(g if i == l else zero for i, g in enumerate(self.g_minus))
-        return BoundaryData(gp, gm)
+        return self._c2_norms[side]
 
 
 def chain_rule(dU, d2U, grad_t, hess_t):
@@ -124,9 +94,8 @@ class AuxiliaryEvaluator:
     Points are physical, shape (..., n).  ubar = t is recomputed from them,
     utilde = g- + t (g+ - g-) and its jets come from the trace polynomials
     through chain_rule, and ftilde = -L[utilde] applies the operator to
-    those float jets.  They serve the derivative-bound checks and the tests;
-    the solver and the analysis take the nodal interpolant from
-    mesh_solver.boundary_values.
+    those float jets.  They serve the tests; the solver and the analysis
+    take the nodal interpolant from mesh_solver.boundary_values.
     """
 
     def __init__(self, region, data=None, op=None):
@@ -199,106 +168,3 @@ def _poly_jets(p, points):
     return (p.value_many(points), np.array([d.value_many(points) for d in grad]),
             np.array([[d.deriv(b).value_many(points) for b in range(p.nvars)]
                       for d in grad]))
-
-
-@dataclass
-class BoundShapeReport:
-    """Smallest constants making each derivative bound hold over the samples.
-
-    c24_residual and c210_residual are the measured sups of the identically
-    vanishing second vertical derivatives (should be rounding-level zero).
-    Constants are maxima over components and tangential directions.
-    """
-
-    epsilon: float
-    n_samples: int
-    c23: float = 0.0
-    c24_residual: float = 0.0
-    c26: float = 0.0
-    c27_lower: float = 0.0
-    c27_upper: float = 0.0
-    c28: float = 0.0
-    c29: float = 0.0
-    c210_residual: float = 0.0
-    per_component: list = field(default_factory=list)
-
-    def constants(self):
-        return {
-            "c23": self.c23, "c26": self.c26, "c27_lower": self.c27_lower,
-            "c27_upper": self.c27_upper, "c28": self.c28, "c29": self.c29,
-        }
-
-
-def _ratio_max(num, den, floor=1e-13):
-    """Max of num/den over samples where den is meaningfully positive."""
-    den = np.asarray(den)
-    num = np.asarray(num)
-    ok = den > floor * max(1.0, float(num.max(initial=0.0)))
-    if not ok.any():
-        return 0.0
-    return float((num[ok] / den[ok]).max())
-
-
-def check_derivative_bounds(region, data):
-    """Measure the derivative-bound constants for ubar and utilde.
-
-    The sample cloud is the 129^(n-1) tangential grid points inside the ball
-    |x'| <= r_solve, each crossed with 9 uniform levels through the gap.
-    Pointwise quantities use the closed-form jets of AuxiliaryEvaluator at
-    (x', t), every x'-only polynomial evaluated once per tangential point
-    and broadcast over the levels; the right-hand sides use the sampled
-    data norms.
-    """
-    mx, mt = BOUND_SAMPLES
-    nd, n = region.nd, region.n
-    tang = _SampleGrid(nd, region.r_solve, mx).points
-    shape = (mt, len(tang))
-    t = np.linspace(0.0, 1.0, mt)[:, None]
-    r2 = np.broadcast_to((tang**2).sum(axis=-1), shape)
-    r = np.sqrt(r2)
-    peak = region.epsilon + r2
-
-    ev = AuxiliaryEvaluator(region, data)
-    report = BoundShapeReport(epsilon=region.epsilon, n_samples=r.size)
-
-    # tang[None] keeps the derivative axes of every jet clear of the levels
-    ug, uh = vertical_jets(region, tang[None], t)
-    report.c23 = max(
-        _ratio_max(np.abs(ug[a]) * peak, r) for a in range(nd)
-    )
-    report.c24_residual = float(np.abs(uh[n - 1, n - 1]).max())
-
-    norms = data.norms()
-    _, grads, hesss = ev._utilde_jets_at(tang[None], t)
-    for l, (d1, d2) in enumerate(zip(grads, hesss)):
-        mm = np.broadcast_to(np.abs(data.mismatch_poly(l).value_many(tang)), shape)
-        n1 = float(norms["plus"]["c1"][l] + norms["minus"]["c1"][l])
-        n2 = float(norms["plus"]["c2"][l] + norms["minus"]["c2"][l])
-        tang_mag = np.sqrt(sum(d1[a] ** 2 for a in range(nd)))
-        comp = {}
-        comp["c26"] = _ratio_max(tang_mag, r / peak * mm + n1)
-        dn = np.abs(d1[n - 1])
-        comp["c27_upper"] = _ratio_max(dn * peak, mm)
-        comp["c27_lower"] = _ratio_max(mm, peak * dn)
-        c28 = 0.0
-        c29 = 0.0
-        for a in range(nd):
-            for b in range(nd):
-                c28 = max(c28, _ratio_max(
-                    np.abs(d2[a, b]),
-                    mm / peak + (r / peak + 1.0) * n1 + n2,
-                ))
-            c29 = max(c29, _ratio_max(
-                np.abs(d2[a, n - 1]),
-                r * mm / peak**2 + n1 / peak,
-            ))
-        c210 = float(np.abs(d2[n - 1, n - 1]).max())
-        comp["c28"], comp["c29"], comp["c210_residual"] = c28, c29, c210
-        report.per_component.append(comp)
-        report.c26 = max(report.c26, comp["c26"])
-        report.c27_lower = max(report.c27_lower, comp["c27_lower"])
-        report.c27_upper = max(report.c27_upper, comp["c27_upper"])
-        report.c28 = max(report.c28, c28)
-        report.c29 = max(report.c29, c29)
-        report.c210_residual = max(report.c210_residual, c210)
-    return report

@@ -142,6 +142,8 @@ def _choice(what, *options):
 # ConfigError naming the key as "[section] key"; an unset key keeps the
 # RunConfig default.  [operator] keys besides kind go to op_params and name
 # the kind that reads them; [data] keys go to traces and name their side.
+# An index is written without leading zeros, so that one index has one key.
+_INDEX = r"\.(?:0|[1-9]\d*)"
 CONFIG_SCHEMA = {
     "region": {
         "n": ("n", _int),
@@ -157,17 +159,17 @@ CONFIG_SCHEMA = {
         "mu": ("lame", _float),
         "lam": ("lame", _float),
         "N": ("custom", _int),
-        r"A\.\d+\.\d+\.\d+\.\d+": ("custom", _text),
-        r"B\.\d+\.\d+\.\d+": ("custom", _text),
-        r"C\.\d+\.\d+\.\d+": ("custom", _text),
-        r"D\.\d+\.\d+": ("custom", _text),
+        "A" + 4 * _INDEX: ("custom", _text),
+        "B" + 3 * _INDEX: ("custom", _text),
+        "C" + 3 * _INDEX: ("custom", _text),
+        "D" + 2 * _INDEX: ("custom", _text),
         "lambda": ("custom", _float),
         "Lambda": ("custom", _float),
         "kappa2": ("custom", _float),
     },
     "data": {
-        r"g_plus\.\d+": ("g_plus", _text),
-        r"g_minus\.\d+": ("g_minus", _text),
+        "g_plus" + _INDEX: ("g_plus", _text),
+        "g_minus" + _INDEX: ("g_minus", _text),
     },
     "solver": {
         "nx": ("nx", _nodes),
@@ -298,10 +300,7 @@ class RunConfig:
         gp, gm = ([parse_expression(self.traces.get((side, l), "0"), nvars=nd)
                    for l in range(1, self.ncomp + 1)]
                   for side in ("g_plus", "g_minus"))
-        try:
-            return BoundaryData(g_plus=gp, g_minus=gm)
-        except ValueError as exc:  # e.g. a trace above MAX_DATA_DEGREE
-            raise ConfigError(f"[data] {exc}") from exc
+        return BoundaryData(g_plus=gp, g_minus=gm)
 
     def sweep_problem(self):
         """The SweepProblem that solve and sweep run on each gated region."""
@@ -501,9 +500,11 @@ def cmd_sweep(cfg, args):
         eps_list = cfg.epsilons
     if len(eps_list) < 3:
         raise ConfigError("sweep needs at least 3 epsilons")
-    if len(set(eps_list)) < len(eps_list):
-        raise ConfigError("sweep epsilons must be distinct, got "
-                          + ",".join(f"{e:g}" for e in eps_list))
+    if len({_eps_tag(e) for e in eps_list}) < len(eps_list):
+        # each member writes report_eps<tag>.json, and the tag keeps the
+        # 6 significant digits of %g
+        raise ConfigError("sweep epsilons must be distinct in 6 significant "
+                          "digits, got " + ",".join(map(repr, eps_list)))
     regions = _gated_regions(cfg, sorted(eps_list, reverse=True))
     outdir = _out_dir(args)
     fit = sweep_and_fit(cfg.sweep_problem(), regions, cfg.metric, jobs=args.jobs)

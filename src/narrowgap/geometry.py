@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .polynomial import PolynomialField
+from .polynomial import MAX_DEGREE, PolynomialField
 
 __all__ = [
     "GeometryError",
@@ -37,7 +37,6 @@ __all__ = [
     "vertical_jets",
 ]
 
-MAX_PROFILE_DEGREE = 8
 # validate_profile samples the unit ball and the r_solve ball on this many
 # points per tangential axis, and allows the claimed kappa0 and kappa1 this
 # much slack
@@ -70,10 +69,8 @@ class GapProfile:
         if self.h1.nvars not in (1, 2):
             raise GeometryError("profiles are functions of 1 or 2 tangential variables")
         for name, h in (("h1", self.h1), ("h2", self.h2)):
-            if h.degree() > MAX_PROFILE_DEGREE:
-                raise GeometryError(
-                    f"{name} has degree {h.degree()} > {MAX_PROFILE_DEGREE}"
-                )
+            if h.degree() > MAX_DEGREE:
+                raise GeometryError(f"{name} has degree {h.degree()} > {MAX_DEGREE}")
             if h.constant_term() != 0:
                 raise GeometryError(f"{name}(0') must vanish exactly")
             if any(c != 0 for c in h.linear_coefficients()):
@@ -251,7 +248,7 @@ class _SampleGrid:
 
     def __init__(self, nd, r, m):
         self.axes = [np.linspace(-r, r, m)] * nd
-        self.powers = [self.axes[0]**k for k in range(MAX_PROFILE_DEGREE + 1)]
+        self.powers = [self.axes[0]**k for k in range(MAX_DEGREE + 1)]
         self.radius_sq = (self.powers[2] if nd == 1
                           else np.add.outer(self.powers[2], self.powers[2]))
         self.inside = self.radius_sq <= r**2 + 1e-12

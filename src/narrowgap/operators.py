@@ -31,7 +31,6 @@ __all__ = [
     "OperatorError",
     "make_builtin",
     "apply_operator_jets",
-    "apply_operator_poly",
     "estimate_ellipticity",
     "estimate_bounds",
 ]
@@ -219,22 +218,6 @@ def apply_operator_jets(op, jets, zero, coef=lambda p: p):
             acc = acc + coef(p) * entry
         out.append(acc)
     return out
-
-
-def apply_operator_poly(op, comps):
-    """Apply the operator exactly to a polynomial vector field.
-
-    comps is a length-N sequence of PolynomialField over the n space
-    variables; returns the length-N list L[u]^i, each an exact polynomial.
-    """
-    if len(comps) != op.N:
-        raise OperatorError(f"field has {len(comps)} components, operator wants {op.N}")
-    jets = []
-    for c in comps:
-        c = _as_poly(op.n, c)
-        grad = c.grad()
-        jets.append((c, grad, [g.grad() for g in grad]))
-    return apply_operator_jets(op, jets, PolynomialField.zero(op.n))
 
 
 # ---------------------------------------------------------------------------

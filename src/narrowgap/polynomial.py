@@ -21,6 +21,10 @@ import numpy as np
 
 __all__ = ["PolynomialField", "RationalField", "ExpressionError", "parse_expression"]
 
+# the highest total degree of an input polynomial: a parsed expression, a gap
+# profile, a trace; the arithmetic of PolynomialField itself has no cap
+MAX_DEGREE = 8
+
 
 def _as_fraction(c):
     if isinstance(c, Fraction):
@@ -441,22 +445,37 @@ class _Parser:
             else:
                 return poly
 
+    def cap(self, degree, start):
+        """Refuse a product or power above MAX_DEGREE before it is expanded,
+        so that a short input such as 0*(1+x1)^3000 cannot stall the parse."""
+        if degree > MAX_DEGREE:
+            self.pos = start
+            self.error(f"degree {degree} > {MAX_DEGREE}")
+
     def term(self):
+        self.skip_ws()
+        start = self.pos
         poly = self.factor()
         while self.take("*"):
-            poly = poly * self.factor()
+            other = self.factor()
+            self.cap(poly.degree() + other.degree(), start)
+            poly = poly * other
         return poly
 
     def factor(self):
+        self.skip_ws()
+        start = self.pos
         poly = self.atom()
         while self.take("^"):
             self.skip_ws()
-            start = self.pos
+            digits = self.pos
             while self.pos < len(self.text) and self.text[self.pos].isdigit():
                 self.pos += 1
-            if self.pos == start:
+            if self.pos == digits:
                 self.error("expected integer exponent after '^'")
-            poly = poly ** int(self.text[start : self.pos])
+            k = int(self.text[digits : self.pos])
+            self.cap(poly.degree() * k, start)
+            poly = poly ** k
         return poly
 
     def atom(self):
@@ -506,7 +525,8 @@ def parse_expression(text, nvars=None):
     powers and parenthesized subexpressions.  Decimal literals become exact
     rationals (``0.5`` is one half, not the nearest float).  With
     ``nvars=None`` the variable count is inferred from the largest index used.
-    Too deep a nesting and a coefficient beyond the float range are errors.
+    Too deep a nesting, a product or power above MAX_DEGREE and a coefficient
+    beyond the float range are errors.
 
     >>> parse_expression("0.5*x1^2 - 0.25*x1^4", 1).coefficient((2,))
     Fraction(1, 2)

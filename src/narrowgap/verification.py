@@ -131,25 +131,15 @@ class ManufacturedProblem:
             hesss.append(hess)
         return np.array(vals), np.array(grads), np.array(hesss)
 
-    def values(self, points):
-        return self.jets(points)[0]
-
-    def source(self, points):
-        """f* = L u* evaluated exactly at physical points."""
-        pts = np.asarray(points, dtype=float)
-        return self._source(pts, self.jets(pts))
-
-    def _source(self, pts, jets):
-        return np.array(apply_operator_jets(self.op, list(zip(*jets)), np.zeros(len(pts)),
-                                            lambda p: p.value_many(pts)))
-
     def nodal_fields(self, grid):
         """(u*, f*) at the grid nodes, shapes (N, *dims), from one
-        evaluation of the jets."""
+        evaluation of the jets; f* = L u* is exact up to rounding."""
         pts = np.asarray(grid.points, dtype=float)
         jets = self.jets(pts)
+        source = np.array(apply_operator_jets(self.op, list(zip(*jets)), np.zeros(len(pts)),
+                                              lambda p: p.value_many(pts)))
         shape = (len(self.fields),) + grid.dims
-        return jets[0].reshape(shape), self._source(pts, jets).reshape(shape)
+        return jets[0].reshape(shape), source.reshape(shape)
 
 
 def manufactured_problem(op, region, u_star_spec):

@@ -69,6 +69,23 @@ def mismatch_data(op):
     return BoundaryData(gp, (zero,) * op.N)
 
 
+def component(data, l):
+    """``data`` with every component but l zeroed, for split solves."""
+    zero = PolynomialField.zero(data.nd)
+    return BoundaryData(*(tuple(g if i == l else zero for i, g in enumerate(side))
+                          for side in (data.g_plus, data.g_minus)))
+
+
+def superposition_gap(op, data, grid, lateral_closure="utilde", tol=1e-10):
+    """Max-norm gap between the full solve and the sum of the component solves."""
+    def solve(d):
+        return solve_dirichlet(op, grid, d, lateral_closure=lateral_closure,
+                               tol=tol).values
+
+    total = sum(solve(component(data, l)) for l in range(data.N))
+    return float(np.abs(solve(data) - total).max())
+
+
 def midline_profile_max(solution, data, region, radius=R0):
     """max over |x'| <= radius of (eps+|x'|^2)|d_n u(x', mid)| / |mismatch|."""
     grid = solution.grid

@@ -24,13 +24,12 @@ from narrowgap import (
     parse_expression,
     quadrature_weights,
     solve_dirichlet,
-    superposition_check,
     sweep_grid,
     sweep_and_fit,
     sweep_member,
 )
 
-from conftest import flat_profile, mismatch_data, p1, quad_profile
+from conftest import flat_profile, mismatch_data, p1, quad_profile, superposition_gap
 
 
 @pytest.fixture(scope="module")
@@ -357,7 +356,7 @@ def test_report_scales_linearly_with_data(lap):
 def test_superposition_zero_for_single_component(lap):
     reg = NarrowRegion(n=2, epsilon=0.1, profile=quad_profile())
     grid = MappedGrid(reg, 17, 9)
-    disc = superposition_check(lap, mismatch_data(lap), grid)
+    disc = superposition_gap(lap, mismatch_data(lap), grid)
     assert disc < 1e-11
 
 

@@ -235,6 +235,55 @@ def test_expression_beyond_evaluation_is_a_config_error(tmp_path, capsys, comman
     assert err["error"] == "config"
 
 
+@pytest.mark.parametrize("command, key, expr", [
+    ("validate", "h1", "0.5*x1^2 + x1^9"),
+    ("solve", "h1", "0.5*x1^2 + x1^9"),
+    ("validate", "h1", "0.5*x1^2 + 0*(1+x1)^3000"),
+    ("solve", "h1", "0.5*x1^2 + 0*(1+x1)^3000"),
+    ("solve", "g_plus.1", "0*(1+x1)^3000"),   # validate reads no trace
+    ("validate", "A.1.1.1.1", "1 + x1^5*x2^4"),
+    ("solve", "A.1.1.1.1", "1 + x1^5*x2^4"),
+], ids=["profile-validate", "profile-solve", "profile_power-validate",
+        "profile_power-solve", "trace_power-solve", "coefficient-validate",
+        "coefficient-solve"])
+def test_expression_above_the_degree_cap_is_a_config_error(tmp_path, capsys, command,
+                                                            key, expr):
+    # a profile above degree 8 was a validation error (exit 2), and a power
+    # was expanded before its degree was checked
+    base = QUAD_CFG + CUSTOM_1D if key.startswith("A") else QUAD_CFG
+    text = re.sub(rf"^{re.escape(key)} = .*$", f'{key} = "{expr}"', base, flags=re.M)
+    assert text != base
+    code = main([command, "--config", write_cfg(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "config" and " > 8 at position" in err["message"]
+
+
+@pytest.mark.parametrize("text", [
+    QUAD_CFG + 'g_plus.01 = "2"\n',
+    QUAD_CFG + 'g_minus.001 = "2"\n',
+    QUAD_CFG + CUSTOM_1D + '[operator]\nA.01.1.1.1 = "1"\n',
+    QUAD_CFG + CUSTOM_1D + '[operator]\nA.1.1.2.02 = "1"\n',
+    QUAD_CFG + CUSTOM_1D + '[operator]\nB.1.01.1 = "1"\n',
+    QUAD_CFG + CUSTOM_1D + '[operator]\nC.1.1.01 = "1"\n',
+    QUAD_CFG + CUSTOM_1D + '[operator]\nD.01.1 = "1"\n',
+], ids=["g_plus", "g_minus", "A_first", "A_last", "B", "C", "D"])
+@pytest.mark.parametrize("command", ["validate", "solve"])
+def test_index_with_leading_zeros_is_an_unknown_key(tmp_path, capsys, text, command):
+    # g_plus.01 silently replaced g_plus.1, and A.01.1.1.1 was added to
+    # A.1.1.1.1, so that A[0, 0, 0, 0] read 2
+    cfg = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(cfg)
+    code = main([command, "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert json.loads(captured.err.strip())["error"] == "config"
+
+
 @pytest.mark.parametrize("n", [1, 4])
 def test_unsupported_dimension_is_a_config_error(tmp_path, capsys, n):
     cfg = write_cfg(tmp_path, QUAD_CFG.replace("n = 2", f"n = {n}"))
@@ -685,6 +734,25 @@ def test_sweep_repeated_epsilon_is_a_config_error_before_any_solve(
     assert err["error"] == "config"
     assert "distinct" in err["message"]
     assert solves == []
+
+
+def test_sweep_epsilons_with_one_file_tag_are_a_config_error_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # 0.05000001 and 0.05 both write report_eps0p05.json: the sweep wrote
+    # three reports for the four points of its ratefit.json
+    solves = []
+    monkeypatch.setattr(mesh_solver, "solve_system",
+                        lambda *a, **kw: solves.append(a) or pytest.fail("solved"))
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", write_cfg(tmp_path, QUAD_CFG),
+                 "--epsilons", "0.1,0.05000001,0.05,0.025", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "config"
+    assert "0.05000001,0.05" in err["message"]
+    assert solves == [] and not out.exists()
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -25,7 +25,7 @@ from narrowgap.mesh_solver import (KRYLOV_MAX_ITERS, MappedGrid, _band_lu,
                                    _bicgstab, _face_geometry, _refine,
                                    assemble, solve_system)
 
-from conftest import flat_profile, p1, quad_profile
+from conftest import component, flat_profile, p1, quad_profile
 import solver_oracle as oracle
 from solver_oracle import _central_diff, _face_to_node_div
 
@@ -429,7 +429,7 @@ def test_component_split_matches_full_solve(reg, grid):
     zero = PolynomialField.zero(1)
     data = BoundaryData((p1("1"), zero), (zero, zero))
     full = solve_dirichlet(op, grid, data)
-    part = solve_dirichlet(op, grid, data.component(0))
+    part = solve_dirichlet(op, grid, component(data, 0))
     assert np.abs(full.values - part.values).max() < 1e-12
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrowgap.polynomial import (
+    MAX_DEGREE,
     ExpressionError,
     PolynomialField,
     RationalField,
@@ -67,6 +68,27 @@ def test_parse_rejects_what_evaluation_cannot_take(bad, message):
         parse_expression(bad, nvars=2)
     # a coefficient within the float range parses
     assert float(parse_expression("10^300", nvars=2).coefficient((0, 0))) == 1e300
+
+
+@pytest.mark.parametrize("bad, degree", [
+    ("0*(1+x1)^3000", 3000),    # expanding it first took about a minute
+    ("x1^9", 9),
+    ("(x1^2)^5", 10),
+    ("x1^5*x2^4", 9),
+    ("1 + x1*x2^4*(x1 + 1)^4", 9),
+], ids=["zero_times_power", "power", "power_of_power", "product", "nested"])
+def test_parse_refuses_a_degree_above_the_cap_before_expanding(bad, degree):
+    with pytest.raises(ExpressionError, match=f"degree {degree} > {MAX_DEGREE}"):
+        parse_expression(bad, nvars=2)
+
+
+def test_degree_cap_admits_degree_8_and_leaves_arithmetic_uncapped():
+    assert MAX_DEGREE == 8
+    for text in ("x1^8", "(x1^2)^4", "x1^4*x2^4", "0*x1^8*x2^8", "(x1 - x1)^100",
+                 "2^100"):
+        assert parse_expression(text, nvars=2).degree() <= MAX_DEGREE
+    x1 = parse_expression("x1", nvars=1)
+    assert (x1**5 * x1**5).degree() == 10
 
 
 def test_ring_operations_match_pointwise():
