@@ -121,7 +121,7 @@ def correction_field(solution):
     u = solution.values
     w = u - _column_interpolant(u, solution.grid).reshape(u.shape)
     return SolutionField(values=w, grid=solution.grid,
-                         residual=solution.residual, method="derived")
+                         residual=solution.residual)
 
 
 def _mismatch_norms(data, tang):

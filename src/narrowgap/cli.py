@@ -560,7 +560,7 @@ def cmd_mms(cfg, args):
     op = cfg.operator()
     problem = manufactured_problem(op, region, _mms_spec(op))
     try:
-        study = convergence_study(problem, [(m, m) for m in sizes], tol=cfg.tol)
+        study = convergence_study(problem, sizes, tol=cfg.tol)
     except ValueError as exc:  # the grids do not increase; raised before a solve
         raise ConfigError(str(exc)) from None
     print("grid      err_inf        err_l2         order_inf order_l2")

@@ -100,7 +100,10 @@ class GapProfile:
             + sum(abs(c) for c in self.h1.linear_coefficients())
             + sum(abs(c) for c in self.h2.linear_coefficients())
         )
-        sep_hess = self.separation().hessian_value((0.0,) * self.nd)
+        # hess(h1 - h2)(0') from the degree-2 coefficients: 2c on the diagonal, c off it
+        sep, nd = self.separation(), self.nd
+        sep_hess = [[float(sep.coefficient([(i, j).count(k) for k in range(nd)]) * (1 + (i == j)))
+                     for j in range(nd)] for i in range(nd)]
         min_eig = float(np.linalg.eigvalsh(sep_hess).min())
         c2_h1, c2_h2 = (float(sum(h.c2_samples(self.ball.values))[self.ball.inside].max())
                         for h in (self.h1, self.h2))
@@ -154,10 +157,6 @@ class NarrowRegion:
     @cached_property
     def bottom_poly(self):
         return self.profile.h2 - Fraction(self.epsilon) / 2
-
-    @cached_property
-    def top_poly(self):
-        return self.profile.h1 + Fraction(self.epsilon) / 2
 
 
 @dataclass

@@ -247,7 +247,6 @@ class SolutionField:
     values: np.ndarray  # (N, *dims)
     grid: MappedGrid
     residual: float
-    method: str
     iterations: int = 0
 
     @property
@@ -629,11 +628,11 @@ def solve_system(system, tol=1e-10):
     A, grid, b = system.matrix, system.grid, system.b
     scale = float(np.linalg.norm(b)) or 1.0
     if grid.n == 2:
-        method, solver = "direct", "banded LU"
+        solver = "banded LU"
         M = _band_lu(A)
         start, history = _refine(A, b, M)
     else:
-        method, solver = "krylov", "BiCGSTAB"
+        solver = "BiCGSTAB"
         M = _band_lu(A, 2 * system.N - 1)
         start = _column_interpolant(system.bc, grid).reshape(system.N, -1)
         start, history = start[:, grid.interior_mask].T.ravel(), []
@@ -652,7 +651,7 @@ def solve_system(system, tol=1e-10):
     values[:, grid.interior_mask] = x.reshape(-1, system.N).T
     return SolutionField(
         values=values.reshape((system.N,) + grid.dims), grid=grid,
-        residual=residual, method=method, iterations=len(history),
+        residual=residual, iterations=len(history),
     )
 
 

@@ -15,6 +15,7 @@ parse_expression  recursive-descent parser for the config expression grammar
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,9 @@ __all__ = ["PolynomialField", "RationalField", "ExpressionError", "parse_express
 # the highest total degree of an input polynomial: a parsed expression, a gap
 # profile, a trace; the arithmetic of PolynomialField itself has no cap
 MAX_DEGREE = 8
+# the most bits the numerator or denominator of a parsed constant power may
+# have, so that a short input such as 1.5^10000000 cannot stall the parse
+MAX_POWER_BITS = 1 << 12
 
 
 def _as_fraction(c):
@@ -205,10 +209,6 @@ class PolynomialField:
     def grad(self):
         return [self.deriv(i) for i in range(self.nvars)]
 
-    def hessian(self):
-        g = self.grad()
-        return [[g[i].deriv(j) for j in range(self.nvars)] for i in range(self.nvars)]
-
     # -- evaluation --------------------------------------------------------
 
     def value(self, point):
@@ -248,13 +248,6 @@ class PolynomialField:
         # powers: (..., nterms, nvars) -> product over vars
         powers = pts[..., None, :] ** expos
         return (coefs * powers.prod(axis=-1)).sum(axis=-1)
-
-    def hessian_value(self, point):
-        h = self.hessian()
-        m = self.nvars
-        return np.array(
-            [[float(h[i][j].value(tuple(point))) for j in range(m)] for i in range(m)]
-        )
 
     def c2_samples(self, values):
         """|f|, |grad f| and the Frobenius norm |hess f|_F at a set of
@@ -467,16 +460,40 @@ class _Parser:
         start = self.pos
         poly = self.atom()
         while self.take("^"):
-            self.skip_ws()
-            digits = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == digits:
-                self.error("expected integer exponent after '^'")
-            k = int(self.text[digits : self.pos])
+            k = self.exponent(poly)
             self.cap(poly.degree() * k, start)
+            if poly.degree() == 0:
+                c = poly.constant_term()
+                # a lower bound on the bits of (p/q)^k, taken before computing it
+                if k * math.log2(max(abs(c.numerator), c.denominator)) > MAX_POWER_BITS:
+                    self.pos = start
+                    self.error(f"constant power above {MAX_POWER_BITS} bits")
             poly = poly ** k
         return poly
+
+    def digits(self):
+        """The digits at the cursor, leading zeros dropped ("0" if all are
+        zeros, "" if none), to be length-checked before int() sees them."""
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        text = self.text[start : self.pos]
+        return text.lstrip("0") or text[:1]
+
+    def exponent(self, base):
+        """The integer after '^'.  A power of 0, 1 or -1 needs only its
+        parity, and any other base refuses an exponent above MAX_POWER_BITS."""
+        self.skip_ws()
+        start = self.pos
+        digits = self.digits()
+        if not digits:
+            self.error("expected integer exponent after '^'")
+        if base.degree() <= 0 and base.constant_term() in (-1, 0, 1):
+            return 0 if digits == "0" else 2 - int(digits[-1]) % 2
+        if len(digits) > len(str(MAX_POWER_BITS)):
+            self.pos = start
+            self.error(f"exponent {digits} > {MAX_POWER_BITS}")
+        return int(digits)
 
     def atom(self):
         ch = self.peek()
@@ -489,17 +506,14 @@ class _Parser:
         if ch == "x":
             start = self.pos
             self.pos += 1
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if self.pos == dstart:
+            idx = self.digits()
+            if not idx:
                 self.pos = start
                 self.error("expected variable index after 'x'")
-            idx = int(self.text[dstart : self.pos])
-            if idx < 1 or idx > self.nvars:
+            if len(idx) > len(str(self.nvars)) or not 1 <= int(idx) <= self.nvars:
                 self.pos = start
                 self.error(f"undefined variable x{idx}")
-            return PolynomialField.variable(self.nvars, idx - 1)
+            return PolynomialField.variable(self.nvars, int(idx) - 1)
         if ch.isdigit() or ch == ".":
             start = self.pos
             while self.pos < len(self.text) and (
@@ -518,26 +532,20 @@ class _Parser:
         self.error(f"unexpected {ch!r}")
 
 
-def parse_expression(text, nvars=None):
+def parse_expression(text, nvars):
     """Parse a polynomial expression over variables x1..x{nvars}.
 
     Grammar: sums/differences of products of numbers, variables, integer
     powers and parenthesized subexpressions.  Decimal literals become exact
-    rationals (``0.5`` is one half, not the nearest float).  With
-    ``nvars=None`` the variable count is inferred from the largest index used.
-    Too deep a nesting, a product or power above MAX_DEGREE and a coefficient
-    beyond the float range are errors.
+    rationals (``0.5`` is one half, not the nearest float).  Too deep a
+    nesting, a product or power above MAX_DEGREE, a constant power above
+    MAX_POWER_BITS and a coefficient beyond the float range are errors.
 
     >>> parse_expression("0.5*x1^2 - 0.25*x1^4", 1).coefficient((2,))
     Fraction(1, 2)
     """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression", str(text), 0)
-    if nvars is None:
-        import re
-
-        indices = [int(m) for m in re.findall(r"x(\d+)", text)]
-        nvars = max(indices) if indices else 1
     parser = _Parser(text, nvars)
     try:
         poly = parser.parse()

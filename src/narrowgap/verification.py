@@ -1,15 +1,15 @@
 """Independent oracles: manufactured problems and grid-convergence studies.
 
-The manufactured fields are separable in the computational coordinates
-(x', t): each component is a sum of products of per-coordinate factors,
-polynomial in the tangential directions and polynomial or trigonometric in
-t.  Physical-space derivatives come from auxiliary.chain_rule through
-t = (x_n - bottom)/delta, whose jets geometry.vertical_jets gives in closed
-form, so the induced source f* = L u* is exact up to rounding.  A
-separate nested finite-difference application of the operator, working
-purely in physical coordinates with its own stencils, cross-checks f*
-without sharing any code with the assembly path.
-"""
+A manufactured field is its term-list spec: per component, a sum of
+coefficients times products of per-coordinate factors in the computational
+coordinates (x', t), each factor a polynomial or a sine or cosine wave.
+The factors' jets are closed form, and physical-space derivatives come
+from auxiliary.chain_rule through t = (x_n - bottom)/delta, whose jets
+geometry.vertical_jets gives in closed form, so the induced source
+f* = L u* is exact up to rounding.  A separate nested finite-difference
+application of the operator, working purely in physical coordinates with
+its own stencils, cross-checks f* without sharing any code with the
+assembly path."""
 
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ from .mesh_solver import MappedGrid, assemble, quadrature_weights, solve_system
 from .operators import apply_operator_jets
 
 __all__ = [
-    "Factor1D",
-    "SeparableField",
     "ManufacturedProblem",
     "ConvergenceStudy",
     "manufactured_problem",
@@ -34,99 +32,65 @@ __all__ = [
 ]
 
 
-class Factor1D:
-    """One factor of a separable field: polynomial coefficients (low order
-    first) or a trigonometric wave sin/cos(freq*s + phase).  Jets are closed
-    form through second order.
-    """
-
-    def __init__(self, kind, coeffs=None, freq=1.0, phase=0.0):
-        if kind not in ("poly", "sin", "cos"):
-            raise ValueError(f"unknown factor kind {kind!r}")
-        self.kind = kind
-        self.coeffs = tuple(float(c) for c in (coeffs or ()))
-        self.freq = float(freq)
-        self.phase = float(phase)
-
-    def jet(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "poly":
-            c = np.array(self.coeffs if self.coeffs else (0.0,))
-            d1 = np.polynomial.polynomial.polyder(c)
-            d2 = np.polynomial.polynomial.polyder(c, 2)
-            pv = np.polynomial.polynomial.polyval
-            return pv(s, c), pv(s, d1) if len(d1) else np.zeros_like(s), \
-                pv(s, d2) if len(d2) else np.zeros_like(s)
-        arg = self.freq * s + self.phase
-        w = self.freq
-        if self.kind == "sin":
-            return np.sin(arg), w * np.cos(arg), -w * w * np.sin(arg)
-        return np.cos(arg), -w * np.sin(arg), -w * w * np.cos(arg)
-
-
-class SeparableField:
-    """Sum of products of per-coordinate factors over (x_1..x_{n-1}, t)."""
-
-    def __init__(self, n, terms):
-        # terms: list of (coef, (factor_0, ..., factor_{n-1})), one factor
-        # per computational coordinate, t last
-        self.n = n
-        self.terms = []
-        for coef, factors in terms:
-            if len(factors) != n:
-                raise ValueError(f"need {n} factors per term, got {len(factors)}")
-            self.terms.append((float(coef), tuple(factors)))
-
-    def jets(self, comp_points):
-        """Value, gradient and Hessian w.r.t. the computational coordinates.
-
-        comp_points: (M, n) with t in the last slot.  Returns (M,), (n, M),
-        (n, n, M).
-        """
-        pts = np.asarray(comp_points, dtype=float)
-        M, n = pts.shape
-        val = np.zeros(M)
-        grad = np.zeros((n, M))
-        hess = np.zeros((n, n, M))
-        for coef, factors in self.terms:
-            jets = [f.jet(pts[:, d]) for d, f in enumerate(factors)]
-
-            def partial(*axes):
-                # coef times each factor differentiated once per listed axis
-                out = coef * np.ones(M)
-                for k, jet in enumerate(jets):
-                    out = out * jet[axes.count(k)]
-                return out
-
-            val += coef * np.prod([j[0] for j in jets], axis=0)
-            for d in range(n):
-                grad[d] += partial(d)
-                for e in range(d, n):
-                    h = partial(d, e)
-                    hess[d, e] += h
-                    if e != d:
-                        hess[e, d] += h
-        return val, grad, hess
+def _factor_jet(spec, s):
+    """Value, first and second derivative at ``s`` of one factor spec:
+    ("poly", c0, c1, ...) with coefficients low order first, or
+    ("sin"|"cos", freq[, phase]) for sin/cos(freq*s + phase)."""
+    kind, *args = spec
+    if kind == "poly":
+        c = np.array(args or [0.0])
+        d1 = np.polynomial.polynomial.polyder(c)
+        d2 = np.polynomial.polynomial.polyder(c, 2)
+        pv = np.polynomial.polynomial.polyval
+        return pv(s, c), pv(s, d1) if len(d1) else np.zeros_like(s), \
+            pv(s, d2) if len(d2) else np.zeros_like(s)
+    w = args[0] if args else 1.0
+    arg = w * s + (args[1] if len(args) > 1 else 0.0)
+    if kind == "sin":
+        return np.sin(arg), w * np.cos(arg), -w * w * np.sin(arg)
+    return np.cos(arg), -w * np.sin(arg), -w * w * np.cos(arg)
 
 
 @dataclass
 class ManufacturedProblem:
     op: object
     region: object
-    fields: tuple  # SeparableField per component
+    spec: tuple  # per component, a tuple of (coef, factor specs) terms
 
     def jets(self, points):
         """Values, physical gradients and Hessians of u* at physical points,
-        shapes (N, M), (N, n, M) and (N, n, n, M): the jets of each field in
-        (x', t) carried to x by auxiliary.chain_rule."""
+        shapes (N, M), (N, n, M) and (N, n, n, M): each component's sum of
+        products of factor jets in (x', t), carried to x by
+        auxiliary.chain_rule."""
         tang, t = vertical_coordinate(self.region, points)
         tjets = vertical_jets(self.region, tang, t)
         comp = np.concatenate([tang, t[:, None]], axis=-1)
+        M, n = comp.shape
         vals, grads, hesss = [], [], []
-        for f in self.fields:
-            V, G, H = f.jets(comp)
-            grad, hess = chain_rule(G, H, *tjets)
-            vals.append(V)
+        for terms in self.spec:
+            val = np.zeros(M)
+            grad = np.zeros((n, M))
+            hess = np.zeros((n, n, M))
+            for coef, factors in terms:
+                jets = [_factor_jet(fs, comp[:, d]) for d, fs in enumerate(factors)]
+
+                def partial(*axes):
+                    # coef times each factor differentiated once per listed axis
+                    out = coef * np.ones(M)
+                    for k, jet in enumerate(jets):
+                        out = out * jet[axes.count(k)]
+                    return out
+
+                val += coef * np.prod([j[0] for j in jets], axis=0)
+                for d in range(n):
+                    grad[d] += partial(d)
+                    for e in range(d, n):
+                        h = partial(d, e)
+                        hess[d, e] += h
+                        if e != d:
+                            hess[e, d] += h
+            grad, hess = chain_rule(grad, hess, *tjets)
+            vals.append(val)
             grads.append(grad)
             hesss.append(hess)
         return np.array(vals), np.array(grads), np.array(hesss)
@@ -138,12 +102,12 @@ class ManufacturedProblem:
         jets = self.jets(pts)
         source = np.array(apply_operator_jets(self.op, list(zip(*jets)), np.zeros(len(pts)),
                                               lambda p: p.value_many(pts)))
-        shape = (len(self.fields),) + grid.dims
+        shape = (len(self.spec),) + grid.dims
         return jets[0].reshape(shape), source.reshape(shape)
 
 
 def manufactured_problem(op, region, u_star_spec):
-    """Build a ManufacturedProblem from a term-list specification.
+    """Validate a term-list specification into a ManufacturedProblem.
 
     u_star_spec: per component, a list of (coef, factor_specs) where each
     factor spec is ("poly", c0, c1, ...), ("sin", freq[, phase]) or
@@ -151,24 +115,16 @@ def manufactured_problem(op, region, u_star_spec):
     """
     if len(u_star_spec) != op.N:
         raise ValueError(f"expected {op.N} components, got {len(u_star_spec)}")
-    fields = []
     for comp in u_star_spec:
-        terms = []
         for coef, fspecs in comp:
-            factors = []
+            if len(fspecs) != region.n:
+                raise ValueError(f"need {region.n} factors per term, got {len(fspecs)}")
             for fs in fspecs:
-                kind = fs[0]
-                if kind == "poly":
-                    factors.append(Factor1D("poly", coeffs=fs[1:]))
-                elif kind in ("sin", "cos"):
-                    freq = fs[1] if len(fs) > 1 else 1.0
-                    phase = fs[2] if len(fs) > 2 else 0.0
-                    factors.append(Factor1D(kind, freq=freq, phase=phase))
-                else:
+                if fs[0] not in ("poly", "sin", "cos"):
                     raise ValueError(f"unknown factor spec {fs!r}")
-            terms.append((coef, factors))
-        fields.append(SeparableField(region.n, terms))
-    return ManufacturedProblem(op=op, region=region, fields=tuple(fields))
+    spec = tuple(tuple((coef, tuple(fspecs)) for coef, fspecs in comp)
+                 for comp in u_star_spec)
+    return ManufacturedProblem(op=op, region=region, spec=spec)
 
 
 _STENCILS = {
@@ -260,36 +216,34 @@ class ConvergenceStudy:
     monotone: bool = True
 
 
-def convergence_study(problem, grid_list, tol=1e-10):
-    """Solve the manufactured problem on each grid and report errors.
+def convergence_study(problem, sizes, tol=1e-10):
+    """Solve the manufactured problem on each m x m grid and report errors.
 
-    grid_list: (nx, nt) pairs with nx strictly increasing, else ValueError
-    before any solve.  Errors are nodal L-infinity and Jacobian-weighted L2
-    against u*; the order between successive grids is log2 of their error
-    ratio over log2 of their refinement ratio (nx_{k+1} - 1)/(nx_k - 1).
-    ``tol`` goes to solve_system.
+    sizes: node counts m, strictly increasing, else ValueError before any
+    solve.  Errors are nodal L-infinity and Jacobian-weighted L2 against u*;
+    the order between successive grids is log2 of their error ratio over
+    log2 of their refinement ratio (m_{k+1} - 1)/(m_k - 1).  ``tol`` goes
+    to solve_system.
     """
-    nxs = [nx for nx, _ in grid_list]
-    if any(b <= a for a, b in zip(nxs, nxs[1:])):
-        raise ValueError(f"grids must strictly increase in nx, got {nxs}")
-    steps = [math.log2((b - 1) / (a - 1)) for a, b in zip(nxs, nxs[1:])]
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError(f"grids must strictly increase in nx, got {list(sizes)}")
+    steps = [math.log2((b - 1) / (a - 1)) for a, b in zip(sizes, sizes[1:])]
     region = problem.region
-    errors_inf, errors_l2, grids = [], [], []
-    for nx, nt in grid_list:
-        grid = MappedGrid(region, nx, nt)
+    errors_inf, errors_l2 = [], []
+    for m in sizes:
+        grid = MappedGrid(region, m, m)
         exact, src = problem.nodal_fields(grid)
         system = assemble(problem.op, grid, exact, source=src)
         sol = solve_system(system, tol=tol)
         diff = sol.values - exact
         errors_inf.append(float(np.abs(diff).max()))
         w = quadrature_weights(grid)
-        errors_l2.append(float(np.sqrt((diff.reshape(len(problem.fields), -1) ** 2 * w).sum())))
-        grids.append((nx, nt))
+        errors_l2.append(float(np.sqrt((diff.reshape(len(diff), -1) ** 2 * w).sum())))
     orders_inf = [math.log2(errors_inf[k] / errors_inf[k + 1]) / steps[k]
                   for k in range(len(steps))]
     orders_l2 = [math.log2(errors_l2[k] / errors_l2[k + 1]) / steps[k]
                  for k in range(len(steps))]
     monotone = all(errors_inf[k + 1] < errors_inf[k] for k in range(len(errors_inf) - 1))
-    return ConvergenceStudy(grids=grids, errors_inf=errors_inf, errors_l2=errors_l2,
-                            orders_inf=orders_inf, orders_l2=orders_l2,
-                            monotone=monotone)
+    return ConvergenceStudy(grids=[(m, m) for m in sizes], errors_inf=errors_inf,
+                            errors_l2=errors_l2, orders_inf=orders_inf,
+                            orders_l2=orders_l2, monotone=monotone)

@@ -298,7 +298,7 @@ def solve_system(system, tol=1e-10):
     shape = system.grid.dims if system.grid is not None else (-1,)
     return SolutionField(
         values=x.reshape((system.N,) + shape), grid=system.grid,
-        residual=residual, method="direct", iterations=0,
+        residual=residual, iterations=0,
     )
 
 

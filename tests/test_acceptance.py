@@ -29,7 +29,7 @@ from narrowgap import (
     sweep_and_fit,
     validate_profile,
 )
-from narrowgap.cli import EXIT_OK, EXIT_VALIDATION, main
+from narrowgap.cli import EXIT_OK, EXIT_VALIDATION, _mms_spec, main
 from narrowgap.verification import _fd_grad
 
 from bound_oracle import check_derivative_bounds
@@ -149,12 +149,10 @@ def test_criterion_5_lemma_constants(blowup_sweeps, kind):
 def test_criterion_6_mms_orders(kind):
     # eps 0.1 on uniform axes, eps 0.025 on graded ones (tangential map)
     op = make_builtin(kind, n=2)
-    spec = [[(1.0, [("sin", 1.0 + 0.3 * i, 0.2 * i),
-                    ("poly", 1.0, 0.5, 0.25)])] for i in range(op.N)]
     for eps in (0.1, 0.025):
         region = NarrowRegion(n=2, epsilon=eps, profile=quad_profile())
-        study = convergence_study(manufactured_problem(op, region, spec),
-                                  [(17, 17), (33, 33), (65, 65)])
+        study = convergence_study(manufactured_problem(op, region, _mms_spec(op)),
+                                  [17, 33, 65])
         assert study.monotone, eps
         for order in study.orders_inf:
             assert abs(order - 2.0) <= 0.2, (eps, study.orders_inf)

@@ -304,8 +304,7 @@ def test_sweep_grid_schedule(lap, monkeypatch):
         assert dx[500] == pytest.approx(ratio, rel=1e-12)
         # the recovered gradient of the nodal field x1 is exactly (1, 0)
         x1 = np.broadcast_to(axis[:, None], grid.dims)[None]
-        gx = gradient(SolutionField(values=x1, grid=grid, residual=0.0,
-                                    method="exact")).values[0]
+        gx = gradient(SolutionField(values=x1, grid=grid, residual=0.0)).values[0]
         np.testing.assert_allclose(gx[0], 1.0, rtol=1e-13)
         np.testing.assert_allclose(gx[1], 0.0, atol=1e-13)
 

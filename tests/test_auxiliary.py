@@ -1,5 +1,7 @@
 """Auxiliary fields ubar / utilde / ftilde and their derivative bounds."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,7 @@ def reg():
 def boundary_points(reg, x1):
     x1 = np.asarray(x1, dtype=float)[:, None]
     bot = reg.bottom_poly.value_many(x1)
-    top = reg.top_poly.value_many(x1)
+    top = (reg.profile.h1 + Fraction(reg.epsilon) / 2).value_many(x1)
     return (np.concatenate([x1, bot[:, None]], axis=1),
             np.concatenate([x1, top[:, None]], axis=1))
 

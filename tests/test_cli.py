@@ -4,6 +4,7 @@ import concurrent.futures
 import io
 import json
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -224,10 +225,21 @@ def test_custom_operator_without_components_is_a_validation_error(tmp_path, caps
 @pytest.mark.parametrize("command, old, new", [
     ("validate", 'h1 = "0.5*x1^2"', 'h1 = "' + "(" * 400 + "0.5*x1^2" + ")" * 400 + '"'),
     ("solve", 'g_plus.1 = "1"', 'g_plus.1 = "10^400"'),
-], ids=["nested", "overflow"])
+    # 1.5^10000000 ran past 100 s in the parser, and an exponent of over
+    # 4300 digits ended in a traceback from int()
+    ("validate", 'h1 = "0.5*x1^2"', 'h1 = "0.5*x1^2 + 0*1.5^10000000"'),
+    ("solve", 'g_plus.1 = "1"', 'g_plus.1 = "1.5^10000000"'),
+    ("solve", 'g_plus.1 = "1"', 'g_plus.1 = "x1^1' + "0" * 4999 + '"'),
+    ("validate", 'h1 = "0.5*x1^2"', 'h1 = "0.5*x1^2 + x1^' + "9" * 5000 + '"'),
+], ids=["nested", "overflow", "constant_power-validate", "constant_power-solve",
+        "long_exponent-solve", "long_exponent-validate"])
 def test_expression_beyond_evaluation_is_a_config_error(tmp_path, capsys, command,
                                                          old, new):
-    code = main([command, "--config", write_cfg(tmp_path, QUAD_CFG.replace(old, new))])
+    assert old in QUAD_CFG
+    cfg = write_cfg(tmp_path, QUAD_CFG.replace(old, new))
+    start = time.perf_counter()
+    code = main([command, "--config", cfg])
+    assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
@@ -259,6 +271,15 @@ def test_expression_above_the_degree_cap_is_a_config_error(tmp_path, capsys, com
     assert captured.out == ""
     err = json.loads(captured.err.strip())
     assert err["error"] == "config" and " > 8 at position" in err["message"]
+
+
+def test_an_exponent_of_5000_zeros_parses(tmp_path, capsys):
+    zeros = QUAD_CFG.replace('g_plus.1 = "1"', 'g_plus.1 = "x1^' + "0" * 5000 + '"')
+    assert zeros != QUAD_CFG
+    for text, name in ((QUAD_CFG, "one.cfg"), (zeros, "zeros.cfg")):
+        assert main(["solve", "--config", write_cfg(tmp_path, text, name)]) == EXIT_OK
+    one, zeros = capsys.readouterr().out.split("\n}\n")[:2]
+    assert json.loads(zeros + "}") == json.loads(one + "}")
 
 
 @pytest.mark.parametrize("text", [

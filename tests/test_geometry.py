@@ -47,7 +47,7 @@ def test_region_polynomials_are_exact():
     assert reg.delta_poly.coefficient((2,)) == 1
     assert reg.delta_poly.coefficient((0,)) == Fraction(0.1)
     assert reg.bottom_poly.coefficient((0,)) == -Fraction(0.1) / 2
-    assert reg.top_poly.coefficient((2,)) == Fraction(1, 2)
+    assert (reg.profile.h1 + Fraction(reg.epsilon) / 2).coefficient((2,)) == Fraction(1, 2)
 
 
 def test_validate_quadratic_profile_passes():
@@ -182,7 +182,8 @@ def _point_cloud_validation(region, samples_per_dim=160, tol=1e-9):
               / (region.epsilon + (box**2).sum(axis=-1)))
     numbers = {
         "min_eigenvalue": float(np.linalg.eigvalsh(
-            prof.separation().hessian_value((0.0,) * prof.nd)).min()),
+            [[float(prof.separation().deriv(i).deriv(j).value((0,) * prof.nd))
+              for j in range(prof.nd)] for i in range(prof.nd)]).min()),
         "c2_norm_h1": c2_h1,
         "c2_norm_h2": c2_h2,
         "positive_gap": float(region.delta_poly.value_many(ball).min()),

@@ -313,6 +313,6 @@ def test_mms_errors_pinned(configs):
     cfg = load_config(configs["custom"])
     op = cfg.operator()
     problem = manufactured_problem(op, cfg.region(cfg.epsilons[0]), _mms_spec(op))
-    study = convergence_study(problem, [(9, 9), (17, 17), (33, 33)])
+    study = convergence_study(problem, [9, 17, 33])
     for key, pinned in PINNED_MMS_ERRORS.items():
         assert getattr(study, key) == pytest.approx(pinned, rel=1e-12, abs=0)

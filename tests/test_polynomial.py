@@ -1,5 +1,6 @@
 """Exact polynomial calculus and the expression parser."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from narrowgap.polynomial import (
     MAX_DEGREE,
+    MAX_POWER_BITS,
     ExpressionError,
     PolynomialField,
     RationalField,
@@ -91,6 +93,45 @@ def test_degree_cap_admits_degree_8_and_leaves_arithmetic_uncapped():
     assert (x1**5 * x1**5).degree() == 10
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("1.5^10000000", f"exponent 10000000 > {MAX_POWER_BITS}"),  # ran past 100 s
+    ("0*2^100000000", f"exponent 100000000 > {MAX_POWER_BITS}"),
+    ("1.5^3000", f"constant power above {MAX_POWER_BITS} bits"),
+    ("(0.5 + x1 - x1)^4097", f"constant power above {MAX_POWER_BITS} bits"),
+    ("(1.5^2000)^3", f"constant power above {MAX_POWER_BITS} bits"),
+    ("0.5^4097", f"constant power above {MAX_POWER_BITS} bits"),
+    # int() refuses more than 4300 digits
+    ("x1^1" + "0" * 4999, f"exponent 1{'0' * 4999} > {MAX_POWER_BITS}"),
+    ("2^" + "9" * 5000, f" > {MAX_POWER_BITS}"),
+    ("x1*x" + "9" * 5000, "undefined variable x999"),
+], ids=["long_exponent", "zero_times_power", "bits", "cancelled_variable", "nested",
+        "just_above", "exponent_digits", "constant_exponent_digits", "index_digits"])
+def test_parse_refuses_a_large_power_or_index_before_computing_it(bad, message):
+    start = time.perf_counter()
+    with pytest.raises(ExpressionError, match=message):
+        parse_expression(bad, nvars=1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_constant_powers_under_the_bit_cap_and_of_0_1_and_minus_1_parse():
+    assert MAX_POWER_BITS == 4096
+    assert parse_expression("0.5^4096", nvars=1).constant_term() == Fraction(1, 2**4096)
+    with pytest.raises(ExpressionError, match="beyond the float range"):
+        parse_expression("2^4096", nvars=1)
+    for text, value in (("1^10000000", 1), ("0^10000000", 0), ("(-1)^10000001", -1),
+                        ("(-1)^10000000", 1), ("0^0", 1), ("(1 - 2)^" + "9" * 5000, -1)):
+        assert parse_expression(text, nvars=1).constant_term() == value, text
+
+
+@pytest.mark.parametrize("text, value", [
+    ("x1^" + "0" * 5000, "1"),            # int() refuses over 4300 digits
+    ("x1^" + "0" * 4999 + "2", "x1^2"),
+    ("x" + "0" * 4999 + "1", "x1"),
+])
+def test_leading_zeros_of_any_length_parse(text, value):
+    assert parse_expression(text, nvars=1) == parse_expression(value, nvars=1)
+
+
 def test_ring_operations_match_pointwise():
     p = parse_expression("x1^2 + 2*x2", nvars=2)
     q = parse_expression("x1*x2 - 3", nvars=2)
@@ -108,8 +149,7 @@ def test_derivatives_are_exact():
     assert d1.coefficient((0, 2)) == -2
     assert d2.coefficient((3, 0)) == 1
     assert d2.coefficient((1, 1)) == -4
-    hess = p.hessian()
-    assert hess[0][1] == hess[1][0]
+    assert d1.deriv(1) == d2.deriv(0)
 
 
 small_polys = st.lists(

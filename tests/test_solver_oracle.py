@@ -130,8 +130,7 @@ def _pinned_numbers(root):
         cfg = load_config(paths[case])
         op = cfg.operator()
         problem = manufactured_problem(op, cfg.region(cfg.epsilons[0]), _mms_spec(op))
-        study = convergence_study(problem, [(9, 9), (17, 17), (33, 33)],
-                                  tol=cfg.tol)
+        study = convergence_study(problem, [9, 17, 33], tol=cfg.tol)
         for key in ("errors_inf", "errors_l2", "orders_inf", "orders_l2"):
             got.update({("mms", case, key, k): v
                         for k, v in enumerate(getattr(study, key))})

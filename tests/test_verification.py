@@ -15,7 +15,7 @@ from narrowgap import (
     manufactured_problem,
     parse_expression,
 )
-from narrowgap.verification import Factor1D, ManufacturedProblem
+from narrowgap.verification import ManufacturedProblem, _factor_jet
 
 from conftest import flat_profile, quad_profile
 
@@ -37,16 +37,24 @@ def reg():
 
 
 def test_factor_jets():
-    poly = Factor1D("poly", coeffs=(1.0, 0.5, 0.25))
-    v, d1, d2 = poly.jet(np.array([0.0, 2.0]))
+    v, d1, d2 = _factor_jet(("poly", 1.0, 0.5, 0.25), np.array([0.0, 2.0]))
     np.testing.assert_allclose(v, [1.0, 3.0])
     np.testing.assert_allclose(d1, [0.5, 1.5])
     np.testing.assert_allclose(d2, [0.5, 0.5])
-    sin = Factor1D("sin", freq=2.0)
-    v, d1, d2 = sin.jet(np.array([0.3]))
+    v, d1, d2 = _factor_jet(("sin", 2.0), np.array([0.3]))
     assert v[0] == pytest.approx(np.sin(0.6))
     assert d1[0] == pytest.approx(2 * np.cos(0.6))
     assert d2[0] == pytest.approx(-4 * np.sin(0.6))
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([], "expected 1 components, got 0"),
+    ([[(1.0, [("poly", 1.0)])]], "need 2 factors per term, got 1"),
+    ([[(1.0, [("poly", 1.0), ("tan", 1.0)])]], "unknown factor spec"),
+], ids=["components", "factors", "kind"])
+def test_manufactured_problem_validates_the_spec(reg, spec, message):
+    with pytest.raises(ValueError, match=message):
+        manufactured_problem(make_builtin("laplace", n=2), reg, spec)
 
 
 def test_constant_field_has_zero_source(reg):
@@ -119,7 +127,7 @@ def test_convergence_study_orders(reg):
     op = make_builtin("laplace", n=2)
     problem = manufactured_problem(
         op, reg, [[(1.0, [("sin", 1.0), ("poly", 1.0, 0.5, 0.25)])]])
-    study = convergence_study(problem, [(9, 9), (17, 17), (33, 33)])
+    study = convergence_study(problem, [9, 17, 33])
     assert study.monotone
     assert len(study.orders_inf) == 2
     for order in study.orders_inf:
@@ -132,7 +140,7 @@ def test_convergence_study_orders_on_a_ladder_that_is_not_2_to_1(reg):
     op = make_builtin("laplace", n=2)
     problem = manufactured_problem(
         op, reg, [[(1.0, [("sin", 1.0), ("poly", 1.0, 0.5, 0.25)])]])
-    study = convergence_study(problem, [(17, 17), (25, 25), (33, 33)])
+    study = convergence_study(problem, [17, 25, 33])
     assert study.monotone
     for order in study.orders_inf + study.orders_l2:
         assert 1.8 <= order <= 2.2
@@ -143,7 +151,7 @@ def test_convergence_study_exact_field_floors_at_rounding():
     op = make_builtin("laplace", n=2)
     problem = manufactured_problem(op, flat, [[(1.0, [("poly", 1.0),
                                                       ("poly", 0.0, 1.0)])]])
-    study = convergence_study(problem, [(9, 9), (17, 17)])
+    study = convergence_study(problem, [9, 17])
     assert max(study.errors_inf) < 1e-10
 
 
@@ -152,7 +160,7 @@ def test_convergence_study_evaluates_the_jets_once_per_grid(reg, monkeypatch):
     problem = manufactured_problem(
         op, reg, [[(1.0, [("sin", 1.0), ("poly", 1.0, 0.5, 0.25)])],
                   [(1.0, [("cos", 0.7, 0.2), ("poly", 0.5, 0.25)])]])
-    grids = [(9, 9), (17, 17), (33, 33)]
+    sizes = [9, 17, 33]
     calls = []
     jets = ManufacturedProblem.jets
 
@@ -161,8 +169,8 @@ def test_convergence_study_evaluates_the_jets_once_per_grid(reg, monkeypatch):
         return jets(self, points)
 
     monkeypatch.setattr(ManufacturedProblem, "jets", counted)
-    convergence_study(problem, grids)
-    assert calls == [nx * nt for nx, nt in grids]
+    convergence_study(problem, sizes)
+    assert calls == [m * m for m in sizes]
 
     monkeypatch.undo()
     grid = MappedGrid(reg, 17, 17)
